@@ -1,11 +1,13 @@
-// Two-tier behavior-preservation goldens (N-tier refactor PR).
+// Report and explain goldens: byte-for-byte pins of seeded simulated runs.
 //
-// The N-tier generalization must not change a single byte of the report or
-// explain JSON of existing two-tier configurations. These tests replay
-// seeded simulated runs on `platform_a` and `optane_platform` and compare
-// the serialized output against goldens captured *before* the refactor
-// (tests/golden/*.json). Regenerate deliberately with
-// TAHOE_UPDATE_GOLDENS=1 after verifying a behavior change is intended.
+// Two-tier runs on `platform_a` and `optane_platform` pin the 0/1 planner;
+// they were captured before the N-tier generalization, which had to leave
+// every byte of them unchanged. Four-tier runs on a small `cxl_platform`
+// pin the N-tier MCKP planner (`decide_multi`); its tiers are sized so the
+// per-group fixed point of both apps takes three rounds to settle. The
+// tests compare serialized output against tests/golden/*.json.
+// Regenerate deliberately with TAHOE_UPDATE_GOLDENS=1 after verifying a
+// behavior change is intended.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -43,6 +45,18 @@ core::RuntimeConfig platform_a_config() {
 core::RuntimeConfig optane_config() {
   core::RuntimeConfig c;
   c.machine = memsim::machines::optane_platform(64 * kMiB);
+  c.backing = hms::Backing::Virtual;
+  c.fixed_decision_seconds = 0.0;
+  c.attribution = true;
+  return c;
+}
+
+/// HBM + DRAM + CXL-DRAM well below the Test-scale working sets, so the
+/// plan spreads units over all three constrained tiers.
+core::RuntimeConfig cxl_config() {
+  core::RuntimeConfig c;
+  c.machine = memsim::machines::cxl_platform(64 * kKiB, 128 * kKiB,
+                                             256 * kKiB, 4 * kGiB);
   c.backing = hms::Backing::Virtual;
   c.fixed_decision_seconds = 0.0;
   c.attribution = true;
@@ -98,8 +112,7 @@ void check_golden(const std::string& name, const std::string& actual) {
                          << " (run with TAHOE_UPDATE_GOLDENS=1 to capture)";
   std::ostringstream buf;
   buf << is.rdbuf();
-  EXPECT_EQ(buf.str(), actual) << "two-tier run diverged from the "
-                                  "pre-refactor golden " << name;
+  EXPECT_EQ(buf.str(), actual) << "run diverged from the golden " << name;
 }
 
 TEST(TierGoldens, PlatformACgReportIsByteIdentical) {
@@ -125,6 +138,26 @@ TEST(TierGoldens, OptaneCgReportIsByteIdentical) {
 TEST(TierGoldens, OptaneSpReportIsByteIdentical) {
   const RunJson r = run_json(optane_config(), "sp");
   check_golden("optane_sp.report.json", r.report);
+}
+
+TEST(TierGoldens, CxlFtReportIsByteIdentical) {
+  const RunJson r = run_json(cxl_config(), "ft");
+  check_golden("cxl_ft.report.json", r.report);
+}
+
+TEST(TierGoldens, CxlFtExplainIsByteIdentical) {
+  const RunJson r = run_json(cxl_config(), "ft");
+  check_golden("cxl_ft.explain.json", r.explain);
+}
+
+TEST(TierGoldens, CxlNekproxyReportIsByteIdentical) {
+  const RunJson r = run_json(cxl_config(), "nekproxy");
+  check_golden("cxl_nekproxy.report.json", r.report);
+}
+
+TEST(TierGoldens, CxlNekproxyExplainIsByteIdentical) {
+  const RunJson r = run_json(cxl_config(), "nekproxy");
+  check_golden("cxl_nekproxy.explain.json", r.explain);
 }
 
 }  // namespace
