@@ -140,75 +140,93 @@ MultiTierResult solve_multi(std::span<const MultiTierItem> items,
     return result;
   }
 
-  // Per-tier grid: split the state budget evenly across dimensions, but
+  // Per-tier granule: split the state budget evenly across dimensions, but
   // never finer than one byte per granule and never coarser than 1 granule.
   const double per_dim =
       std::pow(static_cast<double>(state_budget), 1.0 / static_cast<double>(T));
   const std::uint64_t grid = std::max<std::uint64_t>(
       1, std::min<std::uint64_t>(2048, static_cast<std::uint64_t>(per_dim) - 1));
-  std::vector<std::uint64_t> granule(T), cap_g(T);
-  std::size_t num_states = 1;
+  std::vector<std::uint64_t> granule(T);
+  std::vector<std::size_t> cap_g(T);
   for (std::size_t t = 0; t < T; ++t) {
     granule[t] = std::max<std::uint64_t>(1, capacities[t] / grid);
-    cap_g[t] = capacities[t] / granule[t];
-    num_states *= static_cast<std::size_t>(cap_g[t] + 1);
+    cap_g[t] = static_cast<std::size_t>(capacities[t] / granule[t]);
   }
 
-  // Flat index strides (tier 0 fastest-varying).
+  // need[k * T + t] = granules item k takes on tier t, or 0 where it cannot
+  // go (zero size, value <= 0, larger than the whole tier). reach[t] = the
+  // most granules the items can ever use on tier t, capped by the tier.
+  std::vector<std::size_t> need(items.size() * T, 0);
+  std::vector<std::size_t> reach(T, 0);
+  std::vector<std::size_t> placeable;  // items with at least one usable tier
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    const MultiTierItem& it = items[k];
+    if (it.size == 0) continue;
+    bool usable = false;
+    for (std::size_t t = 0; t < T; ++t) {
+      const auto n = static_cast<std::size_t>(granules_for(it.size, granule[t]));
+      if (it.values[t] <= 0.0 || n > cap_g[t]) continue;
+      need[k * T + t] = n;
+      reach[t] = std::min(cap_g[t], reach[t] + n);
+      usable = true;
+    }
+    if (usable) placeable.push_back(k);
+  }
+
+  // The grid spans only reachable usage, tier 0 fastest-varying. A state
+  // of the full (cap_g + 1)^T grid has the same value and choice as the
+  // state clamped to what the items so far can use, so reconstructing from
+  // this grid's top corner picks what the full grid's top corner would.
   std::vector<std::size_t> stride(T);
-  std::size_t s = 1;
+  std::size_t num_states = 1;
   for (std::size_t t = 0; t < T; ++t) {
-    stride[t] = s;
-    s *= static_cast<std::size_t>(cap_g[t] + 1);
+    stride[t] = num_states;
+    num_states *= reach[t] + 1;
   }
 
   // Forward DP over items; dp[state] = best value with per-tier usage
-  // within the state's granule budget. choice[k][state] = tier picked for
-  // item k at that state (T = capacity tier / skip).
-  std::vector<double> dp(num_states, 0.0), next(num_states, 0.0);
-  std::vector<std::vector<std::uint8_t>> choice(
-      items.size(), std::vector<std::uint8_t>(num_states,
-                                              static_cast<std::uint8_t>(T)));
-  std::vector<std::uint64_t> coord(T);
-  for (std::size_t k = 0; k < items.size(); ++k) {
-    const MultiTierItem& it = items[k];
-    std::fill(coord.begin(), coord.end(), 0);
-    for (std::size_t st = 0; st < num_states; ++st) {
-      double best = dp[st];
-      std::uint8_t pick = static_cast<std::uint8_t>(T);
-      if (it.size > 0) {
-        for (std::size_t t = 0; t < T; ++t) {
-          if (it.values[t] <= 0.0) continue;
-          const std::uint64_t need = granules_for(it.size, granule[t]);
-          if (need > coord[t]) continue;
-          const double with =
-              dp[st - static_cast<std::size_t>(need) * stride[t]] +
-              it.values[t];
-          if (with > best) {
-            best = with;
-            pick = static_cast<std::uint8_t>(t);
+  // within the state's granule budget. Items without a usable tier leave
+  // dp as it is; each placeable item owns one row of `choice`, the tier it
+  // took at each state (T = skip). Tiers sweep in ascending order with a
+  // strict `>`, so every state weighs its candidates in the same order as
+  // a per-state scan and ties resolve the same way: to the lower tier, and
+  // to skip over any tier.
+  std::vector<double> dp(num_states, 0.0), next(num_states);
+  std::vector<std::uint8_t> choice(placeable.size() * num_states,
+                                   static_cast<std::uint8_t>(T));
+  for (std::size_t r = 0; r < placeable.size(); ++r) {
+    const std::size_t k = placeable[r];
+    const std::size_t* item_need = &need[k * T];
+    std::uint8_t* pick = &choice[r * num_states];
+    std::copy(dp.begin(), dp.end(), next.begin());
+    for (std::size_t t = 0; t < T; ++t) {
+      if (item_need[t] == 0) continue;
+      // States whose tier-t coordinate is at least the need form one
+      // contiguous run per block of the higher tiers.
+      const std::size_t offset = item_need[t] * stride[t];
+      const std::size_t block = stride[t] * (reach[t] + 1);
+      const double value = items[k].values[t];
+      for (std::size_t base = 0; base < num_states; base += block) {
+        for (std::size_t st = base + offset; st < base + block; ++st) {
+          const double with = dp[st - offset] + value;
+          if (with > next[st]) {
+            next[st] = with;
+            pick[st] = static_cast<std::uint8_t>(t);
           }
         }
-      }
-      next[st] = best;
-      choice[k][st] = pick;
-      // Advance mixed-radix coordinates.
-      for (std::size_t t = 0; t < T; ++t) {
-        if (++coord[t] <= cap_g[t]) break;
-        coord[t] = 0;
       }
     }
     dp.swap(next);
   }
 
-  // Reconstruct from the full-capacity state.
+  // Reconstruct from the reachable-capacity corner.
   std::size_t st = num_states - 1;
-  for (std::size_t k = items.size(); k-- > 0;) {
-    const std::uint8_t pick = choice[k][st];
+  for (std::size_t r = placeable.size(); r-- > 0;) {
+    const std::size_t k = placeable[r];
+    const std::uint8_t pick = choice[r * num_states + st];
     if (pick < T) {
       result.assignment[k] = static_cast<int>(pick);
-      const std::uint64_t need = granules_for(items[k].size, granule[pick]);
-      st -= static_cast<std::size_t>(need) * stride[pick];
+      st -= need[k * T + pick] * stride[pick];
     }
   }
   finalize_multi(result, items, T);

@@ -64,10 +64,13 @@ struct MultiTierResult {
 };
 
 /// Scaled multi-dimensional DP. Sizes are rounded *up* to per-tier
-/// granules, so no tier capacity is ever violated. The per-tier grid is
-/// derived from `state_budget` (total DP states allowed), keeping the
-/// state space bounded for any tier count. Choices with value <= 0 are
-/// never taken.
+/// granules, so no tier capacity is ever violated. `state_budget` (total
+/// DP states allowed) sets the granule: each tier's capacity is split into
+/// about state_budget^(1/T) granules, keeping the state space bounded for
+/// any tier count. The DP extent per tier is the reachable usage, the
+/// granules of every item that can go there, capped at the tier; the
+/// result is the one the full grid would give, ties included. Choices with
+/// value <= 0 are never taken.
 MultiTierResult solve_multi(std::span<const MultiTierItem> items,
                             std::span<const std::uint64_t> capacities,
                             std::size_t state_budget = 1 << 18);

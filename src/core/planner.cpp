@@ -723,25 +723,25 @@ PlanDecision TahoePolicy::decide_multi(const PlanInputs& in) {
   for (const auto& [unit, dev] : in.current.entries()) {
     if (dev != cap_tier) current[unit] = dev;
   }
-  std::map<Unit, memsim::TierId> steady_start =
-      run_pass(current, nullptr, nullptr, nullptr);
   // The body repeats every iteration, so it must return to its own start
   // residency. With more than one constrained tier the per-group MCKP can
   // take a few rounds to settle (a unit parked on tier 1 this round may be
   // re-chosen for tier 2 next round); iterate toward the cyclic fixed
-  // point.
-  for (int i = 0; i < 4; ++i) {
-    std::map<Unit, memsim::TierId> next =
-        run_pass(steady_start, nullptr, nullptr, nullptr);
-    if (next == steady_start) break;
-    steady_start = std::move(next);
-  }
-
+  // point. A pass depends only on its start residency, so the round that
+  // returns to its own start is the body, schedule and all.
+  constexpr int kMaxRounds = 6;
+  std::map<Unit, memsim::TierId> steady_start = current;
   std::vector<task::ScheduledCopy> local_body;
   double local_gain = 0.0;
   std::vector<PlanCandidate> provenance;
-  const std::map<Unit, memsim::TierId> body_end =
-      run_pass(steady_start, &local_body, &local_gain, &provenance);
+  std::map<Unit, memsim::TierId> body_end;
+  for (int round = 0; round < kMaxRounds; ++round) {
+    local_body.clear();
+    provenance.clear();
+    body_end = run_pass(steady_start, &local_body, &local_gain, &provenance);
+    if (body_end == steady_start || round + 1 == kMaxRounds) break;
+    steady_start = std::move(body_end);
+  }
 
   // No fixed point (the pass orbits a longer cycle): splice explicit
   // restore copies into the last group — evictions first, then fills, so

@@ -334,9 +334,9 @@ void ChannelExecutor::worker_loop(unsigned self) {
     TaskId id = 0;
     if (try_get_task(self, id)) {
       idle_rounds = 0;
-      // Count before executing: execute_task's remaining_ decrement is
-      // what releases run()'s stats aggregation, so a bump after it could
-      // be missed by the snapshot of the run that this task completes.
+      // Count before executing: execute_task's barrier decrement is what
+      // releases run()'s stats aggregation, so a bump after it could be
+      // missed by the snapshot of the run that this task completes.
       bump(ws.stats.tasks_run);
       execute_task(id, self);
       continue;

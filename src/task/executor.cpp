@@ -158,7 +158,7 @@ void Executor::worker_loop(unsigned self) {
         hunt_begin = -1.0;
       }
       idle_rounds = 0;
-      // Count before executing: execute_task's remaining_ decrement is what
+      // Count before executing: execute_task's barrier decrement is what
       // releases run()'s stats aggregation, so a bump after it could be
       // missed by the snapshot of the run that this task completes.
       bump(ws.stats.tasks_run);

@@ -158,9 +158,13 @@ void ExecutorBase::execute_task(TaskId id, unsigned self) {
       push_ready(succ, self);
     }
   }
-  barrier_remaining_.fetch_sub(1, std::memory_order_acq_rel);
-  if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1 ||
-      barrier_remaining_.load(std::memory_order_acquire) == 0) {
+  // remaining_ drops first and the barrier last, and run() waits on the
+  // barrier alone: once it reads zero, every task it covers has left
+  // remaining_ too (the final outstanding-task check cannot count a task
+  // that already ran), and no decrement of this run is still to land on
+  // the counters of the next.
+  remaining_.fetch_sub(1, std::memory_order_acq_rel);
+  if (barrier_remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     {
       // Empty critical section pairs with run()'s predicate check under
       // done_mutex_ so the notify cannot be lost.
@@ -220,6 +224,12 @@ void ExecutorBase::run(const TaskGraph& graph,
     }
   };
 
+  const auto wait_barrier = [this] {
+    std::unique_lock<std::mutex> lock(done_mutex_);
+    done_cv_.wait(lock, [this] {
+      return barrier_remaining_.load(std::memory_order_acquire) == 0;
+    });
+  };
   const bool phase_mode = static_cast<bool>(on_group_start);
   if (phase_mode) {
     // Sequential phases: activate one group at a time.
@@ -229,20 +239,14 @@ void ExecutorBase::run(const TaskGraph& graph,
       barrier_remaining_.store(static_cast<std::uint32_t>(grp.size()),
                                std::memory_order_release);
       for (TaskId id = grp.first_task; id < grp.last_task; ++id) activate(id);
-      // Wait for the group barrier.
-      std::unique_lock<std::mutex> lock(done_mutex_);
-      done_cv_.wait(lock, [this] {
-        return barrier_remaining_.load(std::memory_order_acquire) == 0;
-      });
+      wait_barrier();
     }
   } else {
+    // One barrier over the whole graph.
     barrier_remaining_.store(static_cast<std::uint32_t>(n),
                              std::memory_order_release);
     for (TaskId id = 0; id < n; ++id) activate(id);
-    std::unique_lock<std::mutex> lock(done_mutex_);
-    done_cv_.wait(lock, [this] {
-      return remaining_.load(std::memory_order_acquire) == 0;
-    });
+    wait_barrier();
   }
 
   TAHOE_ASSERT(remaining_.load(std::memory_order_acquire) == 0,

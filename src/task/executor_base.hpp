@@ -227,7 +227,9 @@ class ExecutorBase : public IExecutor {
 
   const TierHint* hints_ = nullptr;  ///< valid during run(); may be null
   std::vector<std::atomic<std::uint32_t>> pending_preds_;
-  std::atomic<std::uint32_t> barrier_remaining_{0};  ///< tasks left in group
+  /// Tasks left in the current group (phase mode) or in the whole graph;
+  /// the counter run() waits on.
+  std::atomic<std::uint32_t> barrier_remaining_{0};
   std::mutex run_mutex_;   ///< one run() at a time
   std::mutex done_mutex_;  ///< run() completion wait (cold path)
   std::condition_variable done_cv_;

@@ -462,6 +462,36 @@ TEST_P(ExecutorBackendTest, InjectionScatterIsBalancedAcrossSmallGroups) {
   }
 }
 
+// Regression: a task used to release its group barrier before leaving the
+// run's outstanding-task count, so a phase-mode run() woken on the last
+// group's zero barrier could find that task still counted and throw "run
+// finished with tasks outstanding" after every task had run. The window is
+// a few instructions wide; many runs of small groups give it many chances.
+// Passing does not prove the order right, but the old order failed here.
+TEST_P(ExecutorBackendTest, PhaseModeRunsNeverEndWithTasksOutstanding) {
+  constexpr int kGroups = 32;
+  constexpr int kPerGroup = 3;
+  constexpr int kRuns = 2000;
+  GraphBuilder gb;
+  std::atomic<int> n{0};
+  for (int gi = 0; gi < kGroups; ++gi) {
+    gb.begin_group("g" + std::to_string(gi));
+    for (int i = 0; i < kPerGroup; ++i) {
+      Task t;
+      t.accesses = {acc(static_cast<hms::ObjectId>(gi * kPerGroup + i),
+                        AccessMode::Write)};
+      t.work = [&n]() { n.fetch_add(1, std::memory_order_relaxed); };
+      gb.add_task(std::move(t));
+    }
+  }
+  const TaskGraph g = gb.build();
+  const auto ex = make(3);
+  for (int run = 0; run < kRuns; ++run) {
+    ASSERT_NO_THROW(ex->run(g, [](GroupId) {})) << "run " << run;
+  }
+  EXPECT_EQ(n.load(), kRuns * kGroups * kPerGroup);
+}
+
 // Randomized graph-execution oracle: arbitrary access patterns produce
 // arbitrary DAGs; execution must run every task exactly once and never
 // start a task before all of its predecessors finished. The completion

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "common/rng.hpp"
 #include "core/knapsack.hpp"
+#include "reference_knapsack.hpp"
 
 namespace tahoe::core {
 namespace {
@@ -254,6 +257,94 @@ TEST(MultiKnapsack, DeterministicAcrossCalls) {
   const MultiTierResult b = solve_multi(items, caps);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_DOUBLE_EQ(a.total_value, 15.0);  // all three fit across the tiers
+}
+
+/// One randomized instance for the reference comparison. Each tier's
+/// capacity is either tight (at most half the total size, so the tier
+/// saturates and some items are larger than it) or loose (well above the
+/// total, so reachable usage stops short of the tier's grid).
+struct DiffInstance {
+  std::vector<MultiTierItem> items;
+  std::vector<std::uint64_t> caps;
+  std::size_t state_budget = 0;
+  bool tight_and_loose = false;
+};
+
+DiffInstance make_diff_instance(Rng& rng, std::size_t T) {
+  // A small value set makes ties common; zeros of both signs and
+  // negatives are never taken.
+  static constexpr double kPalette[] = {-3.0, -0.0, 0.0, 0.5,
+                                        1.0,  1.0,  2.5, 4.0};
+  DiffInstance d;
+  // Budgets below the default give coarse grids. T = 4 stays small: the
+  // full-grid reference would visit 2^18 states per item there.
+  static constexpr std::size_t kBudgets[] = {16, 64, 256, 4096, 1 << 18};
+  d.state_budget = kBudgets[rng.next_below(T == 4 ? 3 : 5)];
+  // Byte-scale sizes keep granules at 1 under large budgets; MiB-scale
+  // sizes force granules of many bytes and round-up quantization.
+  const std::uint64_t scale = rng.next_below(2) == 0 ? 1 : (1ULL << 20) + 3;
+  const std::size_t n = rng.next_below(13);
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0 && rng.next_below(5) == 0) {
+      d.items.push_back(d.items.back());  // an exact twin: ties across items
+      total += d.items.back().size;
+      continue;
+    }
+    MultiTierItem it;
+    it.size = rng.next_below(10) == 0 ? 0 : (1 + rng.next_below(40)) * scale;
+    it.values.resize(T);
+    for (std::size_t t = 0; t < T; ++t) {
+      it.values[t] = rng.next_below(2) == 0
+                         ? kPalette[rng.next_below(std::size(kPalette))]
+                         : (rng.next_double() - 0.3) * 10.0;
+    }
+    if (rng.next_below(4) == 0) {  // the same value on every tier
+      std::fill(it.values.begin(), it.values.end(), it.values[0]);
+    }
+    total += it.size;
+    d.items.push_back(std::move(it));
+  }
+  bool tight = false;
+  bool loose = false;
+  for (std::size_t t = 0; t < T; ++t) {
+    if (rng.next_below(2) == 0) {
+      d.caps.push_back(rng.next_below(total / 2 + 2));
+      tight = true;
+    } else {
+      d.caps.push_back(2 * total + 1 + rng.next_below(total + 1));
+      loose = true;
+    }
+  }
+  d.tight_and_loose = tight && loose && total > 0;
+  return d;
+}
+
+// solve_multi sweeps a grid bounded at reachable usage, one tier at a time;
+// the full-grid per-state scan it replaced is kept under tests/ as the
+// reference. Equal optima are not enough: the assignment, the tier sizes
+// and the total value must match bit for bit, ties included.
+TEST(MultiKnapsack, MatchesReferenceScanBitForBit) {
+  Rng rng(20240607);
+  int tight_and_loose = 0;
+  for (int trial = 0; trial < 1200; ++trial) {
+    // T = 1..3 throughout, plus T = 4 under a small state budget.
+    const std::size_t T = trial % 8 == 7 ? 4 : 1 + trial % 3;
+    const DiffInstance d = make_diff_instance(rng, T);
+    tight_and_loose += d.tight_and_loose ? 1 : 0;
+    const MultiTierResult got = solve_multi(d.items, d.caps, d.state_budget);
+    const MultiTierResult want =
+        reference::solve_multi(d.items, d.caps, d.state_budget);
+    ASSERT_EQ(got.assignment, want.assignment) << "trial " << trial;
+    ASSERT_EQ(got.tier_sizes, want.tier_sizes) << "trial " << trial;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.total_value),
+              std::bit_cast<std::uint64_t>(want.total_value))
+        << "trial " << trial;
+    check_consistent(d.items, d.caps, got);
+  }
+  // The generator must keep producing the regime the reach bound changes
+  // most: one tier saturated while another stops short of its grid.
+  EXPECT_GT(tight_and_loose, 200);
 }
 
 TEST(MultiKnapsack, OracleRejectsHugeInstances) {
