@@ -15,13 +15,13 @@ using Unit = hms::SpaceManager::Unit;
 
 struct WalkResult {
   std::vector<task::ScheduledCopy> schedule;
-  std::vector<Unit> end_residency;
+  core::Residency end_residency;  ///< every unit on the fastest tier
 };
 
 /// One iteration's reactive residency walk: fill on first touch of a
 /// group, evict LRU. `last_used` persists across walks (recency carries
 /// over the iteration boundary).
-WalkResult walk(const core::PlanInputs& in, const std::vector<Unit>& start,
+WalkResult walk(const core::PlanInputs& in, const core::Residency& start,
                 std::map<Unit, task::GroupId>& last_used) {
   const task::TaskGraph& graph = *in.graph;
   const memsim::TierId fast = in.machine->fastest_tier();
@@ -29,7 +29,8 @@ WalkResult walk(const core::PlanInputs& in, const std::vector<Unit>& start,
 
   WalkResult out;
   hms::SpaceManager space(capacity);
-  for (const Unit& u : start) {
+  for (const auto& [u, tier] : start) {
+    (void)tier;
     (void)space.add(u.first, u.second, in.unit_bytes(u.first, u.second));
   }
 
@@ -79,7 +80,7 @@ WalkResult walk(const core::PlanInputs& in, const std::vector<Unit>& start,
   }
   for (const auto& [unit, bytes] : space.contents()) {
     (void)bytes;
-    out.end_residency.push_back(unit);
+    out.end_residency[unit] = fast;
   }
   return out;
 }
@@ -91,9 +92,9 @@ core::PlanDecision ReactiveLruPolicy::decide(const core::PlanInputs& in) {
   TAHOE_REQUIRE(in.graph != nullptr && in.machine != nullptr,
                 "reactive policy needs graph and machine");
 
-  std::vector<Unit> current;
+  core::Residency current;
   for (const auto& [unit, dev] : in.current.entries()) {
-    if (dev == in.machine->fastest_tier()) current.push_back(unit);
+    if (dev == in.machine->fastest_tier()) current[unit] = dev;
   }
 
   // Walk 1 settles recency; walk 2 from its end state produces the cyclic

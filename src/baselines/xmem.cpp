@@ -69,11 +69,11 @@ core::PlanDecision XMemPolicy::decide(const core::PlanInputs& in) {
   // iteration start (no-ops after the first iteration).
   core::PlanDecision decision;
   decision.strategy = "static-offline";
-  std::vector<std::pair<hms::ObjectId, std::size_t>> target;
+  core::Residency target;
   for (const hms::ObjectId id : chosen) {
     const core::ObjectInfo& info = in.object(id);
     for (std::size_t c = 0; c < info.chunk_bytes.size(); ++c) {
-      target.emplace_back(id, c);
+      target[{id, c}] = in.machine->fastest_tier();
     }
   }
   decision.schedule = core::cyclic_preamble(in, target, {});

@@ -4,29 +4,6 @@
 
 namespace tahoe::core {
 
-std::vector<UnitKey> choose_initial_dram(const std::vector<ObjectInfo>& objects,
-                                         std::uint64_t dram_capacity) {
-  std::vector<UnitKey> units;
-  std::vector<KnapsackItem> items;
-  for (const ObjectInfo& o : objects) {
-    if (o.static_ref_estimate <= 0.0) continue;  // statically unknown
-    const double total = static_cast<double>(o.total_bytes());
-    for (std::size_t c = 0; c < o.chunk_bytes.size(); ++c) {
-      const std::uint64_t bytes = o.chunk_bytes[c];
-      if (bytes == 0) continue;
-      units.push_back(UnitKey{o.id, c});
-      items.push_back(KnapsackItem{
-          bytes,
-          o.static_ref_estimate * static_cast<double>(bytes) / total});
-    }
-  }
-  const KnapsackResult sol = solve(items, dram_capacity);
-  std::vector<UnitKey> chosen;
-  chosen.reserve(sol.chosen.size());
-  for (std::size_t idx : sol.chosen) chosen.push_back(units[idx]);
-  return chosen;
-}
-
 std::vector<std::pair<UnitKey, memsim::TierId>> choose_initial_tiers(
     const std::vector<ObjectInfo>& objects, const memsim::Machine& machine) {
   std::vector<UnitKey> units;

@@ -80,33 +80,6 @@ KnapsackResult solve(std::span<const KnapsackItem> items,
   return result;
 }
 
-KnapsackResult solve_greedy(std::span<const KnapsackItem> items,
-                            std::uint64_t capacity) {
-  std::vector<std::size_t> order;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (items[i].value > 0.0 && items[i].size > 0 &&
-        items[i].size <= capacity) {
-      order.push_back(i);
-    }
-  }
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const double da = items[a].value / static_cast<double>(items[a].size);
-    const double db = items[b].value / static_cast<double>(items[b].size);
-    if (da != db) return da > db;
-    return a < b;
-  });
-  KnapsackResult result;
-  std::uint64_t used = 0;
-  for (std::size_t i : order) {
-    if (used + items[i].size <= capacity) {
-      result.chosen.push_back(i);
-      used += items[i].size;
-    }
-  }
-  finalize(result, items);
-  return result;
-}
-
 namespace {
 
 void finalize_multi(MultiTierResult& r, std::span<const MultiTierItem> items,

@@ -1,11 +1,13 @@
-// 0/1 knapsack solvers for the data-placement decision.
+// Knapsack solvers for the data-placement decision.
 //
 // Items are data units (object chunks) with size = bytes and value = the
-// Eq. (7) weight w = BFT - COST - extra_COST; capacity is the DRAM tier
-// size. Three solvers:
-//   * solve():       scaled dynamic programming (default; pseudo-polynomial
-//                    with byte sizes quantized to a capacity grid),
-//   * solve_greedy(): value-density heuristic for very large instances,
+// Eq. (7) weight w = BFT - COST - extra_COST. The planner places units with
+// the multi-choice solver (solve_multi), one dimension per constrained
+// tier; a two-tier machine has one, where it is the 0/1 knapsack. The 0/1
+// solvers serve the single-capacity users (initial placement, the
+// quota-free tenant baseline):
+//   * solve():       scaled dynamic programming (pseudo-polynomial with
+//                    byte sizes quantized to a capacity grid),
 //   * solve_exact(): exhaustive search, used by property tests as oracle.
 #pragma once
 
@@ -33,10 +35,6 @@ struct KnapsackResult {
 KnapsackResult solve(std::span<const KnapsackItem> items,
                      std::uint64_t capacity, std::uint32_t grid = 2048);
 
-/// Greedy by value density (value/size), deterministic tie-breaks.
-KnapsackResult solve_greedy(std::span<const KnapsackItem> items,
-                            std::uint64_t capacity);
-
 /// Exhaustive oracle; requires items.size() <= 24.
 KnapsackResult solve_exact(std::span<const KnapsackItem> items,
                            std::uint64_t capacity);
@@ -47,8 +45,9 @@ KnapsackResult solve_exact(std::span<const KnapsackItem> items,
 // *constrained* tiers (each with its own capacity) or to the unconstrained
 // capacity tier (the implicit "skip" choice, value 0). values[t] is the
 // Eq. (7) weight of placing the unit on constrained tier t instead of
-// leaving it on the capacity tier. With T = 1 this degenerates to the 0/1
-// knapsack above.
+// leaving it on the capacity tier. With T = 1 this is the 0/1 knapsack
+// above: at solve()'s default grid it takes exactly solve()'s items, with
+// a bit-identical total value.
 
 struct MultiTierItem {
   std::uint64_t size = 0;

@@ -7,19 +7,6 @@
 
 namespace tahoe::core {
 
-PerfModel::PerfModel(ModelConstants constants, memsim::DeviceModel dram,
-                     memsim::DeviceModel nvm, double copy_engine_bw,
-                     std::uint64_t sample_interval)
-    : constants_(constants),
-      copy_bw_(copy_engine_bw),
-      interval_(sample_interval) {
-  tiers_.push_back(std::move(dram));
-  tiers_.push_back(std::move(nvm));
-  TAHOE_REQUIRE(copy_bw_ > 0.0, "copy bandwidth must be positive");
-  TAHOE_REQUIRE(interval_ > 0, "sample interval must be positive");
-  TAHOE_REQUIRE(constants_.t2 < constants_.t1, "thresholds must satisfy t2 < t1");
-}
-
 PerfModel::PerfModel(ModelConstants constants, const memsim::Machine& machine)
     : constants_(constants),
       tiers_(machine.devices),
@@ -53,26 +40,8 @@ Sensitivity PerfModel::classify(double bw_estimate) const {
 }
 
 double PerfModel::benefit_bw(const memsim::SampledCounts& s,
-                             bool distinguish_rw) const {
-  return benefit_bw_pair(s, distinguish_rw,
-                         static_cast<memsim::TierId>(tiers_.size() - 1), 0);
-}
-
-double PerfModel::benefit_lat(const memsim::SampledCounts& s,
-                              bool distinguish_rw) const {
-  return benefit_lat_pair(s, distinguish_rw,
-                          static_cast<memsim::TierId>(tiers_.size() - 1), 0);
-}
-
-double PerfModel::benefit(const memsim::SampledCounts& s, double phase_seconds,
-                          bool distinguish_rw) const {
-  return benefit_pair(s, phase_seconds, distinguish_rw,
-                      static_cast<memsim::TierId>(tiers_.size() - 1), 0);
-}
-
-double PerfModel::benefit_bw_pair(const memsim::SampledCounts& s,
-                                  bool distinguish_rw, memsim::TierId src,
-                                  memsim::TierId dst) const {
+                             bool distinguish_rw, memsim::TierId src,
+                             memsim::TierId dst) const {
   const memsim::DeviceModel& from = tiers_.at(src);
   const memsim::DeviceModel& to = tiers_.at(dst);
   const double line = static_cast<double>(kCacheLine);
@@ -90,9 +59,9 @@ double PerfModel::benefit_bw_pair(const memsim::SampledCounts& s,
   return (src_time - dst_time) * constants_.cf_bw;
 }
 
-double PerfModel::benefit_lat_pair(const memsim::SampledCounts& s,
-                                   bool distinguish_rw, memsim::TierId src,
-                                   memsim::TierId dst) const {
+double PerfModel::benefit_lat(const memsim::SampledCounts& s,
+                              bool distinguish_rw, memsim::TierId src,
+                              memsim::TierId dst) const {
   const memsim::DeviceModel& from = tiers_.at(src);
   const memsim::DeviceModel& to = tiers_.at(dst);
   const double loads = s.est_loads(interval_);
@@ -109,41 +78,29 @@ double PerfModel::benefit_lat_pair(const memsim::SampledCounts& s,
   return (src_time - dst_time) * constants_.cf_lat;
 }
 
-double PerfModel::benefit_pair(const memsim::SampledCounts& s,
-                               double phase_seconds, bool distinguish_rw,
-                               memsim::TierId src, memsim::TierId dst) const {
+double PerfModel::benefit(const memsim::SampledCounts& s,
+                          double phase_seconds, bool distinguish_rw,
+                          memsim::TierId src, memsim::TierId dst) const {
   if (s.accesses() == 0) return 0.0;
   switch (classify(bandwidth_estimate(s, phase_seconds))) {
     case Sensitivity::Bandwidth:
-      return benefit_bw_pair(s, distinguish_rw, src, dst);
+      return benefit_bw(s, distinguish_rw, src, dst);
     case Sensitivity::Latency:
-      return benefit_lat_pair(s, distinguish_rw, src, dst);
+      return benefit_lat(s, distinguish_rw, src, dst);
     case Sensitivity::Mixed:
-      return std::max(benefit_bw_pair(s, distinguish_rw, src, dst),
-                      benefit_lat_pair(s, distinguish_rw, src, dst));
+      return std::max(benefit_bw(s, distinguish_rw, src, dst),
+                      benefit_lat(s, distinguish_rw, src, dst));
   }
   TAHOE_UNREACHABLE("bad sensitivity");
 }
 
 double PerfModel::movement_cost(std::uint64_t bytes, double overlap_window,
-                                bool to_dram) const {
-  return std::max(copy_seconds(bytes, to_dram) - overlap_window, 0.0);
+                                memsim::TierId src, memsim::TierId dst) const {
+  return std::max(copy_seconds(bytes, src, dst) - overlap_window, 0.0);
 }
 
-double PerfModel::copy_seconds(std::uint64_t bytes, bool to_dram) const {
-  const memsim::TierId last = static_cast<memsim::TierId>(tiers_.size() - 1);
-  return to_dram ? copy_seconds_pair(bytes, last, 0)
-                 : copy_seconds_pair(bytes, 0, last);
-}
-
-double PerfModel::movement_cost_pair(std::uint64_t bytes,
-                                     double overlap_window, memsim::TierId src,
-                                     memsim::TierId dst) const {
-  return std::max(copy_seconds_pair(bytes, src, dst) - overlap_window, 0.0);
-}
-
-double PerfModel::copy_seconds_pair(std::uint64_t bytes, memsim::TierId src,
-                                    memsim::TierId dst) const {
+double PerfModel::copy_seconds(std::uint64_t bytes, memsim::TierId src,
+                               memsim::TierId dst) const {
   const double bw = std::min({pair_copy_bw(src, dst), tiers_.at(src).read_bw,
                               tiers_.at(dst).write_bw});
   return static_cast<double>(bytes) / bw;

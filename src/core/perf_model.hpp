@@ -41,13 +41,8 @@ constexpr const char* to_string(Sensitivity s) noexcept {
 
 class PerfModel {
  public:
-  PerfModel(ModelConstants constants, memsim::DeviceModel dram,
-            memsim::DeviceModel nvm, double copy_engine_bw,
-            std::uint64_t sample_interval);
-
-  /// N-tier construction: models every tier of `machine`, including its
-  /// per-pair copy-engine limits. On a two-tier machine this is
-  /// numerically identical to the (dram, nvm) constructor.
+  /// Models every tier of `machine`, fastest first, including its per-pair
+  /// copy-engine limits.
   PerfModel(ModelConstants constants, const memsim::Machine& machine);
 
   const ModelConstants& constants() const noexcept { return constants_; }
@@ -66,65 +61,45 @@ class PerfModel {
   /// Threshold classification against the measured peak NVM bandwidth.
   Sensitivity classify(double bw_estimate) const;
 
-  /// Eq. (2)/(4): predicted per-phase benefit of moving a bandwidth-
-  /// sensitive unit from NVM to DRAM. With `distinguish_rw` the
-  /// asymmetric read/write bandwidths of NVM are modeled (Eq. (4));
-  /// without, all traffic is charged at the NVM read bandwidth (Eq. (2)).
-  double benefit_bw(const memsim::SampledCounts& s, bool distinguish_rw) const;
+  // Every benefit and cost below is for one move of a unit from tier `src`
+  // to tier `dst`; on the paper's two-tier machine that is NVM -> DRAM for
+  // a promotion and DRAM -> NVM for an eviction.
+
+  /// Eq. (2)/(4): predicted per-phase benefit of serving a bandwidth-
+  /// sensitive unit's traffic from `dst` instead of `src`. With
+  /// `distinguish_rw` the asymmetric read/write bandwidths of the source
+  /// are modeled (Eq. (4)); without, all traffic is charged at the source
+  /// read bandwidth (Eq. (2)).
+  double benefit_bw(const memsim::SampledCounts& s, bool distinguish_rw,
+                    memsim::TierId src, memsim::TierId dst) const;
 
   /// Eq. (3)/(5): latency-sensitivity analogue.
-  double benefit_lat(const memsim::SampledCounts& s,
-                     bool distinguish_rw) const;
+  double benefit_lat(const memsim::SampledCounts& s, bool distinguish_rw,
+                     memsim::TierId src, memsim::TierId dst) const;
 
   /// Full benefit: classify by Eq. (1) and pick the matching equation;
   /// Mixed takes max(benefit_bw, benefit_lat), per the paper.
   double benefit(const memsim::SampledCounts& s, double phase_seconds,
-                 bool distinguish_rw) const;
+                 bool distinguish_rw, memsim::TierId src,
+                 memsim::TierId dst) const;
 
   /// Eq. (6): data-movement cost after subtracting the overlappable
-  /// window: max(copy_seconds - overlap_window, 0). `to_dram` selects the
-  /// direction (asymmetric NVM makes NVM-bound copies slower).
+  /// window: max(copy_seconds - overlap_window, 0).
   double movement_cost(std::uint64_t bytes, double overlap_window,
-                       bool to_dram = true) const;
+                       memsim::TierId src, memsim::TierId dst) const;
 
-  /// Raw copy time: bytes over the direction's effective bandwidth —
-  /// min(copy engine, source read bandwidth, destination write bandwidth).
-  double copy_seconds(std::uint64_t bytes, bool to_dram = true) const;
-
-  // ---- Tier-pair generalizations (N-tier hierarchies). On a two-tier
-  // machine, (src=kNvm, dst=kDram) reproduces the to_dram=true overloads
-  // exactly and (src=kDram, dst=kNvm) the to_dram=false ones.
-
-  /// Eq. (2)/(4) generalized: benefit of serving the unit's traffic from
-  /// tier `dst` instead of tier `src` under the bandwidth model.
-  double benefit_bw_pair(const memsim::SampledCounts& s, bool distinguish_rw,
-                         memsim::TierId src, memsim::TierId dst) const;
-
-  /// Eq. (3)/(5) generalized: latency-model analogue.
-  double benefit_lat_pair(const memsim::SampledCounts& s, bool distinguish_rw,
-                          memsim::TierId src, memsim::TierId dst) const;
-
-  /// Full benefit for a src->dst move: classify and pick the equation.
-  double benefit_pair(const memsim::SampledCounts& s, double phase_seconds,
-                      bool distinguish_rw, memsim::TierId src,
+  /// Raw copy time: bytes over the pair's effective bandwidth — min(the
+  /// pair's copy-engine limit, source read bandwidth, destination write
+  /// bandwidth). Direction-aware: asymmetric NVM makes NVM-bound copies
+  /// slower.
+  double copy_seconds(std::uint64_t bytes, memsim::TierId src,
                       memsim::TierId dst) const;
-
-  /// Eq. (6) generalized to an arbitrary tier pair.
-  double movement_cost_pair(std::uint64_t bytes, double overlap_window,
-                            memsim::TierId src, memsim::TierId dst) const;
-
-  /// Raw copy time for a src->dst move using the pair's copy-engine limit.
-  double copy_seconds_pair(std::uint64_t bytes, memsim::TierId src,
-                           memsim::TierId dst) const;
 
  private:
   double pair_copy_bw(memsim::TierId src, memsim::TierId dst) const noexcept;
 
   ModelConstants constants_;
-  /// Ordered tier models, fastest first; two-tier machines store
-  /// {dram, nvm}. The legacy two-argument methods read tiers_.front() and
-  /// tiers_.back().
-  std::vector<memsim::DeviceModel> tiers_;
+  std::vector<memsim::DeviceModel> tiers_;  ///< fastest first
   double copy_bw_;
   std::vector<memsim::CopyPathLimit> copy_paths_;
   std::uint64_t interval_;

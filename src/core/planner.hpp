@@ -1,16 +1,20 @@
 // TahoePolicy: the paper's placement planner.
 //
 // Workflow (Section "data placement decision and enforcement" of the paper
-// line, re-targeted to task groups):
+// line, re-targeted to task groups and to any number of memory tiers):
 //
-//  1. For each group, every profiled data unit gets an Eq. (7) weight
-//     w = BFT - COST - extra_COST, where BFT comes from the calibrated
-//     performance models (Eqs. (1)-(5)), COST from Eq. (6) with the
+//  1. For each group, every profiled data unit gets one Eq. (7) weight per
+//     constrained tier t (every tier but the capacity tier):
+//     w_t = BFT_t - COST_t - extra_COST_t, where BFT_t comes from the
+//     calibrated performance models (Eqs. (1)-(5)) for serving the unit
+//     from t instead of the capacity tier, COST_t from Eq. (6) with the
 //     overlap window derived from the task graph's last-reference
-//     analysis, and extra_COST from the evictions needed to make room.
-//  2. Per-group 0/1 knapsacks produce the *phase-local* plan; a single
-//     knapsack over per-unit benefits summed across groups produces the
-//     *cross-phase global* plan.
+//     analysis, and extra_COST_t from the evictions needed to make room.
+//  2. Per-group multi-choice knapsacks over the constrained tiers produce
+//     the *phase-local* plan; a single one over per-unit benefits summed
+//     across groups produces the *cross-phase global* plan. A two-tier
+//     machine has one constrained tier (DRAM), where each knapsack is the
+//     paper's 0/1 knapsack.
 //  3. The plan with the larger predicted per-iteration gain wins and is
 //     compiled into a cyclic ScheduledCopy list (with a preamble that
 //     reconciles the decision-time placement on the first enforcement
@@ -51,33 +55,31 @@ class TahoePolicy : public Policy {
   PlanDecision decide(const PlanInputs& in) override;
 
  private:
-  /// N-tier planning path (machines with more than two tiers): per-group
-  /// and cross-phase multi-choice knapsacks over every constrained tier.
-  /// The two-tier path in decide() is kept separate and untouched so its
-  /// numeric behavior (and the byte-stable reports built on it) cannot
-  /// drift.
-  PlanDecision decide_multi(const PlanInputs& in);
-
   ModelConstants constants_;
   TahoeOptions options_;
 };
 
-/// Per-unit, per-group weight details — exposed for tests and the
-/// ablation benches.
+/// Eq. (7) terms of one unit in one group, one entry per constrained tier
+/// (index = TierId; a two-tier machine has only tier 0, DRAM). Exposed for
+/// tests.
 struct UnitWeight {
   UnitKey unit;
-  double benefit = 0.0;
-  double cost = 0.0;
-  double extra_cost = 0.0;
   Sensitivity sensitivity = Sensitivity::Mixed;
-  double weight() const noexcept { return benefit - cost - extra_cost; }
+  std::vector<double> benefit;  ///< per constrained tier
+  std::vector<double> cost;
+  std::vector<double> extra_cost;
+  double weight(std::size_t t) const noexcept {
+    return benefit[t] - cost[t] - extra_cost[t];
+  }
 };
 
-/// Compute the Eq. (7) weight table for one group given the plan state
-/// (DRAM residents before the group). Exposed for testing.
-std::vector<UnitWeight> group_weights(
-    const PlanInputs& in, const PerfModel& model, task::GroupId g,
-    const std::vector<UnitKey>& residents_before, bool distinguish_rw);
+/// Compute the Eq. (7) weight table for group `g` given the residency
+/// before the group (units on constrained tiers; every other unit is on
+/// the capacity tier). Exposed for testing.
+std::vector<UnitWeight> group_weights(const PlanInputs& in,
+                                      const PerfModel& model, task::GroupId g,
+                                      const Residency& residents_before,
+                                      bool distinguish_rw);
 
 // ---- Multi-tenant serving plan (per-tenant capacity rows). ----
 //

@@ -27,18 +27,18 @@ bool PlanInputs::pinned(hms::ObjectId id) const {
 }
 
 std::vector<task::ScheduledCopy> cyclic_preamble(
-    const PlanInputs& in,
-    const std::vector<std::pair<hms::ObjectId, std::size_t>>& start,
+    const PlanInputs& in, const Residency& start,
     const std::vector<task::ScheduledCopy>& body) {
+  TAHOE_REQUIRE(in.machine != nullptr, "cyclic preamble needs the machine");
   using Unit = std::pair<hms::ObjectId, std::size_t>;
+  const memsim::TierId cap_tier = in.machine->capacity_tier();
   std::set<Unit> possible;
   for (const auto& [unit, dev] : in.current.entries()) {
-    if (dev == memsim::kDram) possible.insert(unit);
+    if (dev != cap_tier) possible.insert(unit);
   }
   for (const task::ScheduledCopy& c : body) {
-    if (c.dst == memsim::kDram) possible.insert(Unit{c.object, c.chunk});
+    if (c.dst != cap_tier) possible.insert(Unit{c.object, c.chunk});
   }
-  std::set<Unit> start_set(start.begin(), start.end());
 
   // Fills trigger at iteration start but are only *needed* when the unit
   // is first referenced — that window is what lets the helper thread hide
@@ -50,16 +50,29 @@ std::vector<task::ScheduledCopy> cyclic_preamble(
   };
   std::vector<task::ScheduledCopy> preamble;
   for (const Unit& u : possible) {
-    if (!start_set.contains(u)) {
+    if (!start.contains(u)) {
       preamble.push_back(task::ScheduledCopy{
-          u.first, u.second, in.unit_bytes(u.first, u.second), memsim::kNvm,
-          0, 0});
+          u.first, u.second, in.unit_bytes(u.first, u.second), cap_tier, 0,
+          0});
     }
   }
-  for (const Unit& u : start_set) {
+  const auto& current = in.current.entries();
+  for (const auto& [u, t] : start) {
+    // A start unit sitting on the wrong constrained tier must vacate it
+    // before any same-trigger fill can count on that space: demote it
+    // with the evictions (same-trigger copies run in schedule order), then
+    // fill it onto its tier like everything else.
+    const auto cur = current.find(u);
+    if (cur != current.end() && cur->second != cap_tier && cur->second != t) {
+      preamble.push_back(task::ScheduledCopy{
+          u.first, u.second, in.unit_bytes(u.first, u.second), cap_tier, 0,
+          0});
+    }
+  }
+  for (const auto& [u, t] : start) {
     preamble.push_back(task::ScheduledCopy{
-        u.first, u.second, in.unit_bytes(u.first, u.second), memsim::kDram,
-        0, first_reference(u)});
+        u.first, u.second, in.unit_bytes(u.first, u.second), t, 0,
+        first_reference(u)});
   }
   return preamble;
 }

@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/profiles.hpp"
@@ -34,6 +36,12 @@ struct ObjectInfo {
     return s;
   }
 };
+
+/// A planned residency: the constrained tier (every tier but the capacity
+/// tier) of each (object, chunk) unit placed there; every unit not listed
+/// stays on the capacity tier.
+using Residency =
+    std::map<std::pair<hms::ObjectId, std::size_t>, memsim::TierId>;
 
 struct PlanInputs {
   const task::TaskGraph* graph = nullptr;     ///< representative iteration
@@ -74,16 +82,16 @@ class Policy {
   virtual PlanDecision decide(const PlanInputs& in) = 0;
 };
 
-/// Build the schedule preamble that forces DRAM residency to exactly
-/// `start` at each iteration boundary: evictions (trigger/needed group 0)
-/// for every unit that could be resident but is not in `start` — i.e. the
-/// decision-time residents plus every fill target of `body` — followed by
-/// fills for `start`. All entries become free no-ops once the system
+/// Build the schedule preamble that forces the residency to exactly
+/// `start` at each iteration boundary: evictions to the capacity tier
+/// (trigger/needed group 0) for every unit that could sit on a constrained
+/// tier but is not in `start` — i.e. the decision-time residents plus every
+/// constrained-tier target of `body` — followed by fills of each `start`
+/// unit onto its tier. All entries become free no-ops once the system
 /// reaches its steady state, but they make cyclic schedules capacity-safe
 /// regardless of the residency the previous iteration left behind.
 std::vector<task::ScheduledCopy> cyclic_preamble(
-    const PlanInputs& in,
-    const std::vector<std::pair<hms::ObjectId, std::size_t>>& start,
+    const PlanInputs& in, const Residency& start,
     const std::vector<task::ScheduledCopy>& body);
 
 }  // namespace tahoe::core

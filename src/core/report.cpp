@@ -5,6 +5,11 @@
 namespace tahoe::core {
 namespace {
 
+/// Count of tier `t` in a per-tier vector; tiers past its end served none.
+std::uint64_t tier_count(const std::vector<std::uint64_t>& v, std::size_t t) {
+  return t < v.size() ? v[t] : 0;
+}
+
 /// Same digest shape as the "histograms" section, reused for the
 /// per-tenant latency fields so consumers parse one format.
 void write_digest(trace::JsonWriter& w, const char* key,
@@ -125,19 +130,19 @@ void RunReport::write_json(
     if (v3) {
       w.key("tier_loads").begin_array();
       for (std::size_t t = 0; t < tier_names.size(); ++t) {
-        w.value(t < r.tier_loads.size() ? r.tier_loads[t] : 0);
+        w.value(tier_count(r.tier_loads, t));
       }
       w.end_array();
       w.key("tier_stores").begin_array();
       for (std::size_t t = 0; t < tier_names.size(); ++t) {
-        w.value(t < r.tier_stores.size() ? r.tier_stores[t] : 0);
+        w.value(tier_count(r.tier_stores, t));
       }
       w.end_array();
     } else {
-      w.kv("dram_loads", r.dram_loads);
-      w.kv("dram_stores", r.dram_stores);
-      w.kv("nvm_loads", r.nvm_loads);
-      w.kv("nvm_stores", r.nvm_stores);
+      w.kv("dram_loads", tier_count(r.tier_loads, 0));
+      w.kv("dram_stores", tier_count(r.tier_stores, 0));
+      w.kv("nvm_loads", tier_count(r.tier_loads, 1));
+      w.kv("nvm_stores", tier_count(r.tier_stores, 1));
     }
     w.kv("sampled_loads", r.sampled_loads);
     w.kv("sampled_stores", r.sampled_stores);
@@ -210,7 +215,9 @@ void RunReport::write_explain_json(std::ostream& os) const {
       w.kv("chunk", static_cast<std::uint64_t>(c.chunk));
       w.kv("pass", c.pass);
       w.kv("group", static_cast<std::uint64_t>(c.group));
-      if (c.tier >= 0) w.kv("tier", static_cast<std::uint64_t>(c.tier));
+      if (v3 && c.tier >= 0) {
+        w.kv("tier", static_cast<std::uint64_t>(c.tier));
+      }
       w.kv("sensitivity", c.sensitivity);
       w.kv("benefit", c.benefit);
       w.kv("cost", c.cost);

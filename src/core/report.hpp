@@ -21,9 +21,10 @@ struct PlanCandidate {
   std::size_t chunk = 0;
   std::string pass;          ///< "local" / "global" / "pinned"
   std::size_t group = 0;     ///< phase index (local pass only)
-  /// Candidate destination tier on N-tier machines; -1 on two-tier
-  /// machines (where "promote to DRAM" is the only choice). Serialized
-  /// only when >= 0, keeping two-tier explain exports byte-stable.
+  /// Candidate destination tier (a constrained tier; 0 is DRAM on a
+  /// two-tier machine); -1 for pinned candidates. Serialized only in
+  /// schema v3 and only when >= 0, so two-tier explain exports keep the
+  /// v2 layout, where promoting to DRAM is the only choice.
   int tier = -1;
   std::string sensitivity;   ///< "bandwidth" / "latency" / "mixed" / ""
   double benefit = 0.0;      ///< BFT (modeled seconds saved)
@@ -56,19 +57,14 @@ struct AttributionRow {
   std::string task_type;  ///< group name (the task-type granularity)
   std::string object;
   std::uint64_t tasks = 0;
-  std::uint64_t dram_loads = 0;   ///< simulated accesses served by tier 0
-  std::uint64_t dram_stores = 0;
-  std::uint64_t nvm_loads = 0;    ///< simulated accesses served by tier 1
-  std::uint64_t nvm_stores = 0;
+  /// Simulated accesses served by each tier, indexed by TierId. Schema v2
+  /// (two tiers) spells tiers 0/1 as dram_*/nvm_*.
+  std::vector<std::uint64_t> tier_loads;
+  std::vector<std::uint64_t> tier_stores;
   std::uint64_t sampled_loads = 0;  ///< raw profiler samples
   std::uint64_t sampled_stores = 0;
   std::uint64_t est_loads = 0;  ///< sampled x interval correction
   std::uint64_t est_stores = 0;
-  /// Per-tier served accesses, indexed by TierId; filled (and serialized,
-  /// schema v3) only on machines with more than two tiers. Two-tier runs
-  /// use the dram_/nvm_ fields above (schema v2).
-  std::vector<std::uint64_t> tier_loads;
-  std::vector<std::uint64_t> tier_stores;
 };
 
 /// One (source tier, destination tier) migration flow of an object.
@@ -87,8 +83,8 @@ struct ObjectMigrationRow {
   std::uint64_t bytes_promoted = 0;
   std::uint64_t bytes_evicted = 0;
   std::uint64_t copies_hidden = 0;  ///< completed outside any group stall
-  /// Per-(src, dst) tier-pair flows, sorted by (src, dst); filled (and
-  /// serialized, schema v3) only on machines with more than two tiers.
+  /// Per-(src, dst) tier-pair flows, sorted by (src, dst); serialized in
+  /// schema v3 only.
   std::vector<TierFlowRow> flows;
 };
 

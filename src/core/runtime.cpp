@@ -268,23 +268,14 @@ RunReport Runtime::run(Application& app, Policy& policy) {
   for (const memsim::DeviceModel& d : machine.devices) {
     report.tier_names.push_back(d.name);
   }
-  const bool multi = machine.num_tiers() > 2;
-
   // Objects demoted by the degradation path; persists across re-profiles
   // so a repeatedly failing object is not retried forever.
   std::vector<hms::ObjectId> pinned;
 
   // Initial placement: free at allocation time.
   if (config_.initial_placement) {
-    if (multi) {
-      for (const auto& [u, t] : choose_initial_tiers(state.objects, machine)) {
-        state.placement.set(u.object, u.chunk, t);
-      }
-    } else {
-      for (const UnitKey& u : choose_initial_dram(
-               state.objects, machine.tier(machine.fastest_tier()).capacity)) {
-        state.placement.set(u.object, u.chunk, memsim::kDram);
-      }
+    for (const auto& [u, t] : choose_initial_tiers(state.objects, machine)) {
+      state.placement.set(u.object, u.chunk, t);
     }
   }
 
@@ -392,20 +383,12 @@ RunReport Runtime::run(Application& app, Policy& policy) {
                                       : std::to_string(t.group);
         AttributionRow& row = attr_rows[{gname, resolve_object(t.object)}];
         row.tasks += t.tasks;
-        if (multi) {
-          if (row.tier_loads.size() < machine.devices.size()) {
-            row.tier_loads.resize(machine.devices.size(), 0);
-            row.tier_stores.resize(machine.devices.size(), 0);
-          }
-          row.tier_loads[t.device] += t.loads;
-          row.tier_stores[t.device] += t.stores;
-        } else if (t.device == memsim::kDram) {
-          row.dram_loads += t.loads;
-          row.dram_stores += t.stores;
-        } else {
-          row.nvm_loads += t.loads;
-          row.nvm_stores += t.stores;
+        if (row.tier_loads.size() < machine.devices.size()) {
+          row.tier_loads.resize(machine.devices.size(), 0);
+          row.tier_stores.resize(machine.devices.size(), 0);
         }
+        row.tier_loads[t.device] += t.loads;
+        row.tier_stores[t.device] += t.stores;
       }
       for (const task::CopyTally& t : sim.copy_tallies) {
         ObjectMigrationRow& row = obj_rows[resolve_object(t.object)];
@@ -417,23 +400,21 @@ RunReport Runtime::run(Application& app, Policy& policy) {
           row.bytes_evicted += t.bytes;
         }
         row.copies_hidden += t.hidden;
-        if (multi) {
-          TierFlowRow* flow = nullptr;
-          for (TierFlowRow& f : row.flows) {
-            if (f.src == t.src && f.dst == t.dst) {
-              flow = &f;
-              break;
-            }
+        TierFlowRow* flow = nullptr;
+        for (TierFlowRow& f : row.flows) {
+          if (f.src == t.src && f.dst == t.dst) {
+            flow = &f;
+            break;
           }
-          if (flow == nullptr) {
-            row.flows.push_back(
-                TierFlowRow{static_cast<std::uint32_t>(t.src),
-                            static_cast<std::uint32_t>(t.dst), 0, 0});
-            flow = &row.flows.back();
-          }
-          flow->copies += t.copies;
-          flow->bytes += t.bytes;
         }
+        if (flow == nullptr) {
+          row.flows.push_back(
+              TierFlowRow{static_cast<std::uint32_t>(t.src),
+                          static_cast<std::uint32_t>(t.dst), 0, 0});
+          flow = &row.flows.back();
+        }
+        flow->copies += t.copies;
+        flow->bytes += t.bytes;
       }
     }
 

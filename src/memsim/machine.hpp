@@ -47,24 +47,14 @@ struct Machine {
 
   std::size_t num_tiers() const noexcept { return devices.size(); }
 
-  /// Tier accessor — the N-tier replacement for dram()/nvm().
+  /// Tier accessor: the DeviceModel of tier `t` (kDram / kNvm on the
+  /// canonical two-tier machines).
   const DeviceModel& tier(TierId t) const { return devices.at(t); }
 
   /// Fastest (tier 0) and capacity (last) tiers of the hierarchy.
   TierId fastest_tier() const noexcept { return 0; }
   TierId capacity_tier() const noexcept {
     return static_cast<TierId>(devices.empty() ? 0 : devices.size() - 1);
-  }
-
-  /// Deprecated: two-tier convenience accessors. Prefer tier(TierId) (or
-  /// tier(fastest_tier()) / tier(capacity_tier())) — these only make sense
-  /// on two-tier machines. No in-tree caller remains; the attribute makes
-  /// any new use a hard error under -Werror until they are removed.
-  [[deprecated("use tier(kDram) instead")]] const DeviceModel& dram() const {
-    return tier(kDram);
-  }
-  [[deprecated("use tier(kNvm) instead")]] const DeviceModel& nvm() const {
-    return tier(kNvm);
   }
 
   /// Copy-engine ceiling for a (src, dst) copy: the per-pair override when

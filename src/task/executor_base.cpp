@@ -211,11 +211,22 @@ void ExecutorBase::run(const TaskGraph& graph,
   }
   remaining_.store(static_cast<std::uint32_t>(n), std::memory_order_release);
 
-  // Hand tasks their activation token; scatter the eligible ones
-  // round-robin over the injection slots. The cursor is a member so the
-  // rotation continues where the previous group (or run) left off.
-  const auto activate = [this](TaskId id) {
-    if (pending_preds_[id].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+  // Hand every task of [first, last) its activation token, then scatter the
+  // ones that reached zero round-robin over the injection slots, in index
+  // order. No task is injected before every token is in, so none can
+  // complete and release a successor that still holds its token: such a
+  // successor would be injected here, out of the workers' own push order.
+  // The cursor is a member so the rotation continues where the previous
+  // group (or run) left off.
+  std::vector<TaskId> ready;
+  const auto activate = [this, &ready](TaskId first, TaskId last) {
+    ready.clear();
+    for (TaskId id = first; id < last; ++id) {
+      if (pending_preds_[id].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        ready.push_back(id);
+      }
+    }
+    for (const TaskId id : ready) {
       const unsigned slot = inject_cursor_;
       inject_cursor_ = (inject_cursor_ + 1) % num_workers_;
       ++caller_pushes_;
@@ -238,14 +249,14 @@ void ExecutorBase::run(const TaskGraph& graph,
       on_group_start(g);
       barrier_remaining_.store(static_cast<std::uint32_t>(grp.size()),
                                std::memory_order_release);
-      for (TaskId id = grp.first_task; id < grp.last_task; ++id) activate(id);
+      activate(grp.first_task, grp.last_task);
       wait_barrier();
     }
   } else {
     // One barrier over the whole graph.
     barrier_remaining_.store(static_cast<std::uint32_t>(n),
                              std::memory_order_release);
-    for (TaskId id = 0; id < n; ++id) activate(id);
+    activate(0, static_cast<TaskId>(n));
     wait_barrier();
   }
 

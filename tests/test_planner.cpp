@@ -90,18 +90,19 @@ TEST(GroupWeights, HotUnitHasLargeBenefit) {
   const memsim::Machine m = machine();
   const PhaseProfiles p = profiles();
   const PlanInputs in = inputs(g, m, p);
-  const PerfModel model(constants(m), m.tier(memsim::kDram), m.tier(memsim::kNvm), m.copy_engine_bw,
-                        m.sample_interval);
+  const PerfModel model(constants(m), m);
   const auto weights = group_weights(in, model, 0, {}, true);
   ASSERT_EQ(weights.size(), 2u);
   const UnitWeight* hot = nullptr;
   const UnitWeight* cold = nullptr;
   for (const UnitWeight& w : weights) {
+    // Two tiers: DRAM is the only constrained tier.
+    ASSERT_EQ(w.benefit.size(), 1u);
     (w.unit.object == 1 ? hot : cold) = &w;
   }
   ASSERT_TRUE(hot != nullptr && cold != nullptr);
-  EXPECT_GT(hot->benefit, 10.0 * cold->benefit);
-  EXPECT_GT(hot->weight(), 0.0);
+  EXPECT_GT(hot->benefit[memsim::kDram], 10.0 * cold->benefit[memsim::kDram]);
+  EXPECT_GT(hot->weight(memsim::kDram), 0.0);
 }
 
 TEST(GroupWeights, ResidentUnitsHaveNoMovementCost) {
@@ -109,14 +110,13 @@ TEST(GroupWeights, ResidentUnitsHaveNoMovementCost) {
   const memsim::Machine m = machine();
   const PhaseProfiles p = profiles();
   const PlanInputs in = inputs(g, m, p);
-  const PerfModel model(constants(m), m.tier(memsim::kDram), m.tier(memsim::kNvm), m.copy_engine_bw,
-                        m.sample_interval);
+  const PerfModel model(constants(m), m);
   const auto weights =
-      group_weights(in, model, 0, {UnitKey{1, 0}}, true);
+      group_weights(in, model, 0, {{{1, 0}, memsim::kDram}}, true);
   for (const UnitWeight& w : weights) {
     if (w.unit.object == 1) {
-      EXPECT_DOUBLE_EQ(w.cost, 0.0);
-      EXPECT_DOUBLE_EQ(w.extra_cost, 0.0);
+      EXPECT_DOUBLE_EQ(w.cost[memsim::kDram], 0.0);
+      EXPECT_DOUBLE_EQ(w.extra_cost[memsim::kDram], 0.0);
     }
   }
 }
@@ -126,14 +126,13 @@ TEST(GroupWeights, EvictionAddsExtraCost) {
   const memsim::Machine m = machine();  // DRAM 128 MiB, objects 96 MiB
   const PhaseProfiles p = profiles();
   const PlanInputs in = inputs(g, m, p);
-  const PerfModel model(constants(m), m.tier(memsim::kDram), m.tier(memsim::kNvm), m.copy_engine_bw,
-                        m.sample_interval);
+  const PerfModel model(constants(m), m);
   // Object 2 resident: placing object 1 requires evicting it.
   const auto weights =
-      group_weights(in, model, 0, {UnitKey{2, 0}}, true);
+      group_weights(in, model, 0, {{{2, 0}, memsim::kDram}}, true);
   for (const UnitWeight& w : weights) {
     if (w.unit.object == 1) {
-      EXPECT_GT(w.extra_cost, 0.0);
+      EXPECT_GT(w.extra_cost[memsim::kDram], 0.0);
     }
   }
 }
@@ -233,6 +232,83 @@ TEST(TahoePolicy, ScheduleRespectsLookaheadTriggers) {
   }
 }
 
+/// Four groups over three objects (48, 32 and 64 MiB) on the 128 MiB-DRAM
+/// machine, which holds any two but not all three. Its local plan does not
+/// settle in two passes: the first, from all-NVM, ends with objects 1 and
+/// 3 in DRAM; the second starts there and ends with objects 2 and 3; only
+/// the third returns to its own start, swapping object 2 out for object 1
+/// in g1 and back in g2.
+PlanInputs three_round_inputs(task::TaskGraph& g, const memsim::Machine& m,
+                              PhaseProfiles& p) {
+  const std::uint64_t size[]{48 * kMiB, 32 * kMiB, 64 * kMiB};
+  struct Access {
+    hms::ObjectId object;
+    std::uint64_t sampled_loads;
+  };
+  const std::vector<std::pair<double, std::vector<Access>>> groups{
+      {0.6, {{1, 100}, {2, 40'000}}},
+      {0.6, {{1, 40'000}, {2, 10'000}}},
+      {0.5, {{1, 1'000}, {2, 40'000}, {3, 1'000}}},
+      {0.2, {{3, 40'000}}}};
+  task::GraphBuilder gb;
+  p.iterations_profiled = 1;
+  p.groups.resize(groups.size());
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    gb.begin_group("g" + std::to_string(gi));
+    task::Task t;
+    for (const Access& acc : groups[gi].second) {
+      task::DataAccess a;
+      a.object = acc.object;
+      a.mode = task::AccessMode::Read;
+      a.traffic.loads = acc.sampled_loads * 1000;
+      a.traffic.footprint = size[acc.object - 1];
+      t.accesses.push_back(a);
+      memsim::SampledCounts c;
+      c.loads = acc.sampled_loads;
+      c.samples_with_access = 950;
+      c.total_samples = 1000;
+      p.groups[gi].units[UnitKey{acc.object, 0}] = c;
+    }
+    p.groups[gi].duration_seconds = groups[gi].first;
+    gb.add_task(std::move(t));
+  }
+  g = gb.build();
+  PlanInputs in;
+  in.graph = &g;
+  in.machine = &m;
+  in.profiles = &p;
+  for (hms::ObjectId id = 1; id <= 3; ++id) {
+    in.objects.push_back(
+        ObjectInfo{id, "o" + std::to_string(id), {size[id - 1]}, 0.0});
+    in.current.set(id, 0, memsim::kNvm);
+  }
+  return in;
+}
+
+TEST(TahoePolicy, LocalBodyEndsAtItsOwnStart) {
+  task::TaskGraph g;
+  const memsim::Machine m = machine();
+  PhaseProfiles p;
+  const PlanInputs in = three_round_inputs(g, m, p);
+  TahoeOptions opts;
+  opts.strategy = TahoeOptions::Strategy::LocalOnly;
+  const PlanDecision d = TahoePolicy(constants(m), opts).decide(in);
+  ASSERT_EQ(d.strategy, "local");
+  // Every unit the schedule touches gets exactly one preamble copy, which
+  // comes first and sets its iteration-start tier; its last copy sets the
+  // tier the body leaves it on. A body that ends at its own start leaves
+  // every unit where the preamble put it, so in steady state the preamble
+  // moves nothing.
+  std::map<std::pair<hms::ObjectId, std::size_t>, memsim::TierId> start, end;
+  for (const task::ScheduledCopy& c : d.schedule) {
+    start.try_emplace({c.object, c.chunk}, c.dst);
+    end[{c.object, c.chunk}] = c.dst;
+  }
+  EXPECT_EQ(end, start);
+  // The body moves data within the iteration (it is a phase-local plan).
+  EXPECT_GT(d.schedule.size(), start.size());
+}
+
 TEST(CyclicPreamble, ForcesStartResidency) {
   const task::TaskGraph g = graph();
   const memsim::Machine m = machine();
@@ -241,7 +317,7 @@ TEST(CyclicPreamble, ForcesStartResidency) {
   in.current.set(1, 0, memsim::kDram);  // leftover resident
   const std::vector<task::ScheduledCopy> body{
       task::ScheduledCopy{2, 0, kObjBytes, memsim::kDram, 1, 1}};
-  const auto pre = cyclic_preamble(in, {{2, 0}}, body);
+  const auto pre = cyclic_preamble(in, {{{2, 0}, memsim::kDram}}, body);
   // Object 1 (not in start set) must be evicted; object 2 filled.
   bool evicts_1 = false;
   bool fills_2 = false;

@@ -98,7 +98,8 @@ TEST(CyclicPreamble, FillsNeededAtFirstReferenceGroup) {
   in.current.set(1, 0, memsim::kNvm);
   in.current.set(2, 0, memsim::kNvm);
 
-  const auto pre = core::cyclic_preamble(in, {{1, 0}, {2, 0}}, {});
+  const auto pre = core::cyclic_preamble(
+      in, {{{1, 0}, memsim::kDram}, {{2, 0}, memsim::kDram}}, {});
   ASSERT_EQ(pre.size(), 2u);
   for (const task::ScheduledCopy& c : pre) {
     EXPECT_EQ(c.trigger_group, 0u);

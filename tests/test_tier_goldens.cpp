@@ -1,11 +1,14 @@
 // Report and explain goldens: byte-for-byte pins of seeded simulated runs.
 //
-// Two-tier runs on `platform_a` and `optane_platform` pin the 0/1 planner;
-// they were captured before the N-tier generalization, which had to leave
-// every byte of them unchanged. Four-tier runs on a small `cxl_platform`
-// pin the N-tier MCKP planner (`decide_multi`); its tiers are sized so the
-// per-group fixed point of both apps takes three rounds to settle. The
-// tests compare serialized output against tests/golden/*.json.
+// All of them pin the one MCKP planner (`TahoePolicy::decide`). Two-tier
+// runs on `platform_a` and `optane_platform` pin it with one constrained
+// tier and the schema-v2 writers; they were captured when two-tier
+// machines still had a 0/1 planner of their own, and folding that planner
+// into the MCKP path left every byte of them unchanged. Four-tier runs on
+// a small `cxl_platform` pin three constrained tiers and the schema-v3
+// writers; its tiers are sized so the per-group fixed point of both apps
+// takes three rounds to settle. The tests compare serialized output
+// against tests/golden/*.json.
 // Regenerate deliberately with TAHOE_UPDATE_GOLDENS=1 after verifying a
 // behavior change is intended.
 #include <gtest/gtest.h>
