@@ -8,13 +8,9 @@
 // a small `cxl_platform` pin three constrained tiers and the schema-v3
 // writers; its tiers are sized so the per-group fixed point of both apps
 // takes three rounds to settle. The tests compare serialized output
-// against tests/golden/*.json.
-// Regenerate deliberately with TAHOE_UPDATE_GOLDENS=1 after verifying a
-// behavior change is intended.
+// against tests/golden/*.json (see golden.hpp for TAHOE_UPDATE_GOLDENS).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -23,12 +19,9 @@
 #include "core/calibration.hpp"
 #include "core/planner.hpp"
 #include "core/runtime.hpp"
+#include "golden.hpp"
 #include "trace/counters.hpp"
 #include "workloads/common.hpp"
-
-#ifndef TAHOE_GOLDEN_DIR
-#define TAHOE_GOLDEN_DIR "tests/golden"
-#endif
 
 namespace tahoe {
 namespace {
@@ -94,28 +87,6 @@ RunJson run_json(const core::RuntimeConfig& config,
     out.explain = os.str();
   }
   return out;
-}
-
-std::string golden_path(const std::string& name) {
-  return std::string(TAHOE_GOLDEN_DIR) + "/" + name;
-}
-
-/// Compare `actual` against the stored golden; with TAHOE_UPDATE_GOLDENS=1
-/// rewrite the golden instead (capture mode).
-void check_golden(const std::string& name, const std::string& actual) {
-  const std::string path = golden_path(name);
-  if (std::getenv("TAHOE_UPDATE_GOLDENS") != nullptr) {
-    std::ofstream os(path);
-    ASSERT_TRUE(os.good()) << "cannot write golden " << path;
-    os << actual;
-    GTEST_SKIP() << "golden " << name << " updated";
-  }
-  std::ifstream is(path);
-  ASSERT_TRUE(is.good()) << "missing golden " << path
-                         << " (run with TAHOE_UPDATE_GOLDENS=1 to capture)";
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  EXPECT_EQ(buf.str(), actual) << "run diverged from the golden " << name;
 }
 
 TEST(TierGoldens, PlatformACgReportIsByteIdentical) {
