@@ -115,14 +115,20 @@ int main(int argc, char** argv) {
   // streams, so the only difference is the placement plan.
   const double rate_scale = flags.get_double("rate-scale");
   std::vector<serve::ServeResult> results;
-  for (const bool qos : {true, false}) {
-    trace::global_counters().reset();
-    serve::TenantManager tm(machine);
-    add_tenants(tm, rate_scale);
-    opts.enforce_quotas = qos;
-    serve::ServeResult r = serve::run_serve(tm, opts);
-    bench::append_report_json(r.report, artifacts.report_json);
-    results.push_back(std::move(r));
+  try {
+    for (const bool qos : {true, false}) {
+      trace::global_counters().reset();
+      serve::TenantManager tm(machine);
+      add_tenants(tm, rate_scale);
+      opts.enforce_quotas = qos;
+      serve::ServeResult r = serve::run_serve(tm, opts);
+      bench::append_report_json(r.report, artifacts.report_json);
+      results.push_back(std::move(r));
+    }
+  } catch (const ContractError& e) {
+    // Non-finite or non-positive --duration, --epoch or --rate-scale.
+    std::cerr << e.what() << '\n';
+    return 2;
   }
   const core::RunReport& qos_report = results[0].report;
   const core::RunReport& free_report = results[1].report;

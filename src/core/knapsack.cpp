@@ -332,20 +332,32 @@ TenantKnapsackResult solve_tenant_rows(std::span<const TenantItem> items,
 
   // Stage 2: split the shared capacity across the tenant curves.
   // share[t][C] = granules granted to tenant t in the best split of C
-  // granules over tenants 0..t.
+  // granules over tenants 0..t. Only the grants where tenant t's curve
+  // rises are tried, ascending: best[] and dp[t] never decrease and IEEE
+  // addition is monotone, so a grant g inside a flat run of dp[t] gives
+  // best[C - g] + dp[t][g] <= best[C - g + 1] + dp[t][g - 1], a candidate
+  // the strict `>` has already weighed. Every split and grant is the one
+  // trying all g <= min(C, quota) would find.
   std::vector<double> best(cap_g + 1, 0.0), next(cap_g + 1, 0.0);
   std::vector<std::vector<std::uint32_t>> share(
       T, std::vector<std::uint32_t>(cap_g + 1, 0));
+  std::vector<std::uint32_t> rises;
   for (std::size_t t = 0; t < T; ++t) {
+    rises.clear();
+    for (std::size_t g = 1; g <= quota_g[t]; ++g) {
+      if (dp[t][g] > dp[t][g - 1]) {
+        rises.push_back(static_cast<std::uint32_t>(g));
+      }
+    }
     for (std::size_t c = 0; c <= cap_g; ++c) {
       double b = best[c];
       std::uint32_t pick = 0;
-      const std::size_t lim = std::min(c, quota_g[t]);
-      for (std::size_t g = 1; g <= lim; ++g) {
+      for (const std::uint32_t g : rises) {
+        if (g > c) break;
         const double with = best[c - g] + dp[t][g];
         if (with > b) {
           b = with;
-          pick = static_cast<std::uint32_t>(g);
+          pick = g;
         }
       }
       next[c] = b;

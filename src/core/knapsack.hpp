@@ -87,7 +87,12 @@ MultiTierResult solve_multi_exact(std::span<const MultiTierItem> items,
 // tier capacity, and its item values are scaled by the tenant's priority
 // before arbitration. The solver decomposes into one per-tenant 0/1 DP
 // (within the quota row) plus a DP across tenants that splits the shared
-// capacity — exact up to the capacity-grid quantization.
+// capacity — exact up to the capacity-grid quantization. The split tries
+// only the grants where a tenant's value curve rises, in ascending order.
+// That gives the same split as trying every grant, bit for bit: the
+// running split and every curve never decrease and IEEE addition is
+// monotone, so a grant inside a flat run of the curve scores no more than
+// the run's first grant, and the strict `>` keeps that earlier one.
 
 struct TenantItem {
   std::uint64_t size = 0;

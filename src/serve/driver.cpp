@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <deque>
 #include <memory>
 #include <numeric>
@@ -49,7 +50,13 @@ void record(trace::Histogram& local, trace::Histogram* global,
 
 ServeResult run_serve(TenantManager& manager, const ServeOptions& options) {
   TAHOE_REQUIRE(manager.size() > 0, "run_serve needs at least one tenant");
-  TAHOE_REQUIRE(options.epoch_seconds > 0.0, "epoch must be positive");
+  // The epoch loop ends only when a finite clock passes a finite horizon.
+  TAHOE_REQUIRE(std::isfinite(options.duration_seconds) &&
+                    options.duration_seconds > 0.0,
+                "serve duration must be finite and positive");
+  TAHOE_REQUIRE(
+      std::isfinite(options.epoch_seconds) && options.epoch_seconds > 0.0,
+      "epoch must be finite and positive");
   TAHOE_REQUIRE(options.max_batch > 0, "max_batch must be positive");
   const memsim::Machine& machine = manager.machine();
 

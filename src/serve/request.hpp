@@ -27,7 +27,10 @@ class OpenLoopSource {
  public:
   OpenLoopSource(std::uint32_t tenant, double rate_hz, std::uint64_t seed)
       : rng_(seed), rate_(rate_hz), tenant_(tenant) {
-    TAHOE_REQUIRE(rate_hz > 0.0, "arrival rate must be positive");
+    // An infinite rate would put every arrival at t = 0, and drain_until
+    // would never run out of them.
+    TAHOE_REQUIRE(std::isfinite(rate_hz) && rate_hz > 0.0,
+                  "arrival rate must be finite and positive");
   }
 
   /// Every request with arrival < `t`, in arrival order. The stream is

@@ -1,7 +1,6 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -85,9 +84,15 @@ class KvService final : public Service {
 
   void append_request(task::GraphBuilder& builder, std::uint64_t request_tag,
                       Rng& rng) const override {
-    // Aggregate the request's ops into per-chunk byte tallies, then emit
-    // one task declaring the combined access set.
-    std::map<std::size_t, std::pair<std::uint64_t, std::uint64_t>> touched;
+    // Aggregate the request's ops into per-chunk byte tallies, kept sorted
+    // by shard-major chunk index (a request touches a handful of chunks),
+    // then emit one task declaring the combined access set.
+    struct Touched {
+      std::size_t chunk = 0;
+      std::uint64_t read_bytes = 0;
+      std::uint64_t write_bytes = 0;
+    };
+    std::vector<Touched> touched;
     for (std::size_t op = 0; op < cfg_.ops_per_request; ++op) {
       const std::size_t key = zipf_.sample(rng);
       const bool write = rng.next_double() < cfg_.write_frac;
@@ -98,7 +103,13 @@ class KvService final : public Service {
         const std::size_t gc = static_cast<std::size_t>(pos / cfg_.chunk_bytes);
         const std::uint64_t in_chunk = std::min(
             remaining, cfg_.chunk_bytes - (pos % cfg_.chunk_bytes));
-        (write ? touched[gc].second : touched[gc].first) += in_chunk;
+        auto it = std::lower_bound(
+            touched.begin(), touched.end(), gc,
+            [](const Touched& e, std::size_t c) { return e.chunk < c; });
+        if (it == touched.end() || it->chunk != gc) {
+          it = touched.insert(it, Touched{gc});
+        }
+        (write ? it->write_bytes : it->read_bytes) += in_chunk;
         pos += in_chunk;
         remaining -= in_chunk;
       }
@@ -107,8 +118,8 @@ class KvService final : public Service {
     t.label = cfg_.prefix + ".get";
     t.compute_seconds = cfg_.compute_seconds;
     t.request = request_tag;
-    for (const auto& [gc, bytes] : touched) {
-      const auto [read_bytes, write_bytes] = bytes;
+    t.accesses.reserve(touched.size());
+    for (const auto& [gc, read_bytes, write_bytes] : touched) {
       task::DataAccess a;
       a.object = objects_[gc / cfg_.chunks_per_shard];
       a.chunk = gc % cfg_.chunks_per_shard;

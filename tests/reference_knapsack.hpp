@@ -1,11 +1,14 @@
-// Reference solver for the multi-tier knapsack: the full-grid, per-state
-// scan DP that core::solve_multi replaced. Every state of the
-// (cap_g + 1)^T grid is visited for every item, and each state tries the
-// constrained tiers in ascending order with a strict `>`, so ties go to
-// the lower tier and to "skip". Production must return exactly what this
-// returns: the same assignment, the same tier sizes, the same total value
-// bit for bit. Kept under tests/ as the differential oracle; nothing in
-// src/ calls it.
+// Reference solvers: the dense DPs that production replaced, kept under
+// tests/ as differential oracles; nothing in src/ calls them. Production
+// must return exactly what they return, ties included, bit for bit.
+//
+//  * solve_multi: the full-grid, per-state scan DP that core::solve_multi
+//    replaced. Every state of the (cap_g + 1)^T grid is visited for every
+//    item, and each state tries the constrained tiers in ascending order
+//    with a strict `>`, so ties go to the lower tier and to "skip".
+//  * solve_tenant_rows: core::solve_tenant_rows with the dense cross-tenant
+//    split, which tries every grant g <= min(C, quota) of every tenant at
+//    every capacity C, ascending, with a strict `>`.
 #pragma once
 
 #include <algorithm>
@@ -129,6 +132,126 @@ inline MultiTierResult solve_multi(
   for (std::size_t t = 0; t < T; ++t) {
     TAHOE_ASSERT(result.tier_sizes[t] <= capacities[t],
                  "multi-tier DP violated a capacity constraint");
+  }
+  return result;
+}
+
+inline void finalize_tenant(TenantKnapsackResult& r,
+                            std::span<const TenantItem> items,
+                            std::span<const TenantRow> rows) {
+  std::sort(r.chosen.begin(), r.chosen.end());
+  r.total_value = 0.0;
+  r.total_size = 0;
+  r.tenant_sizes.assign(rows.size(), 0);
+  for (std::size_t i : r.chosen) {
+    const TenantItem& it = items[i];
+    r.total_value += it.value * rows[it.tenant].priority;
+    r.total_size += it.size;
+    r.tenant_sizes[it.tenant] += it.size;
+  }
+}
+
+inline TenantKnapsackResult solve_tenant_rows(
+    std::span<const TenantItem> items, std::uint64_t capacity,
+    std::span<const TenantRow> rows, std::uint32_t grid = 2048) {
+  TAHOE_REQUIRE(grid >= 2, "grid too coarse");
+  TAHOE_REQUIRE(!rows.empty(), "solve_tenant_rows needs tenant rows");
+  for (const TenantItem& it : items) {
+    TAHOE_REQUIRE(it.tenant < rows.size(), "item tenant out of range");
+    TAHOE_REQUIRE(rows[it.tenant].priority > 0.0,
+                  "tenant priority must be positive");
+  }
+  TenantKnapsackResult result;
+  result.tenant_sizes.assign(rows.size(), 0);
+  if (capacity == 0 || items.empty()) return result;
+
+  const std::uint64_t granule = std::max<std::uint64_t>(1, capacity / grid);
+  const auto cap_g = static_cast<std::size_t>(capacity / granule);
+  const std::size_t T = rows.size();
+
+  // Stage 1: per-tenant 0/1 DP within min(quota, capacity), on the shared
+  // granule so the cross-tenant split composes without rounding drift.
+  // Quotas round *down* to whole granules: a plan can only under-use a row.
+  std::vector<std::vector<std::size_t>> cand(T);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const TenantItem& it = items[i];
+    const std::uint64_t row_cap = std::min(rows[it.tenant].quota, capacity);
+    if (it.value > 0.0 && it.size > 0 && it.size <= row_cap) {
+      cand[it.tenant].push_back(i);
+    }
+  }
+  std::vector<std::size_t> quota_g(T);
+  std::vector<std::vector<double>> dp(T);
+  std::vector<std::vector<std::vector<bool>>> take(T);
+  for (std::size_t t = 0; t < T; ++t) {
+    quota_g[t] = std::min(
+        cap_g, static_cast<std::size_t>(std::min(rows[t].quota, capacity) /
+                                        granule));
+    dp[t].assign(quota_g[t] + 1, 0.0);
+    take[t].assign(cand[t].size(),
+                   std::vector<bool>(quota_g[t] + 1, false));
+    for (std::size_t k = 0; k < cand[t].size(); ++k) {
+      const TenantItem& it = items[cand[t][k]];
+      const std::uint64_t need = granules_for(it.size, granule);
+      if (need > quota_g[t]) continue;
+      const double weighted = it.value * rows[t].priority;
+      for (std::size_t c = quota_g[t] + 1; c-- > need;) {
+        const double with = dp[t][c - need] + weighted;
+        if (with > dp[t][c]) {
+          dp[t][c] = with;
+          take[t][k][c] = true;
+        }
+      }
+    }
+  }
+
+  // Stage 2: split the shared capacity across the tenant curves.
+  // share[t][C] = granules granted to tenant t in the best split of C
+  // granules over tenants 0..t.
+  std::vector<double> best(cap_g + 1, 0.0), next(cap_g + 1, 0.0);
+  std::vector<std::vector<std::uint32_t>> share(
+      T, std::vector<std::uint32_t>(cap_g + 1, 0));
+  for (std::size_t t = 0; t < T; ++t) {
+    for (std::size_t c = 0; c <= cap_g; ++c) {
+      double b = best[c];
+      std::uint32_t pick = 0;
+      const std::size_t lim = std::min(c, quota_g[t]);
+      for (std::size_t g = 1; g <= lim; ++g) {
+        const double with = best[c - g] + dp[t][g];
+        if (with > b) {
+          b = with;
+          pick = static_cast<std::uint32_t>(g);
+        }
+      }
+      next[c] = b;
+      share[t][c] = pick;
+    }
+    best.swap(next);
+  }
+
+  // Reconstruct: per-tenant granule grants, then items within each grant.
+  std::size_t c = cap_g;
+  std::vector<std::size_t> grant(T, 0);
+  for (std::size_t t = T; t-- > 0;) {
+    grant[t] = share[t][c];
+    c -= grant[t];
+  }
+  for (std::size_t t = 0; t < T; ++t) {
+    std::size_t g = grant[t];
+    for (std::size_t k = cand[t].size(); k-- > 0;) {
+      if (g < take[t][k].size() && take[t][k][g]) {
+        result.chosen.push_back(cand[t][k]);
+        g -= static_cast<std::size_t>(
+            granules_for(items[cand[t][k]].size, granule));
+      }
+    }
+  }
+  finalize_tenant(result, items, rows);
+  TAHOE_ASSERT(result.total_size <= capacity,
+               "tenant knapsack violated the shared capacity");
+  for (std::size_t t = 0; t < T; ++t) {
+    TAHOE_ASSERT(result.tenant_sizes[t] <= rows[t].quota,
+                 "tenant knapsack violated a tenant row");
   }
   return result;
 }

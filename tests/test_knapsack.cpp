@@ -6,6 +6,7 @@
 #include <bit>
 
 #include "common/rng.hpp"
+#include "common/units.hpp"
 #include "core/knapsack.hpp"
 #include "reference_knapsack.hpp"
 
@@ -363,6 +364,85 @@ TEST(MultiKnapsack, MatchesReferenceScanBitForBit) {
   // The generator must keep producing the regime the reach bound changes
   // most: one tier saturated while another stops short of its grid.
   EXPECT_GT(tight_and_loose, 200);
+}
+
+/// One randomized tenant-rows instance for the reference comparison.
+struct TenantInstance {
+  std::vector<TenantItem> items;
+  std::uint64_t capacity = 0;
+  std::vector<TenantRow> rows;
+  std::uint32_t grid = 2048;
+};
+
+/// Tie-heavy instances draw every value from a four-value set and give
+/// every tenant priority 1, so tenant curves have long flat runs and equal
+/// splits are common; the others mix in twins, zero and negative values
+/// and priorities of either side of 1.
+TenantInstance make_tenant_instance(Rng& rng, bool tie_heavy) {
+  static constexpr double kTies[] = {0.5, 1.0, 2.0, 3.0};
+  static constexpr double kEdges[] = {-2.0, -0.0, 0.0};
+  static constexpr std::uint64_t kScales[] = {1, kKiB + 7, kMiB + 3};
+  TenantInstance d;
+  const std::size_t T = 1 + rng.next_below(5);
+  // Coarse grids put several items in one granule; 2048 is the default.
+  d.grid = rng.next_below(32) == 0
+               ? 2048
+               : 2 + static_cast<std::uint32_t>(rng.next_below(30));
+  const std::uint64_t scale = kScales[rng.next_below(std::size(kScales))];
+  const std::size_t n = rng.next_below(14);
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0 && rng.next_below(5) == 0) {
+      d.items.push_back(d.items.back());  // an exact twin
+      total += d.items.back().size;
+      continue;
+    }
+    TenantItem it;
+    it.size = (1 + rng.next_below(40)) * scale;
+    if (tie_heavy) {
+      it.value = kTies[rng.next_below(std::size(kTies))];
+    } else if (rng.next_below(5) == 0) {
+      it.value = kEdges[rng.next_below(std::size(kEdges))];
+    } else {
+      it.value = (rng.next_double() - 0.2) * 10.0;
+    }
+    it.tenant = static_cast<std::uint32_t>(rng.next_below(T));
+    total += it.size;
+    d.items.push_back(it);
+  }
+  d.capacity = rng.next_below(total + 2);
+  for (std::size_t t = 0; t < T; ++t) {
+    TenantRow row;
+    switch (rng.next_below(4)) {
+      case 0: row.quota = 0; break;
+      case 1: row.quota = d.capacity + 1 + rng.next_below(total + 1); break;
+      default: row.quota = rng.next_below(d.capacity + 1); break;
+    }
+    row.priority = tie_heavy ? 1.0 : 0.25 + rng.next_double() * 4.0;
+    d.rows.push_back(row);
+  }
+  return d;
+}
+
+// solve_tenant_rows splits capacity across tenants trying only the grants
+// where a tenant's curve rises; the dense split it replaced is kept under
+// tests/ as the reference. The chosen items, the sizes and the total value
+// must match bit for bit, ties included.
+TEST(TenantKnapsack, MatchesReferenceSplitBitForBit) {
+  Rng rng(20261017);
+  for (int trial = 0; trial < 6000; ++trial) {
+    const TenantInstance d = make_tenant_instance(rng, trial % 2 == 0);
+    const TenantKnapsackResult got =
+        solve_tenant_rows(d.items, d.capacity, d.rows, d.grid);
+    const TenantKnapsackResult want =
+        reference::solve_tenant_rows(d.items, d.capacity, d.rows, d.grid);
+    ASSERT_EQ(got.chosen, want.chosen) << "trial " << trial;
+    ASSERT_EQ(got.tenant_sizes, want.tenant_sizes) << "trial " << trial;
+    ASSERT_EQ(got.total_size, want.total_size) << "trial " << trial;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.total_value),
+              std::bit_cast<std::uint64_t>(want.total_value))
+        << "trial " << trial;
+  }
 }
 
 TEST(MultiKnapsack, OracleRejectsHugeInstances) {
