@@ -1,18 +1,35 @@
 #include "core/report.hpp"
 
+#include <algorithm>
+
 #include "trace/json.hpp"
 
 namespace tahoe::core {
 namespace {
 
-/// Count of tier `t` in a per-tier vector; tiers past its end served none.
-std::uint64_t tier_count(const std::vector<std::uint64_t>& v, std::size_t t) {
-  return t < v.size() ? v[t] : 0;
+/// Both documents share one layout version; readers key on nothing else.
+constexpr std::uint64_t kSchemaVersion = 5;
+
+/// A per-tier count array as long as `width`; tiers past the end of `v`
+/// served none.
+void write_tier_counts(trace::JsonWriter& w, const char* key,
+                       const std::vector<std::uint64_t>& v,
+                       std::size_t width) {
+  w.key(key).begin_array();
+  for (std::size_t t = 0; t < width; ++t) w.value(t < v.size() ? v[t] : 0);
+  w.end_array();
 }
 
-/// Same digest shape as the "histograms" section, reused for the
-/// per-tenant latency fields so consumers parse one format.
-void write_digest(trace::JsonWriter& w, const char* key,
+void write_tiers(trace::JsonWriter& w,
+                 const std::vector<std::string>& tier_names) {
+  w.key("tiers").begin_array();
+  for (const std::string& t : tier_names) w.value(t);
+  w.end_array();
+}
+
+/// One count/percentile digest: the "histograms" entries and the
+/// per-tenant latency fields share it, so consumers parse one format.
+void write_digest(trace::JsonWriter& w, const std::string& key,
                   const trace::HistogramSnapshot& h) {
   w.key(key).begin_object();
   w.kv("count", h.count());
@@ -46,19 +63,13 @@ void RunReport::write_json(
     const std::vector<std::pair<std::string, std::uint64_t>>& gauges,
     const std::vector<std::pair<std::string, trace::HistogramSnapshot>>&
         histograms) const {
-  const bool v3 = multi_tier();
-  const bool v4 = serving();
   trace::JsonWriter w(os);
   w.begin_object();
-  w.kv("schema_version", std::uint64_t{v4 ? 4u : (v3 ? 3u : 2u)});
+  w.kv("schema_version", kSchemaVersion);
   w.kv("workload", workload);
   w.kv("policy", policy);
   w.kv("strategy", strategy);
-  if (v3) {
-    w.key("tiers").begin_array();
-    for (const std::string& t : tier_names) w.value(t);
-    w.end_array();
-  }
+  write_tiers(w, tier_names);
   w.kv("compute_seconds", compute_seconds);
   w.kv("overhead_seconds", overhead_seconds);
   w.kv("decision_seconds", decision_seconds);
@@ -92,58 +103,35 @@ void RunReport::write_json(
   for (const auto& [name, value] : gauges) w.kv(name, value);
   w.end_object();
   w.key("histograms").begin_object();
-  for (const auto& [name, h] : histograms) {
-    w.key(name).begin_object();
-    w.kv("count", h.count());
-    w.kv("sum", h.sum);
-    w.kv("p50", h.p50());
-    w.kv("p90", h.p90());
-    w.kv("p99", h.p99());
-    w.kv("max", h.max);
+  for (const auto& [name, h] : histograms) write_digest(w, name, h);
+  w.end_object();
+  w.key("tenants").begin_array();
+  for (const TenantReportRow& t : tenants) {
+    w.begin_object();
+    w.kv("name", t.name);
+    w.kv("priority", t.priority);
+    w.kv("quota_bytes", t.quota_bytes);
+    w.kv("fast_bytes", t.fast_bytes);
+    w.kv("total_bytes", t.total_bytes);
+    w.kv("requests", t.requests);
+    w.kv("dropped", t.dropped);
+    write_digest(w, "request_latency", t.request_latency);
+    write_digest(w, "queue_wait", t.queue_wait);
+    write_digest(w, "service_time", t.service_time);
     w.end_object();
   }
-  w.end_object();
-  if (v4) {
-    w.key("tenants").begin_array();
-    for (const TenantReportRow& t : tenants) {
-      w.begin_object();
-      w.kv("name", t.name);
-      w.kv("priority", t.priority);
-      w.kv("quota_bytes", t.quota_bytes);
-      w.kv("fast_bytes", t.fast_bytes);
-      w.kv("total_bytes", t.total_bytes);
-      w.kv("requests", t.requests);
-      w.kv("dropped", t.dropped);
-      write_digest(w, "request_latency", t.request_latency);
-      write_digest(w, "queue_wait", t.queue_wait);
-      write_digest(w, "service_time", t.service_time);
-      w.end_object();
-    }
-    w.end_array();
-  }
+  w.end_array();
   w.key("attribution").begin_array();
   for (const AttributionRow& r : attribution) {
+    // Cover every tier the row counts, even past a short tier_names.
+    const std::size_t width = std::max(
+        {tier_names.size(), r.tier_loads.size(), r.tier_stores.size()});
     w.begin_object();
     w.kv("task_type", r.task_type);
     w.kv("object", r.object);
     w.kv("tasks", r.tasks);
-    if (v3) {
-      w.key("tier_loads").begin_array();
-      for (std::size_t t = 0; t < tier_names.size(); ++t) {
-        w.value(tier_count(r.tier_loads, t));
-      }
-      w.end_array();
-      w.key("tier_stores").begin_array();
-      for (std::size_t t = 0; t < tier_names.size(); ++t) {
-        w.value(tier_count(r.tier_stores, t));
-      }
-      w.end_array();
-    } else {
-      w.kv("dram_loads", tier_count(r.tier_loads, 0));
-      w.kv("dram_stores", tier_count(r.tier_stores, 0));
-      w.kv("nvm_loads", tier_count(r.tier_loads, 1));
-      w.kv("nvm_stores", tier_count(r.tier_stores, 1));
-    }
+    write_tier_counts(w, "tier_loads", r.tier_loads, width);
+    write_tier_counts(w, "tier_stores", r.tier_stores, width);
     w.kv("sampled_loads", r.sampled_loads);
     w.kv("sampled_stores", r.sampled_stores);
     w.kv("est_loads", r.est_loads);
@@ -160,20 +148,18 @@ void RunReport::write_json(
     w.kv("bytes_promoted", r.bytes_promoted);
     w.kv("bytes_evicted", r.bytes_evicted);
     w.kv("copies_hidden", r.copies_hidden);
-    if (v3) {
-      w.key("flows").begin_array();
-      for (const TierFlowRow& f : r.flows) {
-        w.begin_object();
-        w.kv("src", std::uint64_t{f.src});
-        w.kv("dst", std::uint64_t{f.dst});
-        w.kv("src_tier", f.src < tier_names.size() ? tier_names[f.src] : "");
-        w.kv("dst_tier", f.dst < tier_names.size() ? tier_names[f.dst] : "");
-        w.kv("copies", f.copies);
-        w.kv("bytes", f.bytes);
-        w.end_object();
-      }
-      w.end_array();
+    w.key("flows").begin_array();
+    for (const TierFlowRow& f : r.flows) {
+      w.begin_object();
+      w.kv("src", std::uint64_t{f.src});
+      w.kv("dst", std::uint64_t{f.dst});
+      w.kv("src_tier", f.src < tier_names.size() ? tier_names[f.src] : "");
+      w.kv("dst_tier", f.dst < tier_names.size() ? tier_names[f.dst] : "");
+      w.kv("copies", f.copies);
+      w.kv("bytes", f.bytes);
+      w.end_object();
     }
+    w.end_array();
     w.end_object();
   }
   w.end_array();
@@ -181,18 +167,13 @@ void RunReport::write_json(
 }
 
 void RunReport::write_explain_json(std::ostream& os) const {
-  const bool v3 = multi_tier();
   trace::JsonWriter w(os);
   w.begin_object();
-  w.kv("schema_version", std::uint64_t{v3 ? 3u : 2u});
+  w.kv("schema_version", kSchemaVersion);
   w.kv("workload", workload);
   w.kv("policy", policy);
   w.kv("strategy", strategy);
-  if (v3) {
-    w.key("tiers").begin_array();
-    for (const std::string& t : tier_names) w.value(t);
-    w.end_array();
-  }
+  write_tiers(w, tier_names);
   w.key("plans").begin_array();
   for (const PlanRecord& p : plans) {
     w.begin_object();
@@ -215,9 +196,7 @@ void RunReport::write_explain_json(std::ostream& os) const {
       w.kv("chunk", static_cast<std::uint64_t>(c.chunk));
       w.kv("pass", c.pass);
       w.kv("group", static_cast<std::uint64_t>(c.group));
-      if (v3 && c.tier >= 0) {
-        w.kv("tier", static_cast<std::uint64_t>(c.tier));
-      }
+      if (c.tier >= 0) w.kv("tier", static_cast<std::uint64_t>(c.tier));
       w.kv("sensitivity", c.sensitivity);
       w.kv("benefit", c.benefit);
       w.kv("cost", c.cost);

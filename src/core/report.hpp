@@ -22,9 +22,7 @@ struct PlanCandidate {
   std::string pass;          ///< "local" / "global" / "pinned"
   std::size_t group = 0;     ///< phase index (local pass only)
   /// Candidate destination tier (a constrained tier; 0 is DRAM on a
-  /// two-tier machine); -1 for pinned candidates. Serialized only in
-  /// schema v3 and only when >= 0, so two-tier explain exports keep the
-  /// v2 layout, where promoting to DRAM is the only choice.
+  /// two-tier machine); -1, and not serialized, for pinned candidates.
   int tier = -1;
   std::string sensitivity;   ///< "bandwidth" / "latency" / "mixed" / ""
   double benefit = 0.0;      ///< BFT (modeled seconds saved)
@@ -57,8 +55,7 @@ struct AttributionRow {
   std::string task_type;  ///< group name (the task-type granularity)
   std::string object;
   std::uint64_t tasks = 0;
-  /// Simulated accesses served by each tier, indexed by TierId. Schema v2
-  /// (two tiers) spells tiers 0/1 as dram_*/nvm_*.
+  /// Simulated accesses served by each tier, indexed by TierId.
   std::vector<std::uint64_t> tier_loads;
   std::vector<std::uint64_t> tier_stores;
   std::uint64_t sampled_loads = 0;  ///< raw profiler samples
@@ -83,12 +80,11 @@ struct ObjectMigrationRow {
   std::uint64_t bytes_promoted = 0;
   std::uint64_t bytes_evicted = 0;
   std::uint64_t copies_hidden = 0;  ///< completed outside any group stall
-  /// Per-(src, dst) tier-pair flows, sorted by (src, dst); serialized in
-  /// schema v3 only.
+  /// Per-(src, dst) tier-pair flows, sorted by (src, dst).
   std::vector<TierFlowRow> flows;
 };
 
-/// Per-tenant serving section of a RunReport (schema v4). Latency and
+/// Per-tenant serving section of a RunReport. Latency and
 /// queue-wait digests come from the tenant-labeled request histograms;
 /// occupancy is the tenant's fast-tier residency at the end of the run.
 struct TenantReportRow {
@@ -109,20 +105,11 @@ struct RunReport {
   std::string policy;
   std::string strategy;  ///< "global" / "local" / policy-specific / ""
 
-  /// Device names of the machine's tiers, fastest first. Reports covering
-  /// more than two tiers serialize with schema_version 3 (per-tier
-  /// attribution and tier-pair migration flows); two-tier (or unset)
-  /// reports keep the byte-stable schema_version 2 layout.
+  /// Device names of the machine's tiers, fastest first.
   std::vector<std::string> tier_names;
 
-  bool multi_tier() const noexcept { return tier_names.size() > 2; }
-
-  /// Per-tenant serving rows (src/serve/). Non-empty reports serialize
-  /// with schema_version 4 and a "tenants" array; empty (the non-serving
-  /// case) leaves the v2/v3 layouts byte-identical.
+  /// Per-tenant serving rows (src/serve/); empty unless serving.
   std::vector<TenantReportRow> tenants;
-
-  bool serving() const noexcept { return !tenants.empty(); }
 
   std::vector<double> iteration_seconds;  ///< simulated makespan per iter
   double compute_seconds = 0.0;           ///< sum of iteration makespans
@@ -193,12 +180,11 @@ struct RunReport {
   /// Parseable by trace::parse_json. Optional sub-objects: "counters"
   /// (monotonic totals), "gauges" (point-in-time levels — keep these out
   /// of byte-compared exports, they are nondeterministic), "histograms"
-  /// (count/percentile digests). The "schema_version" field leads the
-  /// object: 2 for two-tier reports (byte-stable legacy layout), 3 when
-  /// the report covers more than two tiers ("tiers" list, per-tier
-  /// attribution, tier-pair migration flows), 4 when `tenants` is
-  /// non-empty (adds the per-tenant serving array). Attribution rows are
-  /// emitted under "attribution" and "objects".
+  /// (count/percentile digests). One layout for every machine and run
+  /// kind, led by "schema_version" 5: the "tiers" list, "tenants" (empty
+  /// unless serving), "attribution" rows with per-tier "tier_loads" /
+  /// "tier_stores" arrays (as long as "tiers", or longer when a row
+  /// counts tiers past it), and "objects" rows with tier-pair "flows".
   void write_json(
       std::ostream& os,
       const std::vector<std::pair<std::string, std::uint64_t>>& counters = {},
@@ -206,10 +192,11 @@ struct RunReport {
       const std::vector<std::pair<std::string, trace::HistogramSnapshot>>&
           histograms = {}) const;
 
-  /// Serialize the decision provenance (`plans`) as a single JSON object.
-  /// Deliberately excludes every wall-clock-measured quantity
-  /// (decision_seconds), so two same-seed runs produce byte-identical
-  /// output.
+  /// Serialize the decision provenance (`plans`) as a single JSON object
+  /// (schema_version 5, with "tiers"; every candidate but a pinned one
+  /// carries its "tier"). Deliberately excludes every wall-clock-measured
+  /// quantity (decision_seconds), so two same-seed runs produce
+  /// byte-identical output.
   void write_explain_json(std::ostream& os) const;
 };
 

@@ -132,7 +132,7 @@ TEST_F(GoldenDeterminism, ExplainOutputIsByteIdentical) {
   const std::string first = sim_explain_json();
   const std::string second = sim_explain_json();
   EXPECT_EQ(first, second);
-  EXPECT_NE(first.find("\"schema_version\":2"), std::string::npos);
+  EXPECT_NE(first.find("\"schema_version\":5"), std::string::npos);
   EXPECT_NE(first.find("\"plans\":["), std::string::npos);
   EXPECT_NE(first.find("\"candidates\":["), std::string::npos);
   EXPECT_NE(first.find("\"reason\":"), std::string::npos);
@@ -142,7 +142,7 @@ TEST_F(GoldenDeterminism, AttributionTablesAreByteIdentical) {
   // The report JSON now carries attribution + per-object migration rows;
   // those ride the same determinism guarantee as the scalar fields.
   const std::string first = sim_run_json();
-  EXPECT_NE(first.find("\"schema_version\":2"), std::string::npos);
+  EXPECT_NE(first.find("\"schema_version\":5"), std::string::npos);
   EXPECT_NE(first.find("\"attribution\":["), std::string::npos);
   EXPECT_NE(first.find("\"objects\":["), std::string::npos);
 }

@@ -1,5 +1,6 @@
 // N-tier hierarchy end-to-end: machine shape, the MCKP planner path,
-// schema-v3 reports, and migration flows on the four-tier CXL platform.
+// the one tier-indexed report layout, and migration flows on the
+// four-tier CXL platform.
 #include "common/assert.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,9 @@
 #include "core/initial_placement.hpp"
 #include "core/planner.hpp"
 #include "core/runtime.hpp"
+#include "serve/driver.hpp"
+#include "serve/service.hpp"
+#include "trace/json.hpp"
 
 namespace tahoe {
 namespace {
@@ -84,6 +88,72 @@ core::TahoePolicy policy(const memsim::Machine& m,
   return core::TahoePolicy(core::calibrate(m).to_constants(), opts);
 }
 
+/// DRAM holds one 6 MiB object of RotatingHotApp at a time.
+memsim::Machine two_tier() {
+  return memsim::machines::platform_a(
+      memsim::devices::nvm_bw_fraction(memsim::devices::dram(32 * kMiB), 0.5,
+                                       1 * kGiB),
+      8 * kMiB);
+}
+
+/// A short single-tenant KV serving run on the Optane preset.
+core::RunReport serving_report() {
+  const memsim::Machine machine = memsim::machines::optane_platform(64 * kMiB);
+  serve::TenantManager tm(machine);
+  serve::TenantConfig kv;
+  kv.name = "kv";
+  kv.arrival_hz = 400.0;
+  serve::KvConfig shape;
+  shape.shards = 2;
+  shape.chunks_per_shard = 8;
+  shape.chunk_bytes = 2 * kMiB;
+  kv.service = serve::make_kv_service(shape);
+  tm.add(std::move(kv));
+  serve::ServeOptions opts;
+  opts.duration_seconds = 0.02;
+  opts.deterministic = true;
+  return serve::run_serve(tm, opts).report;
+}
+
+trace::JsonValue report_doc(const core::RunReport& r) {
+  std::ostringstream os;
+  r.write_json(os);
+  return trace::parse_json(os.str());
+}
+
+trace::JsonValue explain_doc(const core::RunReport& r) {
+  std::ostringstream os;
+  r.write_explain_json(os);
+  return trace::parse_json(os.str());
+}
+
+/// Records, per nesting path (array elements share their array's path),
+/// every key set an object at that path had.
+void collect_key_sets(const trace::JsonValue& v, const std::string& path,
+                      std::map<std::string, std::set<std::set<std::string>>>&
+                          out) {
+  if (v.is_object()) {
+    std::set<std::string> keys;
+    for (const auto& [k, child] : v.object) {
+      keys.insert(k);
+      collect_key_sets(child, path + "." + k, out);
+    }
+    out[path].insert(keys);
+  } else if (v.is_array()) {
+    for (const trace::JsonValue& e : v.array) {
+      collect_key_sets(e, path + "[]", out);
+    }
+  }
+}
+
+std::vector<std::uint64_t> counts(const trace::JsonValue& array) {
+  std::vector<std::uint64_t> out;
+  for (const trace::JsonValue& e : array.array) {
+    out.push_back(static_cast<std::uint64_t>(e.number));
+  }
+  return out;
+}
+
 std::set<std::pair<std::uint32_t, std::uint32_t>> flow_pairs(
     const core::RunReport& r) {
   std::set<std::pair<std::uint32_t, std::uint32_t>> pairs;
@@ -119,38 +189,106 @@ TEST(CxlPlatform, PerPairCopyBandwidthFallsBackToEngineDefault) {
   EXPECT_DOUBLE_EQ(m.copy_bw_for(2, 3), m.copy_engine_bw);
 }
 
-TEST(MultiTier, ReportSerializesAsSchemaV3WithTierNames) {
+TEST(MultiTier, FourTierReportNamesEveryTier) {
   RotatingHotApp app(3, 6 * kMiB, 8);
   core::Runtime rt(config(cxl()));
   core::TahoePolicy p = policy(rt.machine());
   const core::RunReport report = rt.run(app, p);
   ASSERT_EQ(report.tier_names.size(), 4u);
-  EXPECT_TRUE(report.multi_tier());
   std::ostringstream os;
   report.write_json(os, {}, {}, {});
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"schema_version\":3"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":5"), std::string::npos);
   EXPECT_NE(json.find("\"tiers\":[\"HBM\",\"DRAM\",\"CXL-DRAM\",\"Optane-PM\"]"),
             std::string::npos);
   std::ostringstream es;
   report.write_explain_json(es);
-  EXPECT_NE(es.str().find("\"schema_version\":3"), std::string::npos);
+  EXPECT_NE(es.str().find("\"schema_version\":5"), std::string::npos);
 }
 
-TEST(MultiTier, TwoTierReportStaysSchemaV2) {
-  const memsim::Machine m = memsim::machines::platform_a(
-      memsim::devices::nvm_bw_fraction(memsim::devices::dram(32 * kMiB), 0.5,
-                                       1 * kGiB),
-      32 * kMiB);
-  RotatingHotApp app(2, 6 * kMiB, 6);
-  core::Runtime rt(config(m));
-  core::TahoePolicy p = policy(rt.machine());
-  const core::RunReport report = rt.run(app, p);
-  EXPECT_FALSE(report.multi_tier());
-  std::ostringstream os;
-  report.write_json(os, {}, {}, {});
-  EXPECT_NE(os.str().find("\"schema_version\":2"), std::string::npos);
-  EXPECT_EQ(os.str().find("\"tiers\""), std::string::npos);
+TEST(MultiTier, EveryRunKindSerializesOneTierIndexedLayout) {
+  RotatingHotApp app2(2, 6 * kMiB, 6);
+  core::Runtime rt2(config(two_tier()));
+  core::TahoePolicy p2 = policy(rt2.machine());
+  const core::RunReport two = rt2.run(app2, p2);
+  RotatingHotApp app4(3, 6 * kMiB, 8);
+  core::Runtime rt4(config(cxl()));
+  core::TahoePolicy p4 = policy(rt4.machine());
+  const core::RunReport four = rt4.run(app4, p4);
+  const core::RunReport served = serving_report();
+  ASSERT_FALSE(two.attribution.empty());
+  ASSERT_FALSE(two.objects.empty());
+  ASSERT_FALSE(four.objects.empty());
+  ASSERT_FALSE(served.tenants.empty());
+
+  // One key set per nesting path across all three reports, and across
+  // their explain documents (no candidate here is pinned, the one kind
+  // that carries no "tier").
+  std::map<std::string, std::set<std::set<std::string>>> report_keys;
+  std::map<std::string, std::set<std::set<std::string>>> explain_keys;
+  for (const core::RunReport* r : {&two, &four, &served}) {
+    const trace::JsonValue doc = report_doc(*r);
+    EXPECT_EQ(doc.at("schema_version").number, 5.0) << r->workload;
+    collect_key_sets(doc, "", report_keys);
+    const trace::JsonValue explain = explain_doc(*r);
+    EXPECT_EQ(explain.at("schema_version").number, 5.0) << r->workload;
+    EXPECT_EQ(explain.at("tiers").array.size(), r->tier_names.size());
+    collect_key_sets(explain, "", explain_keys);
+
+    // Per-tier arrays are as long as "tiers"; flows name real tiers.
+    const std::size_t tiers = doc.at("tiers").array.size();
+    EXPECT_EQ(tiers, r->tier_names.size()) << r->workload;
+    for (const trace::JsonValue& row : doc.at("attribution").array) {
+      EXPECT_EQ(row.at("tier_loads").array.size(), tiers);
+      EXPECT_EQ(row.at("tier_stores").array.size(), tiers);
+    }
+    for (const trace::JsonValue& obj : doc.at("objects").array) {
+      for (const trace::JsonValue& f : obj.at("flows").array) {
+        EXPECT_LT(f.at("src").number, static_cast<double>(tiers));
+        EXPECT_LT(f.at("dst").number, static_cast<double>(tiers));
+      }
+    }
+  }
+  for (const auto* keys : {&report_keys, &explain_keys}) {
+    for (const auto& [path, sets] : *keys) {
+      EXPECT_EQ(sets.size(), 1u) << "key sets differ at '" << path << "'";
+    }
+  }
+  EXPECT_TRUE(report_keys.contains(".objects[].flows[]"));
+  EXPECT_TRUE(report_keys.contains(".tenants[].request_latency"));
+  EXPECT_TRUE(explain_keys.contains(".plans[].candidates[]"));
+
+  // A short or empty tier_names loses no count: the arrays still cover
+  // every tier the row counts.
+  for (const core::RunReport* r : {&two, &four}) {
+    const trace::JsonValue full = report_doc(*r);
+    for (const std::size_t names : {std::size_t{1}, std::size_t{0}}) {
+      core::RunReport shortened = *r;
+      shortened.tier_names.resize(names);
+      const trace::JsonValue doc = report_doc(shortened);
+      ASSERT_EQ(doc.at("attribution").array.size(),
+                full.at("attribution").array.size());
+      for (std::size_t i = 0; i < doc.at("attribution").array.size(); ++i) {
+        const trace::JsonValue& row = doc.at("attribution").array[i];
+        const trace::JsonValue& want = full.at("attribution").array[i];
+        EXPECT_EQ(counts(row.at("tier_loads")), counts(want.at("tier_loads")));
+        EXPECT_EQ(counts(row.at("tier_stores")),
+                  counts(want.at("tier_stores")));
+      }
+    }
+  }
+  core::RunReport ragged;
+  ragged.tier_names = {"DRAM"};
+  core::AttributionRow row;
+  row.tier_loads = {1, 2, 3};
+  row.tier_stores = {4, 0, 6, 7};
+  ragged.attribution.push_back(row);
+  const trace::JsonValue doc = report_doc(ragged);
+  const trace::JsonValue& out = doc.at("attribution").array.at(0);
+  EXPECT_EQ(counts(out.at("tier_loads")),
+            (std::vector<std::uint64_t>{1, 2, 3, 0}));
+  EXPECT_EQ(counts(out.at("tier_stores")),
+            (std::vector<std::uint64_t>{4, 0, 6, 7}));
 }
 
 TEST(MultiTier, MigratesAcrossMultipleDistinctTierPairs) {

@@ -1,14 +1,15 @@
 // Report and explain goldens: byte-for-byte pins of seeded simulated runs.
 //
-// All of them pin the one MCKP planner (`TahoePolicy::decide`). Two-tier
-// runs on `platform_a` and `optane_platform` pin it with one constrained
-// tier and the schema-v2 writers; they were captured when two-tier
-// machines still had a 0/1 planner of their own, and folding that planner
-// into the MCKP path left every byte of them unchanged. Four-tier runs on
-// a small `cxl_platform` pin three constrained tiers and the schema-v3
-// writers; its tiers are sized so the per-group fixed point of both apps
-// takes three rounds to settle. The tests compare serialized output
-// against tests/golden/*.json (see golden.hpp for TAHOE_UPDATE_GOLDENS).
+// All of them pin the one MCKP planner (`TahoePolicy::decide`) and the
+// one tier-indexed report layout (schema_version 5). Two-tier runs on
+// `platform_a` and `optane_platform` pin it with one constrained tier;
+// they were captured when two-tier machines still had a 0/1 planner of
+// their own, and folding that planner into the MCKP path left every value
+// in them unchanged. Four-tier runs on a small `cxl_platform` pin three
+// constrained tiers; its tiers are sized so the per-group fixed point of
+// both apps takes three rounds to settle. The tests compare serialized
+// output against tests/golden/*.json (see golden.hpp for
+// TAHOE_UPDATE_GOLDENS).
 #include <gtest/gtest.h>
 
 #include <sstream>
