@@ -18,7 +18,7 @@
 // starves prod; QoS rows reserve prod's priority share, so its p99 request
 // latency improves strictly. --check asserts that ordering (CI smoke), and
 // --deterministic zeroes the wall-clock planning fields so same-seed runs
-// emit byte-identical schema-v4 reports.
+// emit byte-identical reports, with their per-tenant "tenants" sections.
 #include <iostream>
 #include <string>
 #include <vector>

@@ -252,10 +252,7 @@ std::vector<UnitWeight> group_weights(const PlanInputs& in,
 }
 
 TahoePolicy::TahoePolicy(ModelConstants constants, TahoeOptions options)
-    : constants_(constants), options_(options) {
-  constants_.t1 = options_.t1;
-  constants_.t2 = options_.t2;
-}
+    : constants_(constants), options_(options) {}
 
 PlanDecision TahoePolicy::decide(const PlanInputs& in) {
   const auto t_begin = std::chrono::steady_clock::now();

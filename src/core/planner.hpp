@@ -36,9 +36,6 @@ struct TahoeOptions {
   /// (for the technique-contribution ablation).
   enum class Strategy { Auto, GlobalOnly, LocalOnly };
   Strategy strategy = Strategy::Auto;
-  /// Sensitivity thresholds (fractions of peak NVM bandwidth).
-  double t1 = 0.80;
-  double t2 = 0.10;
   /// When false, disable lookahead: every copy triggers exactly when it is
   /// needed, exposing the full movement cost (the proactive-migration
   /// ablation).
@@ -47,7 +44,8 @@ struct TahoeOptions {
 
 class TahoePolicy : public Policy {
  public:
-  /// `constants` comes from offline calibration (calibrate()).
+  /// `constants` comes from offline calibration (calibrate()), including
+  /// the sensitivity thresholds t1/t2.
   TahoePolicy(ModelConstants constants, TahoeOptions options = {});
 
   std::string name() const override { return "tahoe"; }

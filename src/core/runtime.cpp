@@ -671,8 +671,7 @@ RunReport Runtime::run_real_report(
   eopts.mode = hms::MigrationEngine::Mode::HelperThread;
   eopts.max_retries = config_.migration_max_retries;
   hms::MigrationEngine engine(*state.registry, eopts);
-  const std::unique_ptr<task::IExecutor> executor =
-      task::make_executor(config_.executor_backend, workers);
+  const auto executor = std::make_unique<task::Executor>(workers);
   const double deadline = config_.migration_wait_deadline_seconds;
 
   for (std::size_t iter = 0; iter < app.iterations(); ++iter) {

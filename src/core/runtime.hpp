@@ -63,9 +63,6 @@ struct RuntimeConfig {
   /// Costs one map insertion per simulated task access pair, so it is off
   /// by default and enabled alongside --report-json in the binaries.
   bool attribution = false;
-  /// Work-stealing backend used by run_real()/run_real_report(). Simulated
-  /// runs are unaffected (SimExecutor is its own deterministic machine).
-  task::ExecutorBackend executor_backend = task::ExecutorBackend::kChaseLev;
 };
 
 class Runtime {

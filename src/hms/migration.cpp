@@ -27,6 +27,16 @@ MigrationEngine::MigrationEngine(ObjectRegistry& registry,
     : registry_(registry), options_(options) {
   TAHOE_REQUIRE(options_.max_retries >= 0, "negative retry bound");
   TAHOE_REQUIRE(options_.retry_backoff_seconds >= 0.0, "negative backoff");
+  const std::size_t n = registry_.num_tiers();
+  bytes_moved_.resize(n * n);
+  for (std::size_t src = 0; src < n; ++src) {
+    for (std::size_t dst = 0; dst < n; ++dst) {
+      if (src == dst) continue;  // a copy always changes tier
+      bytes_moved_[src * n + dst] = &trace::global_counters().get(
+          "migrate.bytes.t" + std::to_string(src) + "_t" +
+          std::to_string(dst));
+    }
+  }
   if (options_.mode == Mode::HelperThread) {
     worker_ = std::thread([this] { worker_loop(); });
   }
@@ -130,11 +140,7 @@ void MigrationEngine::execute(const MigrationRequest& req) {
     tracer.emit(ev);
   }
   if (ok && src != req.dst) {
-    static trace::Counter& to_dram =
-        trace::global_counters().get("migrate.bytes.to_dram");
-    static trace::Counter& to_nvm =
-        trace::global_counters().get("migrate.bytes.to_nvm");
-    (req.dst == memsim::kDram ? to_dram : to_nvm).add(bytes);
+    bytes_moved_[src * registry_.num_tiers() + req.dst]->add(bytes);
     if (hist) {
       static trace::Histogram& copy_seconds =
           trace::global_counters().histogram("migrate.copy_seconds");

@@ -24,6 +24,10 @@
 
 #include "hms/registry.hpp"
 
+namespace tahoe::trace {
+class Counter;
+}
+
 namespace tahoe::hms {
 
 struct MigrationRequest {
@@ -124,6 +128,8 @@ class MigrationEngine {
   std::unordered_set<ObjectId> nvm_pinned_;
   std::vector<ObjectId> pin_order_;
   bool stop_ = false;
+  /// migrate.bytes.t<src>_t<dst>, indexed src * num_tiers + dst.
+  std::vector<trace::Counter*> bytes_moved_;
   std::thread worker_;
 };
 

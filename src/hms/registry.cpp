@@ -326,8 +326,6 @@ MigrateResult ObjectRegistry::try_migrate_chunk(ObjectId id, std::size_t chunk,
 
   ++stats_.migrations;
   stats_.bytes_moved += c.bytes;
-  if (dst == memsim::kDram) ++stats_.to_dram;
-  if (dst == memsim::kNvm) ++stats_.to_nvm;
   if (stats_.to_tier.size() < arenas_.size()) {
     stats_.to_tier.resize(arenas_.size(), 0);
   }

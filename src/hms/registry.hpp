@@ -36,14 +36,11 @@ namespace tahoe::hms {
 struct MigrationStats {
   std::uint64_t migrations = 0;        ///< chunk moves performed
   std::uint64_t bytes_moved = 0;       ///< total bytes copied
-  std::uint64_t to_dram = 0;           ///< moves into tier 0 (the fastest)
-  std::uint64_t to_nvm = 0;            ///< moves into tier 1
   std::uint64_t failed_no_space = 0;   ///< refused: destination arena full
   std::uint64_t copy_aborts = 0;       ///< copies aborted mid-flight
   std::uint64_t alloc_fallbacks = 0;   ///< creates that fell back to another tier
   /// Moves into each destination tier, indexed by TierId (sized on first
-  /// use; to_tier[kDram] == to_dram and to_tier[kNvm] == to_nvm on
-  /// two-tier machines).
+  /// use).
   std::vector<std::uint64_t> to_tier;
   /// Bytes moved per owning tenant, indexed by OwnerId (sized on first
   /// use; moves of unowned objects are not recorded here).

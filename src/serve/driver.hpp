@@ -13,8 +13,8 @@
 //                     task::Task::request tag)
 //
 // All three are recorded into per-tenant histograms and folded into the
-// schema-v4 RunReport. Every quantity is virtual-time, so same-seed runs
-// are byte-reproducible; --deterministic additionally zeroes the
+// RunReport's "tenants" rows. Every quantity is virtual-time, so same-seed
+// runs are byte-reproducible; --deterministic additionally zeroes the
 // wall-clock planning cost, mirroring the quickstart convention.
 #pragma once
 
@@ -37,7 +37,7 @@ struct ServeOptions {
 };
 
 struct ServeResult {
-  core::RunReport report;          ///< schema v4 (per-tenant sections)
+  core::RunReport report;          ///< with per-tenant "tenants" rows
   core::TenantPlacementPlan plan;  ///< the enforced placement
 };
 

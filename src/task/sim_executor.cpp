@@ -103,18 +103,26 @@ SimReport SimExecutor::run(const TaskGraph& graph,
            CopyTally>
       cp_tally;
 
-  // DRAM-occupancy counter track: needs the unit-size oracle to price the
-  // initial residency; updated at every completed copy.
+  // Tier-0 occupancy counter track: needs the unit-size oracle to price
+  // the initial residency; updated at every completed copy.
   const bool track_occupancy = tracer != nullptr && options.unit_size != nullptr;
-  std::uint64_t dram_occupancy = 0;
+  std::uint64_t tier0_bytes = 0;
   if (track_occupancy) {
-    dram_occupancy =
+    tier0_bytes =
         placement.bytes_on(memsim::kDram, [&](hms::ObjectId o, std::size_t ch) {
           return options.unit_size(o, ch);
         });
-    tracer->counter(trace::kRuntimeTrack, "dram_occupancy_bytes", t0,
-                    dram_occupancy);
+    tracer->counter(trace::kRuntimeTrack, "t0_occupancy_bytes", t0,
+                    tier0_bytes);
   }
+
+  // Bytes in flight per destination tier: one copy at a time, so the
+  // track toggles between 0 and the copy's size.
+  auto trace_inflight = [&](memsim::DeviceId dst, std::uint64_t bytes) {
+    const std::string track = "inflight_to_t" + std::to_string(dst) + "_bytes";
+    tracer->counter(trace::kMigrationTrack, track.c_str(), t0 + sim.now(),
+                    bytes);
+  };
 
   // Start queued copies until one is in flight (copies whose source
   // already equals the destination — e.g. residency left over from a
@@ -139,12 +147,7 @@ SimReport SimExecutor::run(const TaskGraph& graph,
       if (tracer != nullptr) {
         tracer->counter(trace::kMigrationTrack, "copy_queue_depth",
                         t0 + sim.now(), copy_fifo.size() + 1);
-        // Bandwidth-in-flight per direction: one copy at a time, so the
-        // track toggles between 0 and the copy's size.
-        tracer->counter(trace::kMigrationTrack,
-                        c.dst == memsim::kDram ? "inflight_to_dram_bytes"
-                                               : "inflight_to_nvm_bytes",
-                        t0 + sim.now(), c.bytes);
+        trace_inflight(c.dst, c.bytes);
       }
     }
   };
@@ -197,20 +200,16 @@ SimReport SimExecutor::run(const TaskGraph& graph,
     if (tracer != nullptr) {
       tracer->counter(trace::kMigrationTrack, "copy_queue_depth",
                       t0 + sim.now(), copy_fifo.size());
-      tracer->counter(trace::kMigrationTrack,
-                      c.dst == memsim::kDram ? "inflight_to_dram_bytes"
-                                             : "inflight_to_nvm_bytes",
-                      t0 + sim.now(), std::uint64_t{0});
+      trace_inflight(c.dst, 0);
     }
     if (track_occupancy) {
       if (c.dst == memsim::kDram) {
-        dram_occupancy += c.bytes;
+        tier0_bytes += c.bytes;
       } else if (copy_state[idx].src == memsim::kDram) {
-        dram_occupancy = dram_occupancy >= c.bytes ? dram_occupancy - c.bytes
-                                                   : 0;
+        tier0_bytes = tier0_bytes >= c.bytes ? tier0_bytes - c.bytes : 0;
       }
-      tracer->counter(trace::kRuntimeTrack, "dram_occupancy_bytes",
-                      t0 + sim.now(), dram_occupancy);
+      tracer->counter(trace::kRuntimeTrack, "t0_occupancy_bytes",
+                      t0 + sim.now(), tier0_bytes);
     }
     if (options.check_capacity && options.unit_size &&
         c.dst < machine.devices.size()) {

@@ -1,6 +1,7 @@
 #include "trace/analyze.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <set>
@@ -28,10 +29,28 @@ bool starts_with(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
 }
 
+/// The one way this file turns a JSON number into an unsigned integer:
+/// a negative, fractional, non-finite or out-of-range value is malformed
+/// input (casting it would be undefined), so it throws.
+std::uint64_t to_u64(const JsonValue& v, const std::string& field) {
+  const double d = v.number;
+  if (!(d >= 0.0 && d < 18446744073709551616.0 && d == std::floor(d))) {
+    std::ostringstream msg;
+    msg << field << ": " << d << " is not an unsigned integer";
+    throw std::runtime_error(msg.str());
+  }
+  return static_cast<std::uint64_t>(d);
+}
+
+/// `obj[key]` read through to_u64; 0 when absent or not a number.
+std::uint64_t u64_or(const JsonValue& obj, const std::string& key) {
+  if (!obj.has(key) || !obj.at(key).is_number()) return 0;
+  return to_u64(obj.at(key), key);
+}
+
 std::uint64_t arg_u64(const Span& s, const char* key) {
-  if (s.args == nullptr || !s.args->is_object() || !s.args->has(key)) return 0;
-  const JsonValue& v = s.args->at(key);
-  return v.is_number() ? static_cast<std::uint64_t>(v.number) : 0;
+  if (s.args == nullptr || !s.args->is_object()) return 0;
+  return u64_or(*s.args, key);
 }
 
 bool has_arg(const Span& s, const char* key) {
@@ -45,10 +64,10 @@ std::string str_or(const JsonValue& obj, const char* key,
   return v.is_string() ? v.string : def;
 }
 
-double num_or(const JsonValue& obj, const char* key, double def = 0.0) {
-  if (!obj.has(key)) return def;
+double num_or(const JsonValue& obj, const char* key) {
+  if (!obj.has(key)) return 0.0;
   const JsonValue& v = obj.at(key);
-  return v.is_number() ? v.number : def;
+  return v.is_number() ? v.number : 0.0;
 }
 
 }  // namespace
@@ -59,10 +78,8 @@ Analysis analyze(const JsonValue& trace_doc, const JsonValue* report,
 
   if (trace_doc.has("tahoe") && trace_doc.at("tahoe").is_object()) {
     const JsonValue& meta = trace_doc.at("tahoe");
-    a.schema_version =
-        static_cast<std::uint64_t>(num_or(meta, "schema_version"));
-    a.dropped_events =
-        static_cast<std::uint64_t>(num_or(meta, "dropped_events"));
+    a.schema_version = u64_or(meta, "schema_version");
+    a.dropped_events = u64_or(meta, "dropped_events");
   }
 
   // ---- collect spans -------------------------------------------------
@@ -78,7 +95,7 @@ Analysis analyze(const JsonValue& trace_doc, const JsonValue* report,
     for (const JsonValue& ev : trace_doc.at("traceEvents").array) {
       if (!ev.is_object()) continue;
       const std::string ph = str_or(ev, "ph");
-      const auto tid = static_cast<std::uint64_t>(num_or(ev, "tid"));
+      const std::uint64_t tid = u64_or(ev, "tid");
       if (ph == "M") {
         if (str_or(ev, "name") == "thread_name" && ev.has("args")) {
           track_labels[tid] = str_or(ev.at("args"), "name");
@@ -174,8 +191,7 @@ Analysis analyze(const JsonValue& trace_doc, const JsonValue* report,
   // ---- report echoes -------------------------------------------------
   if (report != nullptr && report->is_object()) {
     a.has_report = true;
-    a.report_schema_version =
-        static_cast<std::uint64_t>(num_or(*report, "schema_version"));
+    a.report_schema_version = u64_or(*report, "schema_version");
     a.workload = str_or(*report, "workload");
     a.policy = str_or(*report, "policy");
     a.strategy = str_or(*report, "strategy");
@@ -185,23 +201,22 @@ Analysis analyze(const JsonValue& trace_doc, const JsonValue* report,
         if (t.is_string()) a.tier_names.push_back(t.string);
       }
     }
-    // Schema-v4 serving reports carry a per-tenant section.
     if (report->has("tenants") && report->at("tenants").is_array()) {
       const auto digest_u64 = [](const JsonValue& obj, const char* digest,
                                  const char* field) -> std::uint64_t {
         if (!obj.has(digest) || !obj.at(digest).is_object()) return 0;
-        return static_cast<std::uint64_t>(num_or(obj.at(digest), field));
+        return u64_or(obj.at(digest), field);
       };
       for (const JsonValue& t : report->at("tenants").array) {
         if (!t.is_object()) continue;
         TenantAnalysisRow row;
         row.name = str_or(t, "name");
         row.priority = num_or(t, "priority");
-        row.quota_bytes = static_cast<std::uint64_t>(num_or(t, "quota_bytes"));
-        row.fast_bytes = static_cast<std::uint64_t>(num_or(t, "fast_bytes"));
-        row.total_bytes = static_cast<std::uint64_t>(num_or(t, "total_bytes"));
-        row.requests = static_cast<std::uint64_t>(num_or(t, "requests"));
-        row.dropped = static_cast<std::uint64_t>(num_or(t, "dropped"));
+        row.quota_bytes = u64_or(t, "quota_bytes");
+        row.fast_bytes = u64_or(t, "fast_bytes");
+        row.total_bytes = u64_or(t, "total_bytes");
+        row.requests = u64_or(t, "requests");
+        row.dropped = u64_or(t, "dropped");
         row.latency_p50_ns = digest_u64(t, "request_latency", "p50");
         row.latency_p99_ns = digest_u64(t, "request_latency", "p99");
         row.queue_p50_ns = digest_u64(t, "queue_wait", "p50");
@@ -222,11 +237,13 @@ Analysis analyze(const JsonValue& trace_doc, const JsonValue* report,
     if (a.workload.empty()) a.workload = str_or(*explain, "workload");
     if (a.policy.empty()) a.policy = str_or(*explain, "policy");
     if (a.report_schema_version == 0) {
-      a.report_schema_version =
-          static_cast<std::uint64_t>(num_or(*explain, "schema_version"));
+      a.report_schema_version = u64_or(*explain, "schema_version");
     }
-    if (a.tier_names.empty() && explain->has("tiers") &&
-        explain->at("tiers").is_array()) {
+    const std::size_t num_tiers =
+        explain->has("tiers") && explain->at("tiers").is_array()
+            ? explain->at("tiers").array.size()
+            : 0;
+    if (a.tier_names.empty() && num_tiers > 0) {
       for (const JsonValue& t : explain->at("tiers").array) {
         if (t.is_string()) a.tier_names.push_back(t.string);
       }
@@ -240,17 +257,24 @@ Analysis analyze(const JsonValue& trace_doc, const JsonValue* report,
         if (!c.is_object()) continue;
         RationaleRow row;
         row.object = str_or(c, "object");
-        row.chunk = static_cast<std::uint64_t>(num_or(c, "chunk"));
+        row.chunk = u64_or(c, "chunk");
         row.pass = str_or(c, "pass");
-        row.group = static_cast<std::uint64_t>(num_or(c, "group"));
+        row.group = u64_or(c, "group");
         row.sensitivity = str_or(c, "sensitivity");
         row.benefit = num_or(c, "benefit");
         row.cost = num_or(c, "cost");
         row.extra_cost = num_or(c, "extra_cost");
         row.value = num_or(c, "value");
-        row.bytes = static_cast<std::uint64_t>(num_or(c, "bytes"));
-        // v2 candidates are DRAM fills and carry no tier key: tier 0.
-        row.tier = static_cast<std::uint64_t>(num_or(c, "tier", 0.0));
+        row.bytes = u64_or(c, "bytes");
+        // Pinned candidates carry no tier and read as 0; a tier must index
+        // the document's "tiers".
+        row.tier = u64_or(c, "tier");
+        if (c.has("tier") && row.tier >= num_tiers) {
+          throw std::runtime_error(
+              "candidate tier " + std::to_string(row.tier) +
+              " is not one of the document's " + std::to_string(num_tiers) +
+              " tiers");
+        }
         row.accepted = c.has("accepted") && c.at("accepted").boolean;
         row.reason = str_or(c, "reason");
         a.rationale.push_back(std::move(row));
@@ -319,8 +343,8 @@ void write_analysis_json(std::ostream& os, const Analysis& a) {
       for (const std::string& n : a.tier_names) w.value(n);
       w.end_array();
     }
-    // Emitted only for serving (schema-v4) reports, so analyses of v2/v3
-    // artifacts stay byte-identical to what they were before tenancy.
+    // Emitted only for serving reports, so analyses of other runs stay
+    // byte-identical to what they were before tenancy.
     if (!a.tenant_rows.empty()) {
       w.key("tenants").begin_array();
       for (const TenantAnalysisRow& t : a.tenant_rows) {
@@ -470,10 +494,6 @@ void write_analysis_tables(std::ostream& os, const Analysis& a) {
 
 namespace {
 
-std::uint64_t num_u64(const JsonValue& doc, const std::string& key) {
-  return doc.has(key) ? static_cast<std::uint64_t>(doc.at(key).number) : 0;
-}
-
 double num_f64(const JsonValue& doc, const std::string& key) {
   return doc.has(key) ? doc.at(key).number : 0.0;
 }
@@ -499,17 +519,17 @@ Timeline analyze_timeline(const std::string& jsonl_text) {
     const std::string& type = doc.at("type").string;
     if (type == "phase") {
       TimelinePhase phase;
-      phase.seq = num_u64(doc, "seq");
+      phase.seq = u64_or(doc, "seq");
       if (doc.has("label")) phase.label = doc.at("label").string;
       tl.phases.push_back(std::move(phase));
     } else if (type == "interval") {
       TimelineInterval row;
-      row.seq = num_u64(doc, "seq");
+      row.seq = u64_or(doc, "seq");
       row.t = num_f64(doc, "t");
       row.dt = num_f64(doc, "dt");
       if (doc.has("counters")) {
         for (const auto& [name, cell] : doc.at("counters").object) {
-          const std::uint64_t delta = num_u64(cell, "delta");
+          const std::uint64_t delta = u64_or(cell, "delta");
           if (name == "sim.tasks_executed" || name == "executor.tasks") {
             row.tasks_delta += delta;
           } else if (starts_with(name, "migrate.bytes.")) {
@@ -527,13 +547,13 @@ Timeline analyze_timeline(const std::string& jsonl_text) {
       tl.rows.push_back(row);
     } else if (type == "breach") {
       TimelineBreach breach;
-      breach.seq = num_u64(doc, "seq");
+      breach.seq = u64_or(doc, "seq");
       breach.t = num_f64(doc, "t");
       if (doc.has("kind")) breach.kind = doc.at("kind").string;
       if (doc.has("rule")) breach.rule = doc.at("rule").string;
       breach.observed = num_f64(doc, "observed");
       breach.limit = num_f64(doc, "limit");
-      breach.intervals = num_u64(doc, "intervals");
+      breach.intervals = u64_or(doc, "intervals");
       // Breach lines follow the interval that triggered them (same seq).
       if (!tl.rows.empty() && tl.rows.back().seq == breach.seq) {
         ++tl.rows.back().breaches;
@@ -650,8 +670,8 @@ namespace {
 
 constexpr const char* kArenaPrefix = "hms.segment.arena.";
 
-std::uint64_t metric_u64(const JsonValue& v) {
-  return v.is_number() ? static_cast<std::uint64_t>(v.number) : 0;
+std::uint64_t metric_u64(const JsonValue& v, const std::string& name) {
+  return v.is_number() ? to_u64(v, name) : 0;
 }
 
 SegmentArenaRow& arena_row(SegmentStats& s, const std::string& name) {
@@ -669,10 +689,10 @@ SegmentStats analyze_segment_stats(const JsonValue& report) {
   if (report.has("counters") && report.at("counters").is_object()) {
     for (const auto& [name, v] : report.at("counters").object) {
       if (name == "hms.segment.allocs") {
-        s.allocs = metric_u64(v);
+        s.allocs = metric_u64(v, name);
         s.present = true;
       } else if (name == "hms.segment.frees") {
-        s.frees = metric_u64(v);
+        s.frees = metric_u64(v, name);
         s.present = true;
       }
     }
@@ -682,17 +702,17 @@ SegmentStats analyze_segment_stats(const JsonValue& report) {
       if (!starts_with(name, "hms.segment.")) continue;
       s.present = true;
       if (name == "hms.segment.slots_live") {
-        s.slots_live = metric_u64(v);
+        s.slots_live = metric_u64(v, name);
       } else if (name == "hms.segment.slot_capacity") {
-        s.slot_capacity = metric_u64(v);
+        s.slot_capacity = metric_u64(v, name);
       } else if (name == "hms.segment.bytes_used") {
-        s.bytes_used = metric_u64(v);
+        s.bytes_used = metric_u64(v, name);
       } else if (name == "hms.segment.bytes_capacity") {
-        s.bytes_capacity = metric_u64(v);
+        s.bytes_capacity = metric_u64(v, name);
       } else if (name == "hms.segment.freelist_blocks") {
-        s.freelist_blocks = metric_u64(v);
+        s.freelist_blocks = metric_u64(v, name);
       } else if (name == "hms.segment.freelist_bytes") {
-        s.freelist_bytes = metric_u64(v);
+        s.freelist_bytes = metric_u64(v, name);
       } else if (starts_with(name, kArenaPrefix)) {
         // hms.segment.arena.<name>.<metric>; arena names contain no dots.
         const std::string tail = name.substr(std::strlen(kArenaPrefix));
@@ -701,9 +721,9 @@ SegmentStats analyze_segment_stats(const JsonValue& report) {
         const std::string arena = tail.substr(0, dot);
         const std::string metric = tail.substr(dot + 1);
         if (metric == "meta_bytes") {
-          arena_row(s, arena).meta_bytes = metric_u64(v);
+          arena_row(s, arena).meta_bytes = metric_u64(v, name);
         } else if (metric == "free_ranges") {
-          arena_row(s, arena).free_ranges = metric_u64(v);
+          arena_row(s, arena).free_ranges = metric_u64(v, name);
         }
       }
     }

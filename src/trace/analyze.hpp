@@ -1,16 +1,19 @@
 // Post-run trace analysis: the library behind the tahoe_inspect CLI.
 //
 // Consumes the Chrome trace JSON written by chrome_export (plus,
-// optionally, the run report and --explain-out documents) and derives the
-// quantities the paper's evaluation cares about: the phase-structured
-// critical path, how much data movement was hidden behind computation,
-// per-worker utilization, and the placement rationale of the final plan.
+// optionally, the run report and --explain-out documents, in the one
+// tier-indexed layout of core/report.hpp) and derives the quantities the
+// paper's evaluation cares about: the phase-structured critical path, how
+// much data movement was hidden behind computation, per-worker
+// utilization, and the placement rationale of the final plan.
 //
 // Everything here is computed from the serialized artifacts only — no
 // access to live runtime state — so analyses are reproducible from the
 // files alone and the outputs of two same-seed simulated runs are
 // byte-identical (wall-clock-measured fields are deliberately never
-// echoed).
+// echoed). Malformed input is rejected with std::runtime_error: every
+// unsigned field must be a non-negative integer in range, and every
+// candidate tier must index the explain document's "tiers".
 #pragma once
 
 #include <cstdint>
@@ -38,8 +41,8 @@ struct RationaleRow {
   std::uint64_t chunk = 0;
   std::string pass;  ///< "local" / "global" / "pinned"
   std::uint64_t group = 0;
-  /// Destination tier of the candidate. Schema-v3 explain documents carry
-  /// it explicitly; v2 (two-tier) documents imply tier 0 (DRAM fills).
+  /// Destination tier of the candidate (0 for pinned candidates, which
+  /// carry none).
   std::uint64_t tier = 0;
   std::string sensitivity;
   double benefit = 0.0;
@@ -51,8 +54,8 @@ struct RationaleRow {
   std::string reason;
 };
 
-/// Per-tenant serving digest echoed from a schema-v4 report's "tenants"
-/// section (multi-tenant serving runs; empty otherwise). Latencies are in
+/// Per-tenant serving digest echoed from a report's "tenants" section
+/// (multi-tenant serving runs; empty otherwise). Latencies are in
 /// nanoseconds, as recorded.
 struct TenantAnalysisRow {
   std::string name;
@@ -101,17 +104,16 @@ struct Analysis {
 
   // From the report document (when provided).
   bool has_report = false;
-  /// RunReport schema: 2 = two-tier (dram/nvm fields), 3 = N-tier
-  /// (tiers list, per-tier attribution, migration flows). Both parse.
+  /// The report's (or, without one, the explain document's)
+  /// schema_version, echoed.
   std::uint64_t report_schema_version = 0;
   std::string workload;
   std::string policy;
   std::string strategy;
   double report_overlap_fraction = 0.0;
-  /// Tier names from a v3 document ("tiers"); empty for v2.
+  /// Tier names ("tiers") of the report, else of the explain document.
   std::vector<std::string> tier_names;
-  /// Per-tenant serving rows from a v4 document ("tenants"); empty for
-  /// v2/v3 reports and non-serving runs.
+  /// Per-tenant serving rows ("tenants"); empty for non-serving runs.
   std::vector<TenantAnalysisRow> tenant_rows;
 
   // From the explain document's last plan (when provided).

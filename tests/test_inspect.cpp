@@ -1,10 +1,12 @@
 // Analyzer tests: the trace -> analysis pipeline behind tahoe_inspect.
 // Builds synthetic traces through the real Tracer + chrome exporter, then
 // checks the derived critical path, overlap accounting, worker lanes, the
-// ring-overflow drop count round-trip, and the explain/report echoes.
+// ring-overflow drop count round-trip, the explain/report echoes, and the
+// rejection of malformed unsigned fields and candidate tiers.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "common/units.hpp"
@@ -164,6 +166,108 @@ TEST(Analyze, ReportAndExplainSectionsAreEchoed) {
   EXPECT_TRUE(a.rationale[0].accepted);
   EXPECT_EQ(a.rationale[1].reason, "capacity");
   EXPECT_EQ(a.rationale[1].bytes, 1024u);
+}
+
+/// A two-tier explain document with one accepted candidate on tier 0,
+/// serialized with `tier_text` spliced in as that candidate's tier.
+JsonValue crafted_explain(const std::string& tier_text) {
+  core::RunReport report;
+  report.strategy = "global";
+  report.tier_names = {"DRAM", "NVM"};
+  core::PlanRecord plan;
+  plan.strategy = "global";
+  core::PlanCandidate cand;
+  cand.object = "x";
+  cand.pass = "global";
+  cand.tier = 0;
+  cand.bytes = 4096;
+  cand.accepted = true;
+  plan.candidates.push_back(cand);
+  report.plans.push_back(plan);
+  std::ostringstream os;
+  report.write_explain_json(os);
+  std::string text = os.str();
+  const std::string written = "\"tier\":0";
+  const std::size_t at = text.find(written);
+  EXPECT_NE(at, std::string::npos);
+  text.replace(at, written.size(), "\"tier\":" + tier_text);
+  return parse_json(text);
+}
+
+TEST(Analyze, CandidateTiersMustIndexTheDocumentsTiers) {
+  Tracer tracer;
+  const JsonValue tdoc = exported(tracer);
+  const JsonValue ok = crafted_explain("1");
+  const Analysis a = analyze(tdoc, nullptr, &ok);
+  ASSERT_EQ(a.planned_tier_bytes.size(), 2u);
+  EXPECT_EQ(a.planned_tier_bytes[1], 4096u);
+  // Negative (a segfault once), huge (an allocation failure once), past
+  // the document's two tiers, fractional and past uint64 range: each is
+  // rejected with an error, never cast.
+  for (const std::string bad : {"-1", "1e13", "3", "2", "0.5", "2e19"}) {
+    const JsonValue doc = crafted_explain(bad);
+    EXPECT_THROW(analyze(tdoc, nullptr, &doc), std::runtime_error) << bad;
+  }
+}
+
+TEST(Analyze, UnsignedFieldsRejectNegativeAndFractionalValues) {
+  Tracer tracer;
+  const JsonValue tdoc = exported(tracer);
+  const JsonValue explain = crafted_explain("0");
+  // Candidate fields beside the tier.
+  for (const char* field : {"chunk", "group", "bytes"}) {
+    JsonValue doc = explain;
+    JsonValue& cand = doc.object.at("plans").array[0].object.at("candidates")
+                          .array[0];
+    cand.object.at(field).number = -1.0;
+    EXPECT_THROW(analyze(tdoc, nullptr, &doc), std::runtime_error) << field;
+    cand.object.at(field).number = 1.5;
+    EXPECT_THROW(analyze(tdoc, nullptr, &doc), std::runtime_error) << field;
+  }
+  // Report fields: schema version and tenant sizes.
+  core::RunReport report;
+  report.tenants.push_back(core::TenantReportRow{});
+  std::ostringstream os;
+  report.write_json(os);
+  const JsonValue rdoc = parse_json(os.str());
+  EXPECT_NO_THROW(analyze(tdoc, &rdoc, nullptr));
+  JsonValue bad_version = rdoc;
+  bad_version.object.at("schema_version").number = -5.0;
+  EXPECT_THROW(analyze(tdoc, &bad_version, nullptr), std::runtime_error);
+  JsonValue bad_quota = rdoc;
+  bad_quota.object.at("tenants").array[0].object.at("quota_bytes").number =
+      -4096.0;
+  EXPECT_THROW(analyze(tdoc, &bad_quota, nullptr), std::runtime_error);
+  // Span args and trace metadata.
+  Tracer spans;
+  spans.set_enabled(true);
+  spans.complete(kMigrationTrack, "migrate", 0.0, 0.1, "bytes", 64);
+  JsonValue trace_doc = exported(spans);
+  EXPECT_NO_THROW(analyze(trace_doc, nullptr, nullptr));
+  for (JsonValue& ev : trace_doc.object.at("traceEvents").array) {
+    if (ev.has("args") && ev.at("args").has("bytes")) {
+      ev.object.at("args").object.at("bytes").number = -64.0;
+    }
+  }
+  EXPECT_THROW(analyze(trace_doc, nullptr, nullptr), std::runtime_error);
+  JsonValue bad_meta = exported(spans);
+  bad_meta.object.at("tahoe").object.at("dropped_events").number = 1e300;
+  EXPECT_THROW(analyze(bad_meta, nullptr, nullptr), std::runtime_error);
+  // Segment-stats metrics.
+  std::ostringstream seg;
+  report.write_json(seg, {{"hms.segment.allocs", 1}});
+  JsonValue sdoc = parse_json(seg.str());
+  sdoc.object.at("counters").object.at("hms.segment.allocs").number = -1.0;
+  EXPECT_THROW(analyze_segment_stats(sdoc), std::runtime_error);
+}
+
+TEST(Timeline, UnsignedFieldsRejectNegativeValues) {
+  EXPECT_THROW(analyze_timeline("{\"type\":\"phase\",\"seq\":-1}\n"),
+               std::runtime_error);
+  EXPECT_THROW(
+      analyze_timeline("{\"type\":\"interval\",\"seq\":1,\"dt\":0.1,"
+                       "\"counters\":{\"executor.tasks\":{\"delta\":-3}}}\n"),
+      std::runtime_error);
 }
 
 TEST(SegmentStats, DigestParsesCountersGaugesAndArenaRows) {

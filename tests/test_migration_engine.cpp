@@ -7,6 +7,7 @@
 
 #include "common/units.hpp"
 #include "hms/migration.hpp"
+#include "trace/counters.hpp"
 
 namespace tahoe::hms {
 namespace {
@@ -18,6 +19,20 @@ TEST(MigrationEngine, InlineModeExecutesImmediately) {
   engine.enqueue(MigrationRequest{id, 0, memsim::kDram, 0});
   EXPECT_EQ(reg.get(id).device(), memsim::kDram);
   EXPECT_EQ(engine.pending(), 0u);
+}
+
+TEST(MigrationEngine, CountsBytesPerTierPair) {
+  ObjectRegistry reg({1 * kMiB, 16 * kMiB});
+  const ObjectId id = reg.create("v", 64 * kKiB, memsim::kNvm);
+  trace::CounterRegistry& counters = trace::global_counters();
+  const std::uint64_t before = counters.get("migrate.bytes.t1_t0").value();
+  MigrationEngine engine(reg, MigrationEngine::Mode::Inline);
+  engine.enqueue(MigrationRequest{id, 0, memsim::kDram, 0});
+  EXPECT_EQ(counters.get("migrate.bytes.t1_t0").value() - before, 64 * kKiB);
+  for (const auto& [name, value] : counters.snapshot()) {
+    EXPECT_EQ(name.find("to_dram"), std::string::npos) << name;
+    EXPECT_EQ(name.find("to_nvm"), std::string::npos) << name;
+  }
 }
 
 TEST(MigrationEngine, HelperThreadDrains) {

@@ -2,6 +2,9 @@
 // schedule structure and capacity safety.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "common/units.hpp"
 #include "core/calibration.hpp"
 #include "core/planner.hpp"
@@ -212,6 +215,26 @@ TEST(TahoePolicy, BigDramGoesGlobalAndKeepsBoth) {
     if (c.dst == memsim::kDram) ++fills;
   }
   EXPECT_EQ(fills, 2u);
+}
+
+TEST(TahoePolicy, ProvenanceSensitivityFollowsCalibratedThresholds) {
+  // The sensitivity thresholds live in ModelConstants alone: a policy
+  // built from to_constants(t1, t2) classifies with exactly those values.
+  const task::TaskGraph g = graph();
+  const memsim::Machine m = machine();
+  const PhaseProfiles p = profiles();
+  const auto sensitivities = [&](double t1, double t2) {
+    TahoePolicy policy(calibrate(m).to_constants(t1, t2));
+    std::set<std::string> seen;
+    for (const PlanCandidate& c : policy.decide(inputs(g, m, p)).provenance) {
+      seen.insert(c.sensitivity);
+    }
+    return seen;
+  };
+  // Every profiled unit streams some bytes, so a vanishing t1 makes all
+  // of them bandwidth-bound and a huge t2 makes all of them latency-bound.
+  EXPECT_EQ(sensitivities(1e-12, 0.0), std::set<std::string>{"bandwidth"});
+  EXPECT_EQ(sensitivities(1e12, 1e11), std::set<std::string>{"latency"});
 }
 
 TEST(TahoePolicy, ScheduleRespectsLookaheadTriggers) {

@@ -40,7 +40,7 @@ TEST(Registry, MigrationPreservesPayloadAndRedirects) {
   }
   EXPECT_EQ(reg.stats().migrations, 1u);
   EXPECT_EQ(reg.stats().bytes_moved, 4096 * sizeof(int));
-  EXPECT_EQ(reg.stats().to_dram, 1u);
+  EXPECT_EQ(reg.stats().to_tier, (std::vector<std::uint64_t>{1, 0}));
 }
 
 TEST(Registry, MigrationToSameTierIsNoop) {
@@ -207,10 +207,6 @@ TEST(RegistryNTier, ToTierStatsTrackEveryDestination) {
   EXPECT_EQ(s.to_tier[0], 1u);
   EXPECT_EQ(s.to_tier[1], 1u);
   EXPECT_EQ(s.to_tier[2], 1u);
-  // Legacy counters stay coherent with the per-tier view on the two
-  // fastest tiers.
-  EXPECT_EQ(s.to_dram, s.to_tier[0]);
-  EXPECT_EQ(s.to_nvm, s.to_tier[1]);
   EXPECT_EQ(s.migrations, 3u);
 }
 

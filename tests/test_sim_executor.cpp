@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "common/units.hpp"
 #include "memsim/machine.hpp"
 #include "task/sim_executor.hpp"
+#include "trace/trace.hpp"
 
 namespace tahoe::task {
 namespace {
@@ -146,6 +150,45 @@ TEST(SimExecutor, CopyUpdatesPlacementAndSpeedsLaterGroups) {
   // The 64 MiB copy at 6 GB/s (~11 ms) hides under 1 s of compute.
   EXPECT_NEAR(with_copy.stall_seconds, 0.0, 1e-9);
   EXPECT_DOUBLE_EQ(with_copy.overlap_fraction(), 1.0);
+}
+
+TEST(SimExecutor, TracesCopiesPerDestinationTier) {
+  // Four tiers: fills into DRAM (tier 1) and CXL-DRAM (tier 2) get tracks
+  // of their own instead of one lumped "nvm" direction.
+  const memsim::Machine m =
+      memsim::machines::cxl_platform(8 * kMiB, 8 * kMiB, 8 * kMiB, 1 * kGiB);
+  GraphBuilder gb;
+  for (const hms::ObjectId obj : {1, 2}) {
+    gb.begin_group("g" + std::to_string(obj));
+    Task t;
+    t.accesses = {stream_access(obj, 1024)};
+    gb.add_task(std::move(t));
+  }
+  const TaskGraph g = gb.build();
+  hms::PlacementMap placement;
+  placement.set(1, 0, 3);
+  placement.set(2, 0, 3);
+  const std::vector<ScheduledCopy> schedule{
+      ScheduledCopy{1, 0, 1 * kMiB, 1, 0, 0},
+      ScheduledCopy{2, 0, 1 * kMiB, 2, 0, 1}};
+  trace::Tracer tracer;
+  tracer.set_enabled(true);
+  SimExecutor::Options opts;
+  opts.tracer = &tracer;
+  opts.unit_size = [](hms::ObjectId, std::size_t) { return 1 * kMiB; };
+  SimExecutor ex;
+  ex.run(g, m, placement, schedule, opts);
+  std::set<std::string> tracks;
+  for (const trace::TraceEvent& ev : tracer.drain()) {
+    if (ev.kind == trace::EventKind::Counter) tracks.insert(ev.name);
+  }
+  EXPECT_TRUE(tracks.contains("inflight_to_t1_bytes"));
+  EXPECT_TRUE(tracks.contains("inflight_to_t2_bytes"));
+  EXPECT_TRUE(tracks.contains("t0_occupancy_bytes"));
+  for (const std::string& name : tracks) {
+    EXPECT_EQ(name.find("nvm"), std::string::npos) << name;
+    EXPECT_EQ(name.find("dram"), std::string::npos) << name;
+  }
 }
 
 TEST(SimExecutor, UnhiddenCopyStallsTheNeedingGroup) {

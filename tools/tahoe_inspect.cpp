@@ -20,10 +20,13 @@
 // --segment-stats mode reads only the report and renders the storage
 // layer's hms.segment.* digest: slot-table occupancy, segment metadata
 // bytes, allocator freelist levels and per-arena range-list footprints.
+//
+// Unreadable or malformed input exits 1 with the error on stderr.
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "common/flags.hpp"
@@ -32,23 +35,43 @@
 
 namespace {
 
-std::optional<tahoe::trace::JsonValue> load_json(const std::string& path,
-                                                 const char* what) {
+std::string read_file(const std::string& path, const char* what) {
   std::ifstream is(path);
   if (!is) {
-    std::cerr << "tahoe_inspect: cannot open " << what << " file '" << path
-              << "'\n";
-    return std::nullopt;
+    throw std::runtime_error(std::string("cannot open ") + what + " file '" +
+                             path + "'");
   }
   std::ostringstream buf;
   buf << is.rdbuf();
+  return buf.str();
+}
+
+/// Runs `parse` on the file's text, naming the file in any error.
+template <class Parse>
+auto parse_file(const std::string& path, const char* what, Parse parse) {
+  const std::string text = read_file(path, what);
   try {
-    return tahoe::trace::parse_json(buf.str());
+    return parse(text);
   } catch (const std::exception& e) {
-    std::cerr << "tahoe_inspect: failed to parse " << what << " '" << path
-              << "': " << e.what() << '\n';
-    return std::nullopt;
+    throw std::runtime_error(std::string("failed to parse ") + what + " '" +
+                             path + "': " + e.what());
   }
+}
+
+tahoe::trace::JsonValue load_json(const std::string& path, const char* what) {
+  return parse_file(path, what, tahoe::trace::parse_json);
+}
+
+/// Hands `render` the --out file, or stdout when none is given.
+template <class Render>
+void emit(const std::string& out, Render render) {
+  if (out.empty()) {
+    render(std::cout);
+    return;
+  }
+  std::ofstream file(out);
+  if (!file) throw std::runtime_error("cannot open output file '" + out + "'");
+  render(file);
 }
 
 }  // namespace
@@ -77,8 +100,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string trace_path = flags.get_string("trace");
+  const std::string report_path = flags.get_string("report");
+  const std::string explain_path = flags.get_string("explain");
   const std::string timeline_path = flags.get_string("timeline");
   const std::string format = flags.get_string("format");
+  const std::string out = flags.get_string("out");
   const bool segment_stats = flags.get_bool("segment-stats");
   if (trace_path.empty() && timeline_path.empty() && !segment_stats) {
     std::cerr << "tahoe_inspect: --trace, --timeline or --segment-stats is "
@@ -90,104 +116,46 @@ int main(int argc, char** argv) {
     std::cerr << "tahoe_inspect: --format must be 'table' or 'json'\n";
     return 2;
   }
+  if (segment_stats && report_path.empty()) {
+    std::cerr << "tahoe_inspect: --segment-stats requires --report\n";
+    return 2;
+  }
+  const bool json = format == "json";
 
-  if (segment_stats) {
-    if (flags.get_string("report").empty()) {
-      std::cerr << "tahoe_inspect: --segment-stats requires --report\n";
-      return 2;
+  try {
+    if (segment_stats) {
+      const tahoe::trace::SegmentStats stats =
+          tahoe::trace::analyze_segment_stats(load_json(report_path, "report"));
+      emit(out, [&](std::ostream& os) {
+        json ? tahoe::trace::write_segment_stats_json(os, stats)
+             : tahoe::trace::write_segment_stats_table(os, stats);
+      });
+      return 0;
     }
-    const auto report = load_json(flags.get_string("report"), "report");
-    if (!report) return 1;
-    const tahoe::trace::SegmentStats stats =
-        tahoe::trace::analyze_segment_stats(*report);
-    std::ofstream file_out;
-    std::ostream* os = &std::cout;
-    if (!flags.get_string("out").empty()) {
-      file_out.open(flags.get_string("out"));
-      if (!file_out) {
-        std::cerr << "tahoe_inspect: cannot open output file '"
-                  << flags.get_string("out") << "'\n";
-        return 1;
-      }
-      os = &file_out;
+    if (!timeline_path.empty()) {
+      const tahoe::trace::Timeline timeline = parse_file(
+          timeline_path, "timeline", tahoe::trace::analyze_timeline);
+      emit(out, [&](std::ostream& os) {
+        json ? tahoe::trace::write_timeline_json(os, timeline)
+             : tahoe::trace::write_timeline_table(os, timeline);
+      });
+      return 0;
     }
-    if (format == "json") {
-      tahoe::trace::write_segment_stats_json(*os, stats);
-    } else {
-      tahoe::trace::write_segment_stats_table(*os, stats);
-    }
+    const tahoe::trace::JsonValue trace_doc = load_json(trace_path, "trace");
+    std::optional<tahoe::trace::JsonValue> report;
+    if (!report_path.empty()) report = load_json(report_path, "report");
+    std::optional<tahoe::trace::JsonValue> explain;
+    if (!explain_path.empty()) explain = load_json(explain_path, "explain");
+    const tahoe::trace::Analysis analysis =
+        tahoe::trace::analyze(trace_doc, report ? &*report : nullptr,
+                              explain ? &*explain : nullptr);
+    emit(out, [&](std::ostream& os) {
+      json ? tahoe::trace::write_analysis_json(os, analysis)
+           : tahoe::trace::write_analysis_tables(os, analysis);
+    });
     return 0;
+  } catch (const std::exception& e) {
+    std::cerr << "tahoe_inspect: " << e.what() << '\n';
+    return 1;
   }
-
-  std::ofstream timeline_file_out;
-  if (!timeline_path.empty()) {
-    std::ifstream is(timeline_path);
-    if (!is) {
-      std::cerr << "tahoe_inspect: cannot open timeline file '"
-                << timeline_path << "'\n";
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    tahoe::trace::Timeline timeline;
-    try {
-      timeline = tahoe::trace::analyze_timeline(buf.str());
-    } catch (const std::exception& e) {
-      std::cerr << "tahoe_inspect: failed to parse timeline '"
-                << timeline_path << "': " << e.what() << '\n';
-      return 1;
-    }
-    std::ostream* os = &std::cout;
-    if (!flags.get_string("out").empty()) {
-      timeline_file_out.open(flags.get_string("out"));
-      if (!timeline_file_out) {
-        std::cerr << "tahoe_inspect: cannot open output file '"
-                  << flags.get_string("out") << "'\n";
-        return 1;
-      }
-      os = &timeline_file_out;
-    }
-    if (format == "json") {
-      tahoe::trace::write_timeline_json(*os, timeline);
-    } else {
-      tahoe::trace::write_timeline_table(*os, timeline);
-    }
-    return 0;
-  }
-
-  const auto trace_doc = load_json(trace_path, "trace");
-  if (!trace_doc) return 1;
-
-  std::optional<tahoe::trace::JsonValue> report;
-  if (!flags.get_string("report").empty()) {
-    report = load_json(flags.get_string("report"), "report");
-    if (!report) return 1;
-  }
-  std::optional<tahoe::trace::JsonValue> explain;
-  if (!flags.get_string("explain").empty()) {
-    explain = load_json(flags.get_string("explain"), "explain");
-    if (!explain) return 1;
-  }
-
-  const tahoe::trace::Analysis analysis =
-      tahoe::trace::analyze(*trace_doc, report ? &*report : nullptr,
-                            explain ? &*explain : nullptr);
-
-  std::ofstream file_out;
-  std::ostream* os = &std::cout;
-  if (!flags.get_string("out").empty()) {
-    file_out.open(flags.get_string("out"));
-    if (!file_out) {
-      std::cerr << "tahoe_inspect: cannot open output file '"
-                << flags.get_string("out") << "'\n";
-      return 1;
-    }
-    os = &file_out;
-  }
-  if (format == "json") {
-    tahoe::trace::write_analysis_json(*os, analysis);
-  } else {
-    tahoe::trace::write_analysis_tables(*os, analysis);
-  }
-  return 0;
 }

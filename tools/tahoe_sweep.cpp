@@ -9,14 +9,14 @@
 //
 // Each cell forks a child that runs one (workload, policy, nvm) scenario
 // through the bench runners with latency histograms enabled, appending its
-// RunReport JSON line (the same v2/v3/v4 schema every bench emits) to a
+// RunReport JSON line (the same layout every bench emits) to a
 // per-cell file plus a full-bucket snapshot of every histogram — the
 // report JSON carries only count/percentile digests, which cannot be
 // merged, so the buckets travel separately. The parent throttles to
 // --jobs concurrent children, then merges:
 //
-//   * every cell's report line, spliced verbatim under "runs" (schema
-//     versions preserved — consumers see exactly what the bench wrote);
+//   * every cell's report line, spliced verbatim under "runs"
+//     (consumers see exactly what the bench wrote);
 //   * histograms, bucket-wise across all cells (HistogramSnapshot::merge
 //     semantics), re-digested after the merge;
 //   * a "comparison" section normalizing each policy's steady-state
