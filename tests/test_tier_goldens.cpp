@@ -7,9 +7,12 @@
 // their own, and folding that planner into the MCKP path left every value
 // in them unchanged. Four-tier runs on a small `cxl_platform` pin three
 // constrained tiers; its tiers are sized so the per-group fixed point of
-// both apps takes three rounds to settle. The tests compare serialized
-// output against tests/golden/*.json (see golden.hpp for
-// TAHOE_UPDATE_GOLDENS).
+// both apps takes three rounds to settle. The `cxl4t_*` goldens pin the
+// planner at Bench scale on the perf ledger's cxl4t preset, where tiers of
+// 64 MiB to 512 MiB give each solve hundreds of granules per tier; lu is
+// left out because its explain document alone is about half a megabyte.
+// The tests compare serialized output against tests/golden/*.json (see
+// golden.hpp for TAHOE_UPDATE_GOLDENS).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -60,6 +63,18 @@ core::RuntimeConfig cxl_config() {
   return c;
 }
 
+/// The perf ledger's cxl4t preset: HBM + DRAM + CXL-DRAM below the
+/// Bench-scale working sets.
+core::RuntimeConfig cxl4t_config() {
+  core::RuntimeConfig c;
+  c.machine = memsim::machines::cxl_platform(64 * kMiB, 256 * kMiB,
+                                             512 * kMiB, 16 * kGiB);
+  c.backing = hms::Backing::Virtual;
+  c.fixed_decision_seconds = 0.0;
+  c.attribution = true;
+  return c;
+}
+
 struct RunJson {
   std::string report;
   std::string explain;
@@ -69,10 +84,11 @@ struct RunJson {
 /// snapshots — those may legitimately gain new entries over time) plus the
 /// explain document.
 RunJson run_json(const core::RuntimeConfig& config,
-                 const std::string& workload) {
+                 const std::string& workload,
+                 workloads::Scale scale = workloads::Scale::Test) {
   fault::global().disarm();
   trace::global_counters().reset();
-  auto app = workloads::make_workload(workload, workloads::Scale::Test);
+  auto app = workloads::make_workload(workload, scale);
   core::Runtime rt(config);
   core::TahoePolicy policy(core::calibrate(rt.machine()).to_constants());
   const core::RunReport report = rt.run(*app, policy);
@@ -133,6 +149,38 @@ TEST(TierGoldens, CxlNekproxyReportIsByteIdentical) {
 TEST(TierGoldens, CxlNekproxyExplainIsByteIdentical) {
   const RunJson r = run_json(cxl_config(), "nekproxy");
   check_golden("cxl_nekproxy.explain.json", r.explain);
+}
+
+TEST(TierGoldens, Cxl4tCgReportIsByteIdentical) {
+  const RunJson r = run_json(cxl4t_config(), "cg", workloads::Scale::Bench);
+  check_golden("cxl4t_cg.report.json", r.report);
+}
+
+TEST(TierGoldens, Cxl4tCgExplainIsByteIdentical) {
+  const RunJson r = run_json(cxl4t_config(), "cg", workloads::Scale::Bench);
+  check_golden("cxl4t_cg.explain.json", r.explain);
+}
+
+TEST(TierGoldens, Cxl4tMgReportIsByteIdentical) {
+  const RunJson r = run_json(cxl4t_config(), "mg", workloads::Scale::Bench);
+  check_golden("cxl4t_mg.report.json", r.report);
+}
+
+TEST(TierGoldens, Cxl4tMgExplainIsByteIdentical) {
+  const RunJson r = run_json(cxl4t_config(), "mg", workloads::Scale::Bench);
+  check_golden("cxl4t_mg.explain.json", r.explain);
+}
+
+TEST(TierGoldens, Cxl4tNekproxyReportIsByteIdentical) {
+  const RunJson r =
+      run_json(cxl4t_config(), "nekproxy", workloads::Scale::Bench);
+  check_golden("cxl4t_nekproxy.report.json", r.report);
+}
+
+TEST(TierGoldens, Cxl4tNekproxyExplainIsByteIdentical) {
+  const RunJson r =
+      run_json(cxl4t_config(), "nekproxy", workloads::Scale::Bench);
+  check_golden("cxl4t_nekproxy.explain.json", r.explain);
 }
 
 }  // namespace
