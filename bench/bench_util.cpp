@@ -216,8 +216,7 @@ BenchConfig config_from_flags(const Flags& flags, const std::string& nvm_spec) {
   config.dram_capacity =
       static_cast<std::uint64_t>(flags.get_int("dram-mib")) * kMiB;
   config.workers = static_cast<std::uint32_t>(flags.get_int("workers"));
-  config.scale = flags.get_string("scale") == "test" ? workloads::Scale::Test
-                                                     : workloads::Scale::Bench;
+  config.scale = workloads::parse_scale(flags.get_string("scale"));
   config.report_json = artifacts.report_json;
   config.explain_out = artifacts.explain_out;
   config.attribution =

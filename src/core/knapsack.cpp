@@ -94,6 +94,119 @@ void finalize_multi(MultiTierResult& r, std::span<const MultiTierItem> items,
   }
 }
 
+/// The DP states using lo[t] .. lo[t] + ext[t] - 1 granules of every tier
+/// t, flattened with tier 0 fastest-varying.
+struct StateBox {
+  std::vector<std::size_t> lo, ext, stride;
+  std::size_t states = 0;
+
+  void assign(const std::size_t* low, const std::size_t* high,
+              std::size_t tiers) {
+    lo.assign(low, low + tiers);
+    ext.resize(tiers);
+    stride.resize(tiers);
+    states = 1;
+    for (std::size_t t = 0; t < tiers; ++t) {
+      ext[t] = high[t] - low[t] + 1;
+      stride[t] = states;
+      TAHOE_REQUIRE(!__builtin_mul_overflow(states, ext[t], &states),
+                    "multi-tier DP state count overflows");
+    }
+  }
+};
+
+/// Copies `src`, laid out over `from`, into `dst` over `to`: the same lower
+/// corner, at least as high on every tier, and a state above `from` takes
+/// the value of its clamp into `from`. Below the first tier m that grows
+/// the two boxes agree, so a row of `to` (tiers 0..m) is one contiguous
+/// copy followed by repeats of its last tier-m slab. `coord` is a reusable
+/// buffer of one entry per tier.
+void pad_box(const StateBox& from, const double* src, const StateBox& to,
+             double* dst, std::vector<std::size_t>& coord) {
+  const std::size_t T = to.ext.size();
+  std::size_t m = 0;
+  while (to.ext[m] == from.ext[m]) ++m;
+  const std::size_t slab = from.stride[m];
+  const std::size_t kept = slab * from.ext[m];
+  const std::size_t row = slab * to.ext[m];
+  std::fill(coord.begin(), coord.end(), 0);
+  std::size_t s = 0;  // the row's clamp into `from`
+  for (std::size_t d = 0; d < to.states; d += row) {
+    std::copy_n(src + s, kept, dst + d);
+    const double* last = src + s + kept - slab;
+    if (slab == 1) {
+      std::fill(dst + d + kept, dst + d + row, *last);
+    } else {
+      for (std::size_t j = kept; j < row; j += slab) {
+        std::copy_n(last, slab, dst + d + j);
+      }
+    }
+    for (std::size_t t = m + 1; t < T; ++t) {
+      if (++coord[t] < to.ext[t]) {
+        if (coord[t] < from.ext[t]) s += from.stride[t];
+        break;
+      }
+      s -= (from.ext[t] - 1) * from.stride[t];
+      coord[t] = 0;
+    }
+  }
+}
+
+/// One item's DP step over box `to`. Each state keeps prev (skip) unless
+/// taking a tier t the item fits, prev `need[t]` granules lower on t plus
+/// values[t], is strictly better; tiers are weighed in ascending order and
+/// `pick` records the winner. `prev` is laid out over `from`, which ends
+/// where `to` ends and starts low enough for every take. Below the item's
+/// first usable tier m it needs nothing, so `from` and `to` agree there and
+/// a row of `to` (tiers 0..m) is one contiguous run in both. `coord` is a
+/// reusable buffer of one entry per tier.
+void sweep_box(const StateBox& from, const double* prev, const StateBox& to,
+               double* next, std::uint8_t* pick, const std::size_t* need,
+               const std::vector<double>& values,
+               std::vector<std::size_t>& coord) {
+  const std::size_t T = to.ext.size();
+  std::size_t m = 0;
+  while (need[m] == 0) ++m;
+  const std::size_t run = to.stride[m] * to.ext[m];
+  // The first state of a row where the item fits on tier m.
+  const std::size_t first =
+      need[m] > to.lo[m] ? (need[m] - to.lo[m]) * to.stride[m] : 0;
+  const std::size_t back = need[m] * from.stride[m];
+  std::size_t src = 0;  // the row's first state in `from`
+  for (std::size_t t = m; t < T; ++t) {
+    src += (to.lo[t] - from.lo[t]) * from.stride[t];
+  }
+  std::fill(coord.begin(), coord.end(), 0);
+  for (std::size_t dst = 0; dst < to.states; dst += run) {
+    const double* in = prev + src;
+    double* out = next + dst;
+    std::uint8_t* p = pick + dst;
+    std::copy_n(in, first, out);
+    for (std::size_t i = first; i < run; ++i) {
+      const double with = in[i - back] + values[m];
+      const bool better = with > in[i];
+      out[i] = better ? with : in[i];
+      p[i] = static_cast<std::uint8_t>(better ? m : T);
+    }
+    for (std::size_t t = m + 1; t < T; ++t) {
+      if (need[t] == 0 || to.lo[t] + coord[t] < need[t]) continue;
+      const double* take = in - need[t] * from.stride[t];
+      for (std::size_t i = 0; i < run; ++i) {
+        const double with = take[i] + values[t];
+        const bool better = with > out[i];
+        out[i] = better ? with : out[i];
+        p[i] = better ? static_cast<std::uint8_t>(t) : p[i];
+      }
+    }
+    for (std::size_t t = m + 1; t < T; ++t) {
+      src += from.stride[t];
+      if (++coord[t] < to.ext[t]) break;
+      src -= to.ext[t] * from.stride[t];
+      coord[t] = 0;
+    }
+  }
+}
+
 }  // namespace
 
 MultiTierResult solve_multi(std::span<const MultiTierItem> items,
@@ -102,16 +215,16 @@ MultiTierResult solve_multi(std::span<const MultiTierItem> items,
   const std::size_t T = capacities.size();
   TAHOE_REQUIRE(T >= 1, "solve_multi needs at least one constrained tier");
   TAHOE_REQUIRE(state_budget >= 4, "state budget too small");
+  // Every tier keeps at least two states, no granule and one.
+  TAHOE_REQUIRE(T < std::numeric_limits<std::size_t>::digits &&
+                    (std::size_t{1} << T) <= state_budget,
+                "a state budget below 2^T cannot bound the multi-tier grid");
   for (const MultiTierItem& it : items) {
     TAHOE_REQUIRE(it.values.size() == T,
                   "item values must match the constrained-tier count");
   }
   MultiTierResult result;
   result.assignment.assign(items.size(), -1);
-  if (items.empty()) {
-    finalize_multi(result, items, T);
-    return result;
-  }
 
   // Per-tier granule: split the state budget evenly across dimensions, but
   // never finer than one byte per granule and never coarser than 1 granule.
@@ -127,10 +240,8 @@ MultiTierResult solve_multi(std::span<const MultiTierItem> items,
   }
 
   // need[k * T + t] = granules item k takes on tier t, or 0 where it cannot
-  // go (zero size, value <= 0, larger than the whole tier). reach[t] = the
-  // most granules the items can ever use on tier t, capped by the tier.
+  // go (zero size, value <= 0, larger than the whole tier).
   std::vector<std::size_t> need(items.size() * T, 0);
-  std::vector<std::size_t> reach(T, 0);
   std::vector<std::size_t> placeable;  // items with at least one usable tier
   for (std::size_t k = 0; k < items.size(); ++k) {
     const MultiTierItem& it = items[k];
@@ -140,66 +251,95 @@ MultiTierResult solve_multi(std::span<const MultiTierItem> items,
       const auto n = static_cast<std::size_t>(granules_for(it.size, granule[t]));
       if (it.values[t] <= 0.0 || n > cap_g[t]) continue;
       need[k * T + t] = n;
-      reach[t] = std::min(cap_g[t], reach[t] + n);
       usable = true;
     }
     if (usable) placeable.push_back(k);
   }
-
-  // The grid spans only reachable usage, tier 0 fastest-varying. A state
-  // of the full (cap_g + 1)^T grid has the same value and choice as the
-  // state clamped to what the items so far can use, so reconstructing from
-  // this grid's top corner picks what the full grid's top corner would.
-  std::vector<std::size_t> stride(T);
-  std::size_t num_states = 1;
-  for (std::size_t t = 0; t < T; ++t) {
-    stride[t] = num_states;
-    num_states *= reach[t] + 1;
+  const std::size_t P = placeable.size();
+  if (P == 0) {
+    finalize_multi(result, items, T);
+    return result;
   }
 
-  // Forward DP over items; dp[state] = best value with per-tier usage
-  // within the state's granule budget. Items without a usable tier leave
-  // dp as it is; each placeable item owns one row of `choice`, the tier it
-  // took at each state (T = skip). Tiers sweep in ascending order with a
-  // strict `>`, so every state weighs its candidates in the same order as
-  // a per-state scan and ties resolve the same way: to the lower tier, and
-  // to skip over any tier.
-  std::vector<double> dp(num_states, 0.0), next(num_states);
-  std::vector<std::uint8_t> choice(placeable.size() * num_states,
-                                   static_cast<std::uint8_t>(T));
-  for (std::size_t r = 0; r < placeable.size(); ++r) {
-    const std::size_t k = placeable[r];
-    const std::size_t* item_need = &need[k * T];
-    std::uint8_t* pick = &choice[r * num_states];
-    std::copy(dp.begin(), dp.end(), next.begin());
+  // Row r + 1 of lo/hi bounds the box placeable item r sweeps; row 0 is
+  // the single empty state before any item. hi is what items 0..r can use,
+  // capped at the tier, and the corner hi[P] is what every item can. lo is
+  // the corner minus what the items after r can still take away. A state
+  // of the full (cap_g + 1)^T grid above the box has the value and choice
+  // of its clamp into the box, and one below it is read neither by a later
+  // item nor by the reconstruction, so the boxes give the full grid's
+  // answer, ties included.
+  std::vector<std::size_t> lo((P + 1) * T, 0), hi((P + 1) * T, 0);
+  for (std::size_t r = 0; r < P; ++r) {
+    const std::size_t* n = &need[placeable[r] * T];
     for (std::size_t t = 0; t < T; ++t) {
-      if (item_need[t] == 0) continue;
-      // States whose tier-t coordinate is at least the need form one
-      // contiguous run per block of the higher tiers.
-      const std::size_t offset = item_need[t] * stride[t];
-      const std::size_t block = stride[t] * (reach[t] + 1);
-      const double value = items[k].values[t];
-      for (std::size_t base = 0; base < num_states; base += block) {
-        for (std::size_t st = base + offset; st < base + block; ++st) {
-          const double with = dp[st - offset] + value;
-          if (with > next[st]) {
-            next[st] = with;
-            pick[st] = static_cast<std::uint8_t>(t);
-          }
-        }
-      }
+      hi[(r + 1) * T + t] = std::min(cap_g[t], hi[r * T + t] + n[t]);
     }
-    dp.swap(next);
+  }
+  const std::size_t* corner = &hi[P * T];
+  std::vector<std::size_t> rest(T, 0);  // what the items after row r take
+  for (std::size_t r = P; r > 0; --r) {
+    const std::size_t* n = &need[placeable[r - 1] * T];
+    for (std::size_t t = 0; t < T; ++t) {
+      lo[r * T + t] = corner[t] - std::min(corner[t], rest[t]);
+      rest[t] += n[t];
+    }
   }
 
-  // Reconstruct from the reachable-capacity corner.
-  std::size_t st = num_states - 1;
-  for (std::size_t r = placeable.size(); r-- > 0;) {
+  // Each item's choices fill its own box; offset[r] places item r's in one
+  // table. The sweep reads the previous item's values padded up to the new
+  // box's top, over `from`, and writes the new box, `to`.
+  StateBox from, to;
+  std::vector<std::size_t> offset(P + 1, 0);
+  std::size_t max_box = 1, max_padded = 1;
+  for (std::size_t r = 0; r < P; ++r) {
+    to.assign(&lo[(r + 1) * T], &hi[(r + 1) * T], T);
+    from.assign(&lo[r * T], &hi[(r + 1) * T], T);
+    TAHOE_REQUIRE(!__builtin_add_overflow(offset[r], to.states,
+                                          &offset[r + 1]),
+                  "multi-tier DP state count overflows");
+    max_box = std::max(max_box, to.states);
+    max_padded = std::max(max_padded, from.states);
+  }
+
+  // Forward DP over the placeable items; items without a usable tier leave
+  // every state as it is. Every choice starts as skip (T).
+  std::vector<double> cur(max_box, 0.0), next(max_box), padded(max_padded);
+  std::vector<std::uint8_t> choice(offset[P], static_cast<std::uint8_t>(T));
+  std::vector<std::size_t> coord(T);
+  StateBox wide;
+  from.assign(&lo[0], &hi[0], T);
+  for (std::size_t r = 0; r < P; ++r) {
     const std::size_t k = placeable[r];
-    const std::uint8_t pick = choice[r * num_states + st];
+    const double* prev = cur.data();
+    wide.assign(from.lo.data(), &hi[(r + 1) * T], T);
+    if (wide.states != from.states) {
+      pad_box(from, cur.data(), wide, padded.data(), coord);
+      std::swap(from, wide);
+      prev = padded.data();
+    }
+    to.assign(&lo[(r + 1) * T], &hi[(r + 1) * T], T);
+    sweep_box(from, prev, to, next.data(), &choice[offset[r]], &need[k * T],
+              items[k].values, coord);
+    cur.swap(next);
+    std::swap(from, to);
+  }
+
+  // Reconstruct from the corner, reading each item's choice at the walk's
+  // clamp into its box.
+  std::vector<std::size_t> at(corner, corner + T);
+  for (std::size_t r = P; r-- > 0;) {
+    const std::size_t k = placeable[r];
+    to.assign(&lo[(r + 1) * T], &hi[(r + 1) * T], T);
+    std::size_t index = offset[r];
+    for (std::size_t t = 0; t < T; ++t) {
+      const std::size_t clamp = std::min(at[t], hi[(r + 1) * T + t]);
+      index += (clamp - to.lo[t]) * to.stride[t];
+    }
+    const std::uint8_t pick = choice[index];
     if (pick < T) {
       result.assignment[k] = static_cast<int>(pick);
-      st -= need[k * T + pick] * stride[pick];
+      at[pick] -= need[k * T + pick];
     }
   }
   finalize_multi(result, items, T);

@@ -65,11 +65,16 @@ struct MultiTierResult {
 /// Scaled multi-dimensional DP. Sizes are rounded *up* to per-tier
 /// granules, so no tier capacity is ever violated. `state_budget` (total
 /// DP states allowed) sets the granule: each tier's capacity is split into
-/// about state_budget^(1/T) granules, keeping the state space bounded for
-/// any tier count. The DP extent per tier is the reachable usage, the
-/// granules of every item that can go there, capped at the tier; the
-/// result is the one the full grid would give, ties included. Choices with
-/// value <= 0 are never taken.
+/// about state_budget^(1/T) granules. Every tier keeps at least two
+/// states, so a budget below 2^T cannot bound the grid and throws
+/// ContractError. Each usable item sweeps only a box of states, bounded
+/// per tier from both sides: above by what it and the items before it can
+/// use, capped at the tier; below by the corner, what all the items can
+/// use, minus what the items after it can still take away. A state above
+/// the box has the value and choice of its clamp into the box, and no
+/// later item and no reconstruction reads one below it, so the result is
+/// the one the full grid would give, ties included. Choices with value
+/// <= 0 are never taken.
 MultiTierResult solve_multi(std::span<const MultiTierItem> items,
                             std::span<const std::uint64_t> capacities,
                             std::size_t state_budget = 1 << 18);

@@ -35,6 +35,13 @@ task::DataAccess access(hms::ObjectId obj, task::AccessMode mode,
   return a;
 }
 
+Scale parse_scale(const std::string& name) {
+  if (name == "test") return Scale::Test;
+  if (name == "bench") return Scale::Bench;
+  TAHOE_REQUIRE(false, "unknown scale '" + name + "' (test or bench)");
+  return Scale::Test;
+}
+
 std::unique_ptr<core::Application> make_workload(const std::string& name,
                                                  Scale scale) {
   if (name == "cg") return std::make_unique<CgApp>(CgApp::config_for(scale));

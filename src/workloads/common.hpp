@@ -37,6 +37,10 @@ task::DataAccess access(hms::ObjectId obj, task::AccessMode mode,
 /// backing).
 enum class Scale { Test, Bench };
 
+/// The Scale a `--scale` flag names: "test" or "bench". Any other name is
+/// a ContractError, so a typo never runs at a size nobody asked for.
+Scale parse_scale(const std::string& name);
+
 /// Factory over every registered workload.
 std::unique_ptr<core::Application> make_workload(const std::string& name,
                                                  Scale scale);

@@ -289,11 +289,24 @@ struct DiffInstance {
   bool tight_and_loose = false;
 };
 
-DiffInstance make_diff_instance(Rng& rng, std::size_t T) {
-  // A small value set makes ties common; zeros of both signs and
-  // negatives are never taken.
+/// Per-tier values: half from a small set, which makes ties common (zeros
+/// of both signs and negatives are never taken), half continuous; one
+/// item in four gets the same value on every tier.
+std::vector<double> draw_values(Rng& rng, std::size_t T) {
   static constexpr double kPalette[] = {-3.0, -0.0, 0.0, 0.5,
                                         1.0,  1.0,  2.5, 4.0};
+  std::vector<double> values(T);
+  for (double& v : values) {
+    v = rng.next_below(2) == 0 ? kPalette[rng.next_below(std::size(kPalette))]
+                               : (rng.next_double() - 0.3) * 10.0;
+  }
+  if (rng.next_below(4) == 0) {
+    std::fill(values.begin(), values.end(), values[0]);
+  }
+  return values;
+}
+
+DiffInstance make_diff_instance(Rng& rng, std::size_t T) {
   DiffInstance d;
   // Budgets below the default give coarse grids. T = 4 stays small: the
   // full-grid reference would visit 2^18 states per item there.
@@ -312,15 +325,7 @@ DiffInstance make_diff_instance(Rng& rng, std::size_t T) {
     }
     MultiTierItem it;
     it.size = rng.next_below(10) == 0 ? 0 : (1 + rng.next_below(40)) * scale;
-    it.values.resize(T);
-    for (std::size_t t = 0; t < T; ++t) {
-      it.values[t] = rng.next_below(2) == 0
-                         ? kPalette[rng.next_below(std::size(kPalette))]
-                         : (rng.next_double() - 0.3) * 10.0;
-    }
-    if (rng.next_below(4) == 0) {  // the same value on every tier
-      std::fill(it.values.begin(), it.values.end(), it.values[0]);
-    }
+    it.values = draw_values(rng, T);
     total += it.size;
     d.items.push_back(std::move(it));
   }
@@ -339,10 +344,11 @@ DiffInstance make_diff_instance(Rng& rng, std::size_t T) {
   return d;
 }
 
-// solve_multi sweeps a grid bounded at reachable usage, one tier at a time;
-// the full-grid per-state scan it replaced is kept under tests/ as the
-// reference. Equal optima are not enough: the assignment, the tier sizes
-// and the total value must match bit for bit, ties included.
+// solve_multi sweeps each item over a box bounded by what the items up to
+// it can use and by what the items after it can take away; the full-grid
+// per-state scan it replaced is kept under tests/ as the reference. Equal
+// optima are not enough: the assignment, the tier sizes and the total
+// value must match bit for bit, ties included.
 TEST(MultiKnapsack, MatchesReferenceScanBitForBit) {
   Rng rng(20240607);
   int tight_and_loose = 0;
@@ -364,6 +370,135 @@ TEST(MultiKnapsack, MatchesReferenceScanBitForBit) {
   // The generator must keep producing the regime the reach bound changes
   // most: one tier saturated while another stops short of its grid.
   EXPECT_GT(tight_and_loose, 200);
+}
+
+/// Solves `d` both ways and requires the reference's answer bit for bit.
+void expect_reference_answer(const DiffInstance& d, int trial) {
+  const MultiTierResult got = solve_multi(d.items, d.caps, d.state_budget);
+  const MultiTierResult want =
+      reference::solve_multi(d.items, d.caps, d.state_budget);
+  ASSERT_EQ(got.assignment, want.assignment) << "trial " << trial;
+  ASSERT_EQ(got.tier_sizes, want.tier_sizes) << "trial " << trial;
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(got.total_value),
+            std::bit_cast<std::uint64_t>(want.total_value))
+      << "trial " << trial;
+  check_consistent(d.items, d.caps, got);
+}
+
+/// Shaped like every four-tier lu solve: no item can use tier `out`,
+/// because each is larger than it or valued <= 0 there, so that tier's
+/// reach is 0 and the DP's boxes are one state deep along it.
+DiffInstance make_out_of_reach_instance(Rng& rng, std::size_t out) {
+  static constexpr double kNonPositive[] = {-2.0, -0.0, 0.0};
+  DiffInstance d;
+  d.state_budget = 1 << 18;
+  const std::uint64_t scale = rng.next_below(2) == 0 ? 1 : kMiB + 3;
+  const std::uint64_t small = (1 + rng.next_below(8)) * scale;
+  const std::size_t n = 4 + rng.next_below(13);
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0 && rng.next_below(5) == 0) {
+      d.items.push_back(d.items.back());
+      total += d.items.back().size;
+      continue;
+    }
+    MultiTierItem it;
+    it.size = (1 + rng.next_below(40)) * scale;
+    it.values = draw_values(rng, 3);
+    if (it.size <= small) {
+      it.values[out] = kNonPositive[rng.next_below(std::size(kNonPositive))];
+    }
+    total += it.size;
+    d.items.push_back(std::move(it));
+  }
+  for (std::size_t t = 0; t < 3; ++t) {
+    if (t == out) {
+      d.caps.push_back(small);
+    } else if (rng.next_below(2) == 0) {
+      d.caps.push_back(total / 4 + rng.next_below(total / 4 + 1));
+    } else {
+      d.caps.push_back(2 * total + rng.next_below(total + 1));
+    }
+  }
+  return d;
+}
+
+// lu's tier 0 is out of reach in every four-tier solve; the DP then runs
+// along rows one state long unless it merges them into longer runs.
+TEST(MultiKnapsack, MatchesReferenceWithATierOutOfReach) {
+  Rng rng(20261101);
+  for (int trial = 0; trial < 96; ++trial) {
+    // Mostly tier 0, as in lu; sometimes an outer tier.
+    const std::size_t out = trial % 4 == 3 ? 1 + trial / 4 % 2 : 0;
+    const DiffInstance d = make_out_of_reach_instance(rng, out);
+    ASSERT_NO_FATAL_FAILURE(expect_reference_answer(d, trial));
+    EXPECT_EQ(solve_multi(d.items, d.caps).tier_sizes[out], 0u)
+        << "trial " << trial;
+  }
+}
+
+/// Shaped like nekproxy's 43-item global solve: 20-45 items of a few
+/// granules each on three tiers of growing capacity. The first items'
+/// reach and what the last items can still take both cut their boxes
+/// short of the grid, and the fastest tier saturates.
+DiffInstance make_many_small_instance(Rng& rng) {
+  DiffInstance d;
+  d.state_budget = 1 << 18;
+  // About one granule of the fastest tier: the default budget gives each
+  // of three tiers 62 granules.
+  const std::uint64_t unit = rng.next_below(2) == 0 ? 1 : kMiB + 3;
+  d.caps.push_back(unit * (50 + rng.next_below(30)));
+  d.caps.push_back(d.caps[0] * (2 + rng.next_below(3)));
+  d.caps.push_back(d.caps[1] * (1 + rng.next_below(2)));
+  const std::size_t n = 20 + rng.next_below(26);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0 && rng.next_below(5) == 0) {
+      d.items.push_back(d.items.back());
+      continue;
+    }
+    MultiTierItem it;
+    it.size = unit * (1 + rng.next_below(6)) + rng.next_below(unit);
+    it.values = draw_values(rng, 3);
+    d.items.push_back(std::move(it));
+  }
+  return d;
+}
+
+TEST(MultiKnapsack, MatchesReferenceOnManySmallItems) {
+  Rng rng(20261102);
+  for (int trial = 0; trial < 12; ++trial) {
+    const DiffInstance d = make_many_small_instance(rng);
+    ASSERT_NO_FATAL_FAILURE(expect_reference_answer(d, trial));
+  }
+}
+
+// Every tier keeps at least two states, no granule and one, so a budget
+// bounds the grid only up to log2(budget) tiers; past that the state count
+// grows without bound and, from 64 tiers on, wraps.
+TEST(MultiKnapsack, RejectsTierCountsTheStateBudgetCannotBound) {
+  const auto instance = [](std::size_t T) {
+    DiffInstance d;
+    d.state_budget = 1 << 18;
+    for (std::size_t i = 0; i < 3; ++i) {
+      MultiTierItem it{1, std::vector<double>(T)};
+      for (std::size_t t = 0; t < T; ++t) {
+        it.values[t] = 1.0 + static_cast<double>((i * 7 + t * 3) % 11);
+      }
+      d.items.push_back(std::move(it));
+    }
+    d.caps.assign(T, 1);
+    return d;
+  };
+  ASSERT_NO_FATAL_FAILURE(expect_reference_answer(instance(18), 18));
+  for (const std::size_t T : {19u, 40u, 64u, 300u}) {
+    const DiffInstance d = instance(T);
+    EXPECT_THROW(solve_multi(d.items, d.caps), ContractError) << T << " tiers";
+  }
+  // The same bound holds for any budget: 16 states bound four tiers.
+  const DiffInstance four = instance(4);
+  EXPECT_NO_THROW(solve_multi(four.items, four.caps, 16));
+  const DiffInstance five = instance(5);
+  EXPECT_THROW(solve_multi(five.items, five.caps, 16), ContractError);
 }
 
 /// One randomized tenant-rows instance for the reference comparison.

@@ -52,6 +52,16 @@ TEST(Sweep, HealthyGridMergesEveryCell) {
   std::remove(out.c_str());
 }
 
+TEST(Sweep, UnknownScaleIsRejectedBeforeAnyCellRuns) {
+  const std::string out = ::testing::TempDir() + "sweep_scale.json";
+  std::remove(out.c_str());
+  EXPECT_NE(run_sweep("--out " + out +
+                      " --workloads cg --policies static-dram"
+                      " --nvm-specs bw:0.5 --scale bnech --jobs 1"),
+            0);
+  EXPECT_FALSE(std::ifstream(out).good()) << "sweep wrote " << out;
+}
+
 TEST(Sweep, FailedCellIsMarkedNotSilentlyMerged) {
   // "bogus" is not a policy: its child exits non-zero before producing a
   // report. The sweep must still write the artifact, mark the cell failed,

@@ -89,6 +89,15 @@ TEST(Workloads, FactoryRejectsUnknownNames) {
                ContractError);
 }
 
+TEST(Workloads, ParseScaleAcceptsOnlyTestAndBench) {
+  EXPECT_EQ(workloads::parse_scale("test"), workloads::Scale::Test);
+  EXPECT_EQ(workloads::parse_scale("bench"), workloads::Scale::Bench);
+  // Both flag parsers used to map such names silently to one of the two.
+  for (const char* name : {"smoke", "bnech", "", "Test", "BENCH", "bench "}) {
+    EXPECT_THROW(workloads::parse_scale(name), ContractError) << name;
+  }
+}
+
 TEST(Workloads, FtChunksFollowPolicy) {
   workloads::FtApp app(workloads::FtApp::config_for(workloads::Scale::Test));
   hms::ObjectRegistry reg({4 * kMiB, 1 * kGiB}, hms::Backing::Virtual);

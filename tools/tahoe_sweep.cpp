@@ -190,8 +190,7 @@ int main(int argc, char** argv) {
   bench::BenchConfig base;
   base.dram_capacity =
       static_cast<std::uint64_t>(flags.get_int("dram-mib")) * kMiB;
-  base.scale = flags.get_string("scale") == "bench" ? workloads::Scale::Bench
-                                                    : workloads::Scale::Test;
+  base.scale = workloads::parse_scale(flags.get_string("scale"));
 
   std::vector<Cell> cells;
   for (const std::string& nvm : split_csv(flags.get_string("nvm-specs"))) {
