@@ -55,11 +55,12 @@ MigrationEngine::~MigrationEngine() {
 
 void MigrationEngine::enqueue(const MigrationRequest& req) {
   {
-    // Degradation: once an object is pinned to NVM, later attempts to
-    // promote it are known to fail — drop them instead of burning the
-    // helper thread on doomed copies.
+    // Degradation: once an object is pinned to the capacity tier, later
+    // attempts to promote it are known to fail — drop them instead of
+    // burning the helper thread on doomed copies.
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (req.dst == memsim::kDram && nvm_pinned_.contains(req.object)) {
+    if (req.dst != registry_.capacity_tier() &&
+        nvm_pinned_.contains(req.object)) {
       ++cancelled_;
       trace::global_counters().get("migrate.cancelled").increment();
       completed_tag_ = std::max(completed_tag_, req.tag);
@@ -100,8 +101,8 @@ void MigrationEngine::execute(const MigrationRequest& req) {
   const bool hist = trace::histograms_enabled();
   const double begin = (traced || hist) ? trace::now_seconds() : 0.0;
 
-  // Chaos hook: a stalled copy. Only slept in helper mode — inline mode
-  // backs the deterministic simulator, where time is modeled, not spent.
+  // Chaos hook: a stalled copy. Only slept in helper mode, so inline runs
+  // stay instantaneous.
   if (options_.mode == Mode::HelperThread) {
     sleep_seconds(fault::global().stall_seconds());
   }
@@ -154,12 +155,13 @@ void MigrationEngine::execute(const MigrationRequest& req) {
                                       << " rejected: no space on tier "
                                       << req.dst);
   } else if (res == MigrateResult::kAborted) {
-    // Degrade: give up on this request and pin the object to NVM so the
-    // planner stops scheduling promotions that keep failing.
+    // Degrade: give up on this request and pin the object to the capacity
+    // tier so the planner stops scheduling promotions that keep failing.
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       ++aborted_;
-      if (req.dst == memsim::kDram && nvm_pinned_.insert(req.object).second) {
+      if (req.dst != registry_.capacity_tier() &&
+          nvm_pinned_.insert(req.object).second) {
         pin_order_.push_back(req.object);
       }
     }

@@ -7,10 +7,10 @@
 // boundary the runtime calls wait_tag() to ensure the moves needed by the
 // upcoming tasks have completed.
 //
-// The engine also supports inline mode (no thread), which the
-// deterministic simulation executor uses: there, copy *timing* is modeled
-// as a flow in the fluid simulator while the data movement itself is done
-// synchronously at the modeled completion point.
+// The engine also supports inline mode (no thread): enqueue() performs the
+// copy on the calling thread before it returns. Only tests use it; the
+// simulation executor models copies as fluid-simulator flows and never
+// drives the engine.
 #pragma once
 
 #include <condition_variable>
@@ -51,10 +51,11 @@ class MigrationEngine {
   struct Options {
     Mode mode = Mode::HelperThread;
     /// Retries after a transient (aborted) copy before giving up on the
-    /// request and pinning its object to NVM.
+    /// request and, for a promotion, pinning its object to the capacity
+    /// tier.
     int max_retries = 3;
     /// Initial backoff between retries; doubles per attempt. Only slept in
-    /// HelperThread mode so inline (simulation) runs stay instantaneous.
+    /// HelperThread mode so inline runs stay instantaneous.
     double retry_backoff_seconds = 50e-6;
   };
 
@@ -66,9 +67,9 @@ class MigrationEngine {
   MigrationEngine& operator=(const MigrationEngine&) = delete;
 
   /// Enqueue a request (helper mode) or execute it immediately (inline
-  /// mode). Never blocks in helper mode. DRAM-bound requests for objects
-  /// that earlier degraded to pinned-NVM are dropped (counted as
-  /// cancelled).
+  /// mode). Never blocks in helper mode. A promotion (any destination but
+  /// the capacity tier) of an object pinned to the capacity tier is
+  /// dropped and counted as cancelled.
   void enqueue(const MigrationRequest& req);
 
   /// Block until every request with tag <= `tag` has been processed.
@@ -98,7 +99,8 @@ class MigrationEngine {
   /// Requests cancelled before execution (cancel_tag or pinned-object drop).
   std::uint64_t cancelled() const;
 
-  /// Objects pinned to NVM after repeated copy failures, in pin order.
+  /// Objects pinned to the capacity tier after a promotion failed
+  /// repeatedly, in pin order.
   std::vector<ObjectId> degraded_objects() const;
   bool is_pinned(ObjectId id) const;
 

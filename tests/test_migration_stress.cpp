@@ -119,6 +119,45 @@ TEST_F(MigrationStress, AlwaysAbortingCopyPinsObjectDeterministically) {
   EXPECT_EQ(reg.get(id).device(), memsim::kNvm);
 }
 
+TEST_F(MigrationStress, FailedCopyToAnyFasterTierPinsObject) {
+  // Three tiers: a copy toward tier 1 is as much a promotion as one toward
+  // tier 0, so exhausting its retries pins the object too, and later
+  // promotions of it are dropped whichever fast tier they target.
+  fault::FaultConfig cfg;
+  cfg.seed = 1;
+  cfg.migration_abort = 1.0;
+  fault::global().configure(cfg);
+
+  ObjectRegistry reg({4 * kMiB, 4 * kMiB, 64 * kMiB});
+  const ObjectId a = reg.create("a", 1 * kMiB, reg.capacity_tier());
+  const ObjectId b = reg.create("b", 1 * kMiB, reg.capacity_tier());
+  MigrationEngine::Options opts;
+  opts.mode = MigrationEngine::Mode::HelperThread;
+  opts.retry_backoff_seconds = 1e-6;
+  MigrationEngine engine(reg, opts);
+
+  engine.enqueue(MigrationRequest{a, 0, 1, 0});
+  engine.enqueue(MigrationRequest{b, 0, 0, 0});
+  engine.drain();
+  EXPECT_EQ(engine.aborted(), 2u);
+  EXPECT_TRUE(engine.is_pinned(a));
+  EXPECT_TRUE(engine.is_pinned(b));
+  EXPECT_EQ(engine.degraded_objects(), (std::vector<ObjectId>{a, b}));
+
+  engine.enqueue(MigrationRequest{a, 0, 1, 1});
+  engine.enqueue(MigrationRequest{a, 0, 0, 1});
+  engine.drain();
+  EXPECT_EQ(engine.cancelled(), 2u);
+  EXPECT_EQ(engine.aborted(), 2u);  // no new execution happened
+
+  // A failed demotion is not a promotion: it pins nothing.
+  const ObjectId c = reg.create("c", 1 * kMiB, 1);
+  engine.enqueue(MigrationRequest{c, 0, reg.capacity_tier(), 2});
+  engine.drain();
+  EXPECT_EQ(engine.aborted(), 3u);
+  EXPECT_FALSE(engine.is_pinned(c));
+}
+
 TEST_F(MigrationStress, CancelTagDropsQueuedButNeverInFlight) {
   // A guaranteed stall holds the worker on the first request long enough
   // for cancel_tag to see the rest still queued.
