@@ -293,8 +293,10 @@ std::uint64_t Segment::offset_of(const void* p) const {
   return static_cast<std::uint64_t>(static_cast<const std::byte*>(p) - base_);
 }
 
-void* Segment::at(std::uint64_t offset) const {
-  TAHOE_REQUIRE(offset < bytes_, "segment offset out of range");
+void* Segment::at(std::uint64_t offset, std::uint64_t bytes) const {
+  // Written so that no sum can wrap: offsets come from untrusted images.
+  TAHOE_REQUIRE(bytes <= bytes_ && offset <= bytes_ - bytes,
+                "segment offset out of range");
   return base_ + offset;
 }
 

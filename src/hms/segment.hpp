@@ -102,11 +102,13 @@ class Segment {
     return b >= base_ && b < base_ + bytes_;
   }
   std::uint64_t offset_of(const void* p) const;
-  void* at(std::uint64_t offset) const;
+  /// Address of the `bytes` bytes at `offset`; throws ContractError unless
+  /// all of them lie inside the mapping.
+  void* at(std::uint64_t offset, std::uint64_t bytes = 1) const;
 
   template <typename T>
   T* at_as(std::uint64_t offset) const {
-    return static_cast<T*>(at(offset));
+    return static_cast<T*>(at(offset, sizeof(T)));
   }
 
   /// Offset of the owner's root structure (e.g. the registry's slot-table

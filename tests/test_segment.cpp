@@ -45,6 +45,22 @@ TEST(Segment, AllocFreeRoundTrip) {
   EXPECT_EQ(seg.freelist_blocks(), 0u);
 }
 
+TEST(Segment, TypedAccessMustFitInsideTheMapping) {
+  Segment seg(1 * kMiB);
+  const std::uint64_t last = seg.size() - sizeof(SegmentHeader);
+  EXPECT_EQ(seg.at_as<SegmentHeader>(last),
+            static_cast<void*>(seg.base() + last));
+  // One byte further and the header would run past the end.
+  EXPECT_THROW(seg.at_as<SegmentHeader>(last + 1), ContractError);
+  EXPECT_THROW(seg.at_as<SegmentHeader>(seg.size() - 1), ContractError);
+  // Offsets near the top of the range must not wrap the bounds check.
+  EXPECT_THROW(seg.at_as<SegmentHeader>(~std::uint64_t{0} - 8), ContractError);
+  // Untyped access keeps its one-byte bound.
+  EXPECT_EQ(seg.at(seg.size() - 1),
+            static_cast<void*>(seg.base() + seg.size() - 1));
+  EXPECT_THROW(seg.at(seg.size()), ContractError);
+}
+
 TEST(Segment, LargeBlocksUseFirstFitReuse) {
   Segment seg(4 * kMiB);
   void* big = seg.alloc(200 * kKiB);  // beyond the largest pow2 class
