@@ -47,7 +47,8 @@ int main(int argc, char** argv) {
     core::Runtime runtime(config);
     workloads::HeatApp app(
         workloads::HeatApp::config_for(workloads::Scale::Test));
-    const bool ok = runtime.run_real(app, /*schedule=*/{}, 4);
+    const bool ok =
+        runtime.run_real_report(app, /*schedule=*/{}, 4).verified;
     std::cout << "real 2-D Jacobi run: "
               << (ok ? "converging (verify passed)" : "FAILED") << "\n";
   }

@@ -47,7 +47,8 @@ int main(int argc, char** argv) {
     config.backing = hms::Backing::Real;
     core::Runtime runtime(config);
     workloads::CgApp app(workloads::CgApp::config_for(workloads::Scale::Test));
-    const bool converged = runtime.run_real(app, /*schedule=*/{}, 4);
+    const bool converged =
+        runtime.run_real_report(app, /*schedule=*/{}, 4).verified;
     std::cout << "real CG solve: "
               << (converged ? "residual reduced (verify passed)" : "FAILED")
               << "\n";

@@ -45,7 +45,6 @@ MicroResult run_micro(const memsim::Machine& machine, memsim::DeviceId tier,
 
   task::SimExecutor exec;
   task::SimExecutor::Options opts;
-  opts.check_capacity = false;  // synthetic object is not in a registry
   const task::SimReport report =
       exec.run(graph, machine, placement, {}, opts);
 

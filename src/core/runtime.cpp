@@ -22,6 +22,111 @@ namespace tahoe::core {
 
 namespace {
 
+/// Iterations profiled before each decision, and again after each
+/// re-profile.
+constexpr std::size_t kProfileIterations = 2;
+/// Modeled cost per collected hardware sample (counter readout).
+constexpr double kSampleCostSeconds = 50e-9;
+/// Modeled cost of the queue-status check at each phase boundary.
+constexpr double kSyncCostSeconds = 2e-6;
+/// Extra attempts to reserve space for a planned fill before its object is
+/// pinned to the capacity tier and the policy re-plans.
+constexpr int kReservationRetries = 3;
+
+/// An empty report of `app` under `policy`, labelled with the machine's
+/// tiers.
+RunReport new_report(const Application& app, std::string policy,
+                     const memsim::Machine& machine) {
+  RunReport report;
+  report.workload = app.name();
+  report.policy = std::move(policy);
+  report.tier_names.reserve(machine.devices.size());
+  for (const memsim::DeviceModel& d : machine.devices) {
+    report.tier_names.push_back(d.name);
+  }
+  return report;
+}
+
+/// Allocation name of object `id`, or "object-<id>" for an id the
+/// inventory does not hold.
+std::string object_name(const std::vector<ObjectInfo>& objects,
+                        std::uint64_t id) {
+  for (const ObjectInfo& o : objects) {
+    if (static_cast<std::uint64_t>(o.id) == id) return o.name;
+  }
+  return "object-" + std::to_string(id);
+}
+
+/// Collect the planner-facing object inventory from a registry.
+std::vector<ObjectInfo> collect_objects(const hms::ObjectRegistry& registry) {
+  std::vector<ObjectInfo> out;
+  for (const hms::ObjectId id : registry.live_objects()) {
+    const hms::DataObject& obj = registry.get(id);
+    ObjectInfo info;
+    info.id = id;
+    info.name = std::string(obj.name());
+    info.static_ref_estimate = obj.static_ref_estimate;
+    info.chunk_bytes.reserve(obj.num_chunks());
+    for (const hms::Chunk& c : obj.chunks()) info.chunk_bytes.push_back(c.bytes);
+    out.push_back(std::move(info));
+  }
+  return out;
+}
+
+/// Executor-side half of the migration/computation overlap: derive one
+/// scheduling hint per task from the plan's residency of the task's
+/// inputs. A task is `kHot` when every chunk it reads will be on tier 0,
+/// the fastest, by the time its group starts (current registry placement
+/// plus every ScheduledCopy whose needed_group is not after the task's
+/// group) and `kCold` otherwise, so the executor defers slow-tier-bound
+/// tasks while their objects' promotions are still in flight. Accesses to
+/// objects unknown to the registry are treated as hot.
+std::vector<task::TierHint> compute_tier_hints(
+    const task::TaskGraph& graph, const hms::ObjectRegistry& registry,
+    const std::vector<task::ScheduledCopy>& schedule) {
+  // Start from the registry's current placement...
+  std::map<hms::ObjectId, std::vector<memsim::DeviceId>> device;
+  for (const hms::ObjectId id : registry.live_objects()) {
+    const hms::DataObject& obj = registry.get(id);
+    std::vector<memsim::DeviceId>& d = device[id];
+    d.reserve(obj.num_chunks());
+    for (const hms::Chunk& c : obj.chunks()) d.push_back(c.device);
+  }
+  // ...and replay the plan's copies group by group: a copy with
+  // needed_group g is complete before group g runs, so tasks of group >= g
+  // see its destination tier.
+  std::vector<std::vector<const task::ScheduledCopy*>> due(graph.num_groups());
+  for (const task::ScheduledCopy& c : schedule) {
+    if (c.needed_group < graph.num_groups()) due[c.needed_group].push_back(&c);
+  }
+  std::vector<task::TierHint> hints(graph.num_tasks(), task::TierHint::kHot);
+  for (task::GroupId g = 0; g < graph.num_groups(); ++g) {
+    for (const task::ScheduledCopy* c : due[g]) {
+      auto it = device.find(c->object);
+      if (it == device.end()) continue;
+      if (c->chunk < it->second.size()) it->second[c->chunk] = c->dst;
+    }
+    const task::Group& grp = graph.group(g);
+    for (task::TaskId id = grp.first_task; id < grp.last_task; ++id) {
+      bool cold = false;
+      for (const task::DataAccess& a : graph.task(id).accesses) {
+        if (!a.reads()) continue;
+        const auto it = device.find(a.object);
+        if (it == device.end()) continue;  // unknown object: assume hot
+        const std::vector<memsim::DeviceId>& d = it->second;
+        if (a.chunk == task::kAllChunks) {
+          for (const memsim::DeviceId dev : d) cold |= dev != 0;
+        } else if (a.chunk < d.size()) {
+          cold |= d[a.chunk] != 0;
+        }
+        if (cold) break;
+      }
+      if (cold) hints[id] = task::TierHint::kCold;
+    }
+  }
+  return hints;
+}
+
 /// Register the standard track labels on the global tracer (no-op when
 /// tracing is off). Shared by the simulated and real execution paths.
 void name_standard_tracks(std::uint32_t workers) {
@@ -37,14 +142,14 @@ void name_standard_tracks(std::uint32_t workers) {
 
 /// Replay the planned schedule against a hypothetical occupancy of every
 /// constrained tier and return the first object whose fill cannot reserve
-/// space even after `retries` extra attempts (injected vetoes model racing
-/// consumers of the tier). Returns kInvalidObject when the whole schedule
-/// reserves cleanly. On two-tier machines this makes exactly the same
-/// try_reserve calls in the same order as the original single-tier replay,
-/// so seeded fault-injection sequences are preserved.
+/// space even after kReservationRetries extra attempts (injected vetoes
+/// model racing consumers of the tier). Returns kInvalidObject when the
+/// whole schedule reserves cleanly. On two-tier machines this makes exactly
+/// the same try_reserve calls in the same order as the original single-tier
+/// replay, so seeded fault-injection sequences are preserved.
 hms::ObjectId first_unreservable(
     const PlanInputs& in, const std::vector<task::ScheduledCopy>& schedule,
-    const memsim::Machine& machine, int retries) {
+    const memsim::Machine& machine) {
   const memsim::TierId cap_tier = machine.capacity_tier();
   std::vector<hms::SpaceManager> spaces;
   spaces.reserve(cap_tier);
@@ -79,7 +184,8 @@ hms::ObjectId first_unreservable(
       if (t != c.dst) spaces[t].remove(c.object, c.chunk);
     }
     bool reserved = false;
-    for (int attempt = 0; attempt <= retries && !reserved; ++attempt) {
+    for (int attempt = 0; attempt <= kReservationRetries && !reserved;
+         ++attempt) {
       reserved = spaces[c.dst].try_reserve(c.object, c.chunk, c.bytes);
     }
     if (!reserved) return c.object;
@@ -93,13 +199,6 @@ PlanDecision Runtime::decide_validated(Policy& policy, PlanInputs inputs,
                                        std::vector<hms::ObjectId>& pinned,
                                        RunReport& report,
                                        std::size_t iteration) {
-  // Resolve raw ids to allocation names for the provenance records.
-  const auto object_name = [&inputs](std::uint64_t id) -> std::string {
-    for (const ObjectInfo& o : inputs.objects) {
-      if (static_cast<std::uint64_t>(o.id) == id) return o.name;
-    }
-    return "object-" + std::to_string(id);
-  };
   const auto record_plan = [&](const PlanDecision& decision, int round) {
     PlanRecord rec;
     rec.iteration = iteration;
@@ -111,10 +210,12 @@ PlanDecision Runtime::decide_validated(Policy& policy, PlanInputs inputs,
     rec.schedule_copies = decision.schedule.size();
     rec.pinned_nvm.reserve(pinned.size());
     for (const hms::ObjectId id : pinned) {
-      rec.pinned_nvm.push_back(object_name(id));
+      rec.pinned_nvm.push_back(object_name(inputs.objects, id));
     }
     rec.candidates = decision.provenance;
-    for (PlanCandidate& c : rec.candidates) c.object = object_name(c.object_id);
+    for (PlanCandidate& c : rec.candidates) {
+      c.object = object_name(inputs.objects, c.object_id);
+    }
     report.plans.push_back(std::move(rec));
   };
 
@@ -129,8 +230,7 @@ PlanDecision Runtime::decide_validated(Policy& policy, PlanInputs inputs,
     }
     record_plan(decision, round);
     const hms::ObjectId offender =
-        first_unreservable(inputs, decision.schedule, config_.machine,
-                           config_.reservation_retries);
+        first_unreservable(inputs, decision.schedule, config_.machine);
     if (offender == hms::kInvalidObject) return decision;
     if (round + 1 >= kMaxRounds) {
       // Last resort: keep the plan but strip the offender's fills so the
@@ -150,77 +250,12 @@ PlanDecision Runtime::decide_validated(Policy& policy, PlanInputs inputs,
     ++report.plans_degraded;
     trace::global_counters().get("plan.degraded").increment();
     TAHOE_WARN("DRAM reservation for object "
-               << offender << " failed "
-               << (config_.reservation_retries + 1)
+               << offender << " failed " << (kReservationRetries + 1)
                << " times; pinning it to NVM and re-planning");
   }
 }
 
-std::vector<ObjectInfo> collect_objects(const hms::ObjectRegistry& registry) {
-  std::vector<ObjectInfo> out;
-  for (const hms::ObjectId id : registry.live_objects()) {
-    const hms::DataObject& obj = registry.get(id);
-    ObjectInfo info;
-    info.id = id;
-    info.name = std::string(obj.name());
-    info.static_ref_estimate = obj.static_ref_estimate;
-    info.chunk_bytes.reserve(obj.num_chunks());
-    for (const hms::Chunk& c : obj.chunks()) info.chunk_bytes.push_back(c.bytes);
-    out.push_back(std::move(info));
-  }
-  return out;
-}
-
-std::vector<task::TierHint> compute_tier_hints(
-    const task::TaskGraph& graph, const hms::ObjectRegistry& registry,
-    const std::vector<task::ScheduledCopy>& schedule,
-    memsim::TierId hot_tiers) {
-  // Start from the registry's current placement...
-  std::map<hms::ObjectId, std::vector<memsim::DeviceId>> device;
-  for (const hms::ObjectId id : registry.live_objects()) {
-    const hms::DataObject& obj = registry.get(id);
-    std::vector<memsim::DeviceId>& d = device[id];
-    d.reserve(obj.num_chunks());
-    for (const hms::Chunk& c : obj.chunks()) d.push_back(c.device);
-  }
-  // ...and replay the plan's copies group by group: a copy with
-  // needed_group g is complete before group g runs, so tasks of group >= g
-  // see its destination tier.
-  std::vector<std::vector<const task::ScheduledCopy*>> due(graph.num_groups());
-  for (const task::ScheduledCopy& c : schedule) {
-    if (c.needed_group < graph.num_groups()) due[c.needed_group].push_back(&c);
-  }
-  std::vector<task::TierHint> hints(graph.num_tasks(), task::TierHint::kHot);
-  for (task::GroupId g = 0; g < graph.num_groups(); ++g) {
-    for (const task::ScheduledCopy* c : due[g]) {
-      auto it = device.find(c->object);
-      if (it == device.end()) continue;
-      if (c->chunk < it->second.size()) it->second[c->chunk] = c->dst;
-    }
-    const task::Group& grp = graph.group(g);
-    for (task::TaskId id = grp.first_task; id < grp.last_task; ++id) {
-      bool nvm_bound = false;
-      for (const task::DataAccess& a : graph.task(id).accesses) {
-        if (!a.reads()) continue;
-        const auto it = device.find(a.object);
-        if (it == device.end()) continue;  // unknown object: assume hot
-        const std::vector<memsim::DeviceId>& d = it->second;
-        if (a.chunk == task::kAllChunks) {
-          for (const memsim::DeviceId dev : d) nvm_bound |= dev >= hot_tiers;
-        } else if (a.chunk < d.size()) {
-          nvm_bound |= d[a.chunk] >= hot_tiers;
-        }
-        if (nvm_bound) break;
-      }
-      if (nvm_bound) hints[id] = task::TierHint::kCold;
-    }
-  }
-  return hints;
-}
-
 Runtime::Runtime(RuntimeConfig config) : config_(std::move(config)) {
-  TAHOE_REQUIRE(config_.profile_iterations >= 1,
-                "need at least one profiling iteration");
   TAHOE_REQUIRE(config_.machine.devices.size() >= 2,
                 "machine must have DRAM and NVM tiers");
 }
@@ -261,13 +296,7 @@ RunReport Runtime::run(Application& app, Policy& policy) {
   trace::telemetry().begin_run("run:" + app.name() + "/" + policy.name());
   AppState state = prepare(app, /*huge_tiers=*/false);
 
-  RunReport report;
-  report.workload = app.name();
-  report.policy = policy.name();
-  report.tier_names.reserve(machine.devices.size());
-  for (const memsim::DeviceModel& d : machine.devices) {
-    report.tier_names.push_back(d.name);
-  }
+  RunReport report = new_report(app, policy.name(), machine);
   // Objects demoted by the degradation path; persists across re-profiles
   // so a repeatedly failing object is not retried forever.
   std::vector<hms::ObjectId> pinned;
@@ -281,11 +310,11 @@ RunReport Runtime::run(Application& app, Policy& policy) {
 
   Profiler profiler(memsim::Sampler(machine.sample_interval, machine.cpu_hz,
                                     machine.seed));
-  AdaptiveMonitor monitor(config_.adapt_threshold);
+  AdaptiveMonitor monitor;
   std::vector<task::ScheduledCopy> schedule;
   std::string strategy;
   std::size_t profiling_left =
-      policy.needs_profiling() ? config_.profile_iterations : 0;
+      policy.needs_profiling() ? kProfileIterations : 0;
   bool decided = false;
   std::size_t enforced_since_decision = 0;
 
@@ -300,14 +329,6 @@ RunReport Runtime::run(Application& app, Policy& policy) {
   std::map<std::pair<std::string, std::string>, AttributionRow> attr_rows;
   std::map<std::string, ObjectMigrationRow> obj_rows;
   std::vector<std::string> group_names;
-  std::map<hms::ObjectId, std::string> object_names;
-  for (const ObjectInfo& o : state.objects) object_names[o.id] = o.name;
-  const auto resolve_object = [&object_names](hms::ObjectId id) {
-    const auto it = object_names.find(id);
-    return it != object_names.end()
-               ? it->second
-               : "object-" + std::to_string(static_cast<std::uint64_t>(id));
-  };
 
   // Tracing: the simulated timeline is laid out on one virtual clock that
   // accumulates iteration makespans, so a full run reads left-to-right in
@@ -316,12 +337,41 @@ RunReport Runtime::run(Application& app, Policy& policy) {
   const bool traced = tracer.enabled();
   double vclock = 0.0;
   if (traced) {
-    name_standard_tracks(opts.workers != 0 ? opts.workers : machine.workers);
+    name_standard_tracks(machine.workers);
     opts.tracer = &tracer;
   }
 
-  // Offline policies (no profiling) decide immediately on iteration 0's
-  // graph; handled inside the loop below.
+  // Plan on `graph` and install the schedule that every later simulated
+  // iteration replays. `profiles` is null for offline policies; `at` is the
+  // decision's time on the trace's virtual clock.
+  const auto decide = [&](const task::TaskGraph& graph,
+                          const PhaseProfiles* profiles, std::size_t iter,
+                          double at) {
+    PlanInputs inputs;
+    inputs.graph = &graph;
+    inputs.machine = &machine;
+    inputs.profiles = profiles;
+    inputs.objects = state.objects;
+    inputs.current = state.placement;
+    PlanDecision decision =
+        decide_validated(policy, std::move(inputs), pinned, report, iter);
+    schedule = std::move(decision.schedule);
+    strategy = decision.strategy;
+    report.decision_seconds += decision.decision_seconds;
+    report.overhead_seconds += decision.decision_seconds;
+    decided = true;
+    enforced_since_decision = 0;
+    if (traced) {
+      const std::string label = "decide " + strategy;
+      tracer.instant(trace::kPlannerTrack, label.c_str(), at, "copies",
+                     schedule.size(), "cost_us",
+                     static_cast<std::uint64_t>(decision.decision_seconds *
+                                                1e6));
+    }
+    TAHOE_DEBUG("decision for " << app.name() << ": " << strategy << ", "
+                                << schedule.size() << " copies");
+  };
+
   const std::size_t iterations = app.iterations();
   TAHOE_REQUIRE(iterations >= 1, "application declares no iterations");
 
@@ -330,30 +380,9 @@ RunReport Runtime::run(Application& app, Policy& policy) {
     app.build_iteration(builder, iter);
     const task::TaskGraph graph = builder.build();
 
-    if (!decided && profiling_left == 0) {
-      // Offline policy: decide on the first iteration's graph.
-      PlanInputs inputs;
-      inputs.graph = &graph;
-      inputs.machine = &machine;
-      inputs.profiles = nullptr;
-      inputs.objects = state.objects;
-      inputs.current = state.placement;
-      PlanDecision decision =
-          decide_validated(policy, std::move(inputs), pinned, report, iter);
-      schedule = std::move(decision.schedule);
-      strategy = decision.strategy;
-      report.decision_seconds += decision.decision_seconds;
-      report.overhead_seconds += decision.decision_seconds;
-      decided = true;
-      enforced_since_decision = 0;
-      if (traced) {
-        const std::string label = "decide " + strategy;
-        tracer.instant(trace::kPlannerTrack, label.c_str(), vclock, "copies",
-                       schedule.size(), "cost_us",
-                       static_cast<std::uint64_t>(decision.decision_seconds *
-                                                  1e6));
-      }
-    }
+    // Offline policies (no profiling) decide on the first iteration's
+    // graph, before it runs.
+    if (!decided && profiling_left == 0) decide(graph, nullptr, iter, vclock);
 
     const std::uint64_t samples_before = profiler.samples_taken();
     opts.trace_time_offset = vclock;
@@ -368,7 +397,7 @@ RunReport Runtime::run(Application& app, Policy& policy) {
     report.copy_busy_seconds += sim.copy_busy_seconds;
     report.stall_seconds += sim.stall_seconds;
     report.overhead_seconds +=
-        static_cast<double>(graph.num_groups()) * config_.sync_cost_seconds;
+        static_cast<double>(graph.num_groups()) * kSyncCostSeconds;
 
     if (config_.attribution) {
       if (group_names.size() < graph.num_groups()) {
@@ -381,7 +410,8 @@ RunReport Runtime::run(Application& app, Policy& policy) {
         const std::string gname = t.group < group_names.size()
                                       ? group_names[t.group]
                                       : std::to_string(t.group);
-        AttributionRow& row = attr_rows[{gname, resolve_object(t.object)}];
+        AttributionRow& row =
+            attr_rows[{gname, object_name(state.objects, t.object)}];
         row.tasks += t.tasks;
         if (row.tier_loads.size() < machine.devices.size()) {
           row.tier_loads.resize(machine.devices.size(), 0);
@@ -391,7 +421,8 @@ RunReport Runtime::run(Application& app, Policy& policy) {
         row.tier_stores[t.device] += t.stores;
       }
       for (const task::CopyTally& t : sim.copy_tallies) {
-        ObjectMigrationRow& row = obj_rows[resolve_object(t.object)];
+        ObjectMigrationRow& row =
+            obj_rows[object_name(state.objects, t.object)];
         if (t.dst < t.src) {  // toward a faster tier
           row.promotions += t.copies;
           row.bytes_promoted += t.bytes;
@@ -422,38 +453,14 @@ RunReport Runtime::run(Application& app, Policy& policy) {
       profiler.observe(graph, sim);
       report.overhead_seconds +=
           static_cast<double>(profiler.samples_taken() - samples_before) *
-          config_.sample_cost_seconds;
+          kSampleCostSeconds;
       if (traced) {
         tracer.complete(trace::kPlannerTrack, "profile", vclock, sim.makespan,
                         "iteration", iter, "samples",
                         profiler.samples_taken() - samples_before);
       }
-      --profiling_left;
-      if (profiling_left == 0) {
-        PlanInputs inputs;
-        inputs.graph = &graph;
-        inputs.machine = &machine;
-        inputs.profiles = &profiler.profiles();
-        inputs.objects = state.objects;
-        inputs.current = state.placement;
-        PlanDecision decision =
-            decide_validated(policy, std::move(inputs), pinned, report, iter);
-        schedule = std::move(decision.schedule);
-        strategy = decision.strategy;
-        report.decision_seconds += decision.decision_seconds;
-        report.overhead_seconds += decision.decision_seconds;
-        decided = true;
-        enforced_since_decision = 0;
-        if (traced) {
-          const std::string label = "decide " + strategy;
-          tracer.instant(trace::kPlannerTrack, label.c_str(),
-                         vclock + sim.makespan, "copies", schedule.size(),
-                         "cost_us",
-                         static_cast<std::uint64_t>(
-                             decision.decision_seconds * 1e6));
-        }
-        TAHOE_DEBUG("decision for " << app.name() << ": " << strategy
-                                    << ", " << schedule.size() << " copies");
+      if (--profiling_left == 0) {
+        decide(graph, &profiler.profiles(), iter, vclock + sim.makespan);
       }
     } else if (decided) {
       ++enforced_since_decision;
@@ -467,7 +474,7 @@ RunReport Runtime::run(Application& app, Policy& policy) {
           ++report.reprofiles;
           trace::global_counters().get("runtime.reprofiles").increment();
           profiler.reset();
-          profiling_left = config_.profile_iterations;
+          profiling_left = kProfileIterations;
           decided = false;
           if (traced) {
             tracer.instant(trace::kPlannerTrack, "reprofile",
@@ -510,7 +517,8 @@ RunReport Runtime::run(Application& app, Policy& policy) {
       const std::string gname =
           g < group_names.size() ? group_names[g] : std::to_string(g);
       for (const auto& [unit, counts] : prof.groups[g].units) {
-        AttributionRow& row = attr_rows[{gname, resolve_object(unit.object)}];
+        AttributionRow& row =
+            attr_rows[{gname, object_name(state.objects, unit.object)}];
         row.sampled_loads += counts.loads;
         row.sampled_stores += counts.stores;
         row.est_loads += static_cast<std::uint64_t>(
@@ -538,44 +546,29 @@ RunReport Runtime::run(Application& app, Policy& policy) {
   return report;
 }
 
-RunReport Runtime::run_static(Application& app, memsim::DeviceId tier) {
-  memsim::Machine machine = config_.machine;
-  TAHOE_REQUIRE(tier < machine.devices.size(), "tier out of range");
-  // Virtually enlarge the pinned tier.
-  std::uint64_t big = 0;
-  for (const memsim::DeviceModel& d : machine.devices) {
-    big = std::max(big, d.capacity);
-  }
-  machine.devices[tier].capacity = big;
-
+RunReport Runtime::run_fixed(
+    Application& app, std::string policy,
+    const std::function<memsim::TierId(const ObjectInfo&)>& tier_of) {
+  const memsim::Machine& machine = config_.machine;
   AppState state = prepare(app, /*huge_tiers=*/true);
   for (const ObjectInfo& o : state.objects) {
+    const memsim::TierId tier = tier_of(o);
     for (std::size_t c = 0; c < o.chunk_bytes.size(); ++c) {
       state.placement.set(o.id, c, tier);
     }
   }
+  RunReport report = new_report(app, std::move(policy), machine);
 
-  RunReport report;
-  report.workload = app.name();
-  if (machine.num_tiers() == 2) {
-    report.policy = tier == memsim::kDram ? "dram-only" : "nvm-only";
-  } else {
-    report.policy = "tier" + std::to_string(tier) + "-only";
-  }
-  report.tier_names.reserve(machine.devices.size());
-  for (const memsim::DeviceModel& d : machine.devices) {
-    report.tier_names.push_back(d.name);
-  }
-
+  // With no copies to run, the executor never compares a tier's contents
+  // with its capacity, so the machine needs no enlarged tier.
   task::SimExecutor executor;
   task::SimExecutor::Options opts;
-  opts.check_capacity = false;  // single-tier run; nothing moves
   trace::Tracer& tracer = trace::global();
   const std::uint64_t dropped_before = tracer.dropped();
   trace::telemetry().begin_run("run:" + app.name() + "/" + report.policy);
   double vclock = 0.0;
   if (tracer.enabled()) {
-    name_standard_tracks(opts.workers != 0 ? opts.workers : machine.workers);
+    name_standard_tracks(machine.workers);
     opts.tracer = &tracer;
   }
   for (std::size_t iter = 0; iter < app.iterations(); ++iter) {
@@ -593,73 +586,36 @@ RunReport Runtime::run_static(Application& app, memsim::DeviceId tier) {
   report.trace_dropped_events = tracer.dropped() - dropped_before;
   trace::sync_dropped_events_counter();
   return report;
+}
+
+RunReport Runtime::run_static(Application& app, memsim::DeviceId tier) {
+  const memsim::Machine& machine = config_.machine;
+  TAHOE_REQUIRE(tier < machine.devices.size(), "tier out of range");
+  std::string policy = "tier" + std::to_string(tier) + "-only";
+  if (machine.num_tiers() == 2) {
+    policy = tier == memsim::kDram ? "dram-only" : "nvm-only";
+  }
+  return run_fixed(app, std::move(policy),
+                   [tier](const ObjectInfo&) { return tier; });
 }
 
 RunReport Runtime::run_pinned(Application& app,
                               const std::vector<std::string>& dram_objects) {
-  AppState state = prepare(app, /*huge_tiers=*/true);
   const memsim::TierId fast = config_.machine.fastest_tier();
   const memsim::TierId cap = config_.machine.capacity_tier();
-  std::uint64_t pinned_bytes = 0;
-  for (const ObjectInfo& o : state.objects) {
-    const bool in_dram = std::find(dram_objects.begin(), dram_objects.end(),
-                                   o.name) != dram_objects.end();
-    for (std::size_t c = 0; c < o.chunk_bytes.size(); ++c) {
-      state.placement.set(o.id, c, in_dram ? fast : cap);
-    }
-    if (in_dram) pinned_bytes += o.total_bytes();
-  }
-  memsim::Machine machine = config_.machine;
-  machine.devices[fast].capacity =
-      std::max(machine.tier(fast).capacity, pinned_bytes);
-
-  RunReport report;
-  report.workload = app.name();
-  report.policy = "pinned";
-  report.tier_names.reserve(machine.devices.size());
-  for (const memsim::DeviceModel& d : machine.devices) {
-    report.tier_names.push_back(d.name);
-  }
-
-  task::SimExecutor executor;
-  task::SimExecutor::Options opts;
-  opts.check_capacity = false;  // fixed placement, nothing moves
-  trace::Tracer& tracer = trace::global();
-  const std::uint64_t dropped_before = tracer.dropped();
-  trace::telemetry().begin_run("run:" + app.name() + "/pinned");
-  double vclock = 0.0;
-  if (tracer.enabled()) {
-    name_standard_tracks(opts.workers != 0 ? opts.workers : machine.workers);
-    opts.tracer = &tracer;
-  }
-  for (std::size_t iter = 0; iter < app.iterations(); ++iter) {
-    task::GraphBuilder builder;
-    app.build_iteration(builder, iter);
-    const task::TaskGraph graph = builder.build();
-    opts.trace_time_offset = vclock;
-    const task::SimReport sim =
-        executor.run(graph, machine, state.placement, {}, opts);
-    vclock += sim.makespan;
-    report.iteration_seconds.push_back(sim.makespan);
-    report.compute_seconds += sim.makespan;
-    report.tasks_executed += graph.num_tasks();
-  }
-  report.trace_dropped_events = tracer.dropped() - dropped_before;
-  trace::sync_dropped_events_counter();
-  return report;
-}
-
-bool Runtime::run_real(Application& app,
-                       const std::vector<task::ScheduledCopy>& schedule,
-                       unsigned workers) {
-  return run_real_report(app, schedule, workers).verified;
+  return run_fixed(app, "pinned", [&](const ObjectInfo& o) {
+    return std::find(dram_objects.begin(), dram_objects.end(), o.name) !=
+                   dram_objects.end()
+               ? fast
+               : cap;
+  });
 }
 
 RunReport Runtime::run_real_report(
     Application& app, const std::vector<task::ScheduledCopy>& schedule,
     unsigned workers) {
   TAHOE_REQUIRE(config_.backing == hms::Backing::Real,
-                "run_real requires real backing");
+                "run_real_report requires real backing");
   const std::uint64_t faults_before = fault::global().total_injected();
   const std::uint64_t dropped_before = trace::global().dropped();
   // Real-executor runs have no virtual clock; the sampler's wall-clock
@@ -667,10 +623,8 @@ RunReport Runtime::run_real_report(
   trace::telemetry().begin_run("real:" + app.name());
   AppState state = prepare(app, /*huge_tiers=*/false);
   name_standard_tracks(workers);
-  hms::MigrationEngine::Options eopts;
-  eopts.mode = hms::MigrationEngine::Mode::HelperThread;
-  eopts.max_retries = config_.migration_max_retries;
-  hms::MigrationEngine engine(*state.registry, eopts);
+  hms::MigrationEngine engine(*state.registry,
+                              hms::MigrationEngine::Mode::HelperThread);
   const auto executor = std::make_unique<task::Executor>(workers);
   const double deadline = config_.migration_wait_deadline_seconds;
 
@@ -712,13 +666,7 @@ RunReport Runtime::run_real_report(
   }
   engine.drain();
 
-  RunReport report;
-  report.workload = app.name();
-  report.policy = "real";
-  report.tier_names.reserve(config_.machine.devices.size());
-  for (const memsim::DeviceModel& d : config_.machine.devices) {
-    report.tier_names.push_back(d.name);
-  }
+  RunReport report = new_report(app, "real", config_.machine);
   report.verified = app.verify(*state.registry);
   const hms::MigrationStats& ms = state.registry->stats();
   report.migrations = ms.migrations;

@@ -10,13 +10,15 @@
 //   drifts.
 //
 // Two execution paths share this orchestration:
-//   * run()/run_static() — deterministic simulated timing (all reported
-//     numbers come from here);
-//   * run_real() — real threads, real kernels, real memcpy migrations,
-//     used by integration tests and examples to validate correctness of
-//     the data-management machinery.
+//   * run() and the fixed-placement baselines run_static()/run_pinned() —
+//     deterministic simulated timing (all reported numbers come from
+//     here);
+//   * run_real_report() — real threads, real kernels, real memcpy
+//     migrations, used by integration tests and examples to validate
+//     correctness of the data-management machinery.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 
@@ -31,28 +33,15 @@ namespace tahoe::core {
 struct RuntimeConfig {
   memsim::Machine machine;
   /// Virtual backing skips payload allocation/copies; simulation results
-  /// are identical. run_real() requires Real.
+  /// are identical. run_real_report() requires Real.
   hms::Backing backing = hms::Backing::Real;
-  std::size_t profile_iterations = 2;
   bool initial_placement = true;
   bool chunking = true;
   bool adaptive = true;
-  double adapt_threshold = 0.10;
-  /// Modeled cost per collected hardware sample (counter readout).
-  double sample_cost_seconds = 50e-9;
-  /// Modeled cost of the queue-status check at each phase boundary.
-  double sync_cost_seconds = 2e-6;
-
-  // Degradation knobs (all fault-injection aware).
-  /// Attempts to reserve DRAM for a planned fill before the object is
-  /// pinned to NVM and the policy re-plans.
-  int reservation_retries = 3;
-  /// Copy-abort retries inside the real migration engine.
-  int migration_max_retries = 3;
-  /// Phase-boundary wait bound for run_real: if the copies a group needs
-  /// are not done within this budget (e.g. a stalled helper), the pending
-  /// requests are cancelled and the group proceeds from the source tier.
-  /// 0 keeps the original unbounded wait.
+  /// Phase-boundary wait bound for run_real_report: if the copies a group
+  /// needs are not done within this budget (e.g. a stalled helper), the
+  /// pending requests are cancelled and the group proceeds from the source
+  /// tier. 0 keeps the original unbounded wait.
   double migration_wait_deadline_seconds = 0.0;
   /// Override for the measured planning cost, making reports
   /// byte-reproducible (golden determinism tests). nullopt keeps the
@@ -84,22 +73,16 @@ class Runtime {
   RunReport run_pinned(Application& app,
                        const std::vector<std::string>& dram_objects);
 
-  /// Real execution (threads + memcpy migrations driven by `schedule`).
-  /// Returns the application's verify() result.
-  bool run_real(Application& app,
-                const std::vector<task::ScheduledCopy>& schedule,
-                unsigned workers);
-
-  /// Real execution with full degradation bookkeeping: the report carries
-  /// verify() in `verified` plus the registry/engine failure counters.
-  /// Only deterministic quantities are filled in, so two runs with the
-  /// same seeds serialize identically.
+  /// Real execution (threads + memcpy migrations driven by `schedule`)
+  /// with full degradation bookkeeping: the report carries verify() in
+  /// `verified` plus the registry/engine failure counters. Only
+  /// deterministic quantities are filled in, so two runs with the same
+  /// seeds serialize identically.
   RunReport run_real_report(Application& app,
                             const std::vector<task::ScheduledCopy>& schedule,
                             unsigned workers);
 
   const memsim::Machine& machine() const noexcept { return config_.machine; }
-  const RuntimeConfig& config() const noexcept { return config_; }
 
  private:
   struct AppState {
@@ -110,6 +93,12 @@ class Runtime {
 
   /// Allocate the app's objects and build the object inventory.
   AppState prepare(Application& app, bool huge_tiers);
+
+  /// Simulated run with every unit of each object on the tier `tier_of`
+  /// names for it; nothing ever moves.
+  RunReport run_fixed(
+      Application& app, std::string policy,
+      const std::function<memsim::TierId(const ObjectInfo&)>& tier_of);
 
   /// Run the policy, then validate that every planned DRAM fill can
   /// actually reserve its space (an armed FaultInjector may veto
@@ -125,23 +114,5 @@ class Runtime {
 
   RuntimeConfig config_;
 };
-
-/// Collect the planner-facing object inventory from a registry.
-std::vector<ObjectInfo> collect_objects(const hms::ObjectRegistry& registry);
-
-/// Executor-side half of the migration/computation overlap: derive one
-/// scheduling hint per task from the plan's DRAM residency of the task's
-/// inputs. A task is `kHot` when every chunk it reads will be DRAM-resident
-/// by the time its group starts (current registry placement plus every
-/// ScheduledCopy whose needed_group is not after the task's group) and
-/// `kCold` otherwise, so the executor defers NVM-bound tasks while their
-/// objects' promotions are still in flight. Accesses to objects unknown to
-/// the registry are treated as hot. On N-tier machines, `hot_tiers` sets
-/// how many of the fastest tiers count as "hot" (the default 1 reproduces
-/// the DRAM/NVM split).
-std::vector<task::TierHint> compute_tier_hints(
-    const task::TaskGraph& graph, const hms::ObjectRegistry& registry,
-    const std::vector<task::ScheduledCopy>& schedule,
-    memsim::TierId hot_tiers = 1);
 
 }  // namespace tahoe::core

@@ -33,7 +33,7 @@
 // run() caller, thieves ask for hot work everywhere before asking anyone
 // for cold work, and a victim surrenders cold tasks only when it has no
 // hot ones. The group-barrier/activation-token protocol lives in
-// ExecutorBase, so `run_real` and phase-mode callers see identical
+// ExecutorBase, so `run_real_report` and phase-mode callers see identical
 // semantics on both backends.
 //
 // Stats convention: a reply of k tasks counts 1 steal (the task the thief

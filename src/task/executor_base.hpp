@@ -9,16 +9,16 @@
 //     steal-half batches, worker-tree victim selection, and an adaptive
 //     steal-one↔steal-half controller.
 //
-// `ExecutorBase` holds everything the backends share so that `run_real`
-// and the tests observe identical semantics regardless of backend: the
-// run() orchestration (predecessor counters with activation tokens, the
-// sequential-phase group-barrier protocol, round-robin injection scatter
-// with a cursor that persists across groups *and* runs), the task-body
-// execution wrapper (tracing, error capture, successor release), and the
-// stats aggregation/counter-flush pipeline. Backends only provide the
-// worker loops and the two handoff primitives: `inject_ready` (caller →
-// worker) and `push_ready` (worker → scheduler, for newly released
-// successors).
+// `ExecutorBase` holds everything the backends share so that
+// `run_real_report` and the tests observe identical semantics regardless
+// of backend: the run() orchestration (predecessor counters with
+// activation tokens, the sequential-phase group-barrier protocol,
+// round-robin injection scatter with a cursor that persists across groups
+// *and* runs), the task-body execution wrapper (tracing, error capture,
+// successor release), and the stats aggregation/counter-flush pipeline.
+// Backends only provide the worker loops and the two handoff primitives:
+// `inject_ready` (caller → worker) and `push_ready` (worker → scheduler,
+// for newly released successors).
 #pragma once
 
 #include <atomic>

@@ -211,8 +211,7 @@ SimReport SimExecutor::run(const TaskGraph& graph,
       tracer->counter(trace::kRuntimeTrack, "t0_occupancy_bytes",
                       t0 + sim.now(), tier0_bytes);
     }
-    if (options.check_capacity && options.unit_size &&
-        c.dst < machine.devices.size()) {
+    if (options.unit_size && c.dst < machine.devices.size()) {
       const std::uint64_t resident = placement.bytes_on(
           c.dst, [&](hms::ObjectId o, std::size_t ch) {
             return options.unit_size(o, ch);

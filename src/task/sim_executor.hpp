@@ -87,11 +87,9 @@ class SimExecutor {
  public:
   struct Options {
     std::uint32_t workers = 0;  ///< 0 = machine.workers
-    /// Unit size oracle for the DRAM-occupancy invariant; optional.
+    /// Unit size oracle. When set, every copy completion verifies that
+    /// its destination tier's occupancy stays within capacity.
     std::function<std::uint64_t(hms::ObjectId, std::size_t)> unit_size;
-    /// When true (default), verify DRAM occupancy never exceeds capacity
-    /// after copy completions (requires unit_size).
-    bool check_capacity = true;
     /// Event sink for virtual-time spans (task executions on worker-lane
     /// tracks, migration copies on the migration track, group-entry
     /// stalls). Null disables instrumentation entirely.

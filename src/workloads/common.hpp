@@ -2,8 +2,8 @@
 //
 // Workloads declare, per task, the ground-truth traffic each data object
 // receives (the simulator's and sampler's input) *and* carry real kernels
-// operating on the registry-backed arrays (exercised by run_real and the
-// correctness tests). The helpers here keep those declarations compact.
+// operating on the registry-backed arrays (exercised by run_real_report and
+// the correctness tests). The helpers here keep those declarations compact.
 #pragma once
 
 #include <cstdint>

@@ -28,7 +28,7 @@ TEST(Cholesky, FactorizationVerifiesUnderRealExecution) {
   workloads::CholeskyApp app(
       workloads::CholeskyApp::config_for(workloads::Scale::Test));
   core::Runtime rt(config(hms::Backing::Real));
-  EXPECT_TRUE(rt.run_real(app, /*schedule=*/{}, 3));
+  EXPECT_TRUE(rt.run_real_report(app, /*schedule=*/{}, 3).verified);
 }
 
 TEST(Cholesky, FactoryConstructsIt) {

@@ -444,7 +444,6 @@ TEST(FluidEquivalence, SimExecutorTimingsMatchAcrossEngines) {
     for (hms::ObjectId o = 1; o <= 4; ++o) placement.set(o, 0, memsim::kNvm);
     task::SimExecutor ex;
     task::SimExecutor::Options opts;
-    opts.check_capacity = false;
     opts.sim_lazy_threshold = threshold;
     return ex.run(graph, m, placement, schedule, opts);
   };

@@ -168,7 +168,6 @@ TEST(SimExecutorProperty, MoreWorkersNeverSlower) {
       task::SimExecutor ex;
       task::SimExecutor::Options opts;
       opts.workers = workers;
-      opts.check_capacity = false;
       hms::PlacementMap p;
       const double t = ex.run(g, m, p, {}, opts).makespan;
       EXPECT_LE(t, prev * (1.0 + 1e-9));
@@ -187,7 +186,6 @@ TEST(SimExecutorProperty, DramPlacementNeverSlowerThanNvm) {
     const task::TaskGraph g = random_graph(rng, 2, 8, 4);
     task::SimExecutor ex;
     task::SimExecutor::Options opts;
-    opts.check_capacity = false;
     hms::PlacementMap all_dram;
     hms::PlacementMap all_nvm;
     for (hms::ObjectId o = 0; o < 4; ++o) {

@@ -160,12 +160,12 @@ TEST(Runtime, RunRealExecutesAndVerifies) {
   core::TahoePolicy policy = tahoe_policy(rt.machine());
   const core::RunReport r = rt.run(app, policy);
   workloads::StreamApp app2({4 * kMiB, 4, 3});
-  EXPECT_TRUE(rt.run_real(app2, /*schedule=*/{}, 2));
+  EXPECT_TRUE(rt.run_real_report(app2, /*schedule=*/{}, 2).verified);
 }
 
 TEST(Runtime, ConfigContracts) {
   core::RuntimeConfig c = config();
-  c.profile_iterations = 0;
+  c.machine.devices.resize(1);
   EXPECT_THROW(core::Runtime{c}, ContractError);
 }
 

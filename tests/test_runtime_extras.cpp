@@ -136,7 +136,6 @@ TEST(MultiTier, ThreeTierMachineAndRegistryWork) {
 
   task::SimExecutor ex;
   task::SimExecutor::Options opts;
-  opts.check_capacity = false;
   std::vector<double> times;
   for (memsim::DeviceId d = 0; d < 3; ++d) {
     hms::PlacementMap p;

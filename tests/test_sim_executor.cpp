@@ -52,7 +52,6 @@ TEST(SimExecutor, NvmSlowerThanDramForStreams) {
   const TaskGraph g = one_group_graph(8, 1, 4 << 20);
   SimExecutor ex;
   SimExecutor::Options opts;
-  opts.check_capacity = false;
 
   hms::PlacementMap on_nvm;
   on_nvm.set(1, 0, memsim::kNvm);
@@ -80,12 +79,10 @@ TEST(SimExecutor, WorkerLimitSerializesExcessTasks) {
   SimExecutor ex;
   SimExecutor::Options o2;
   o2.workers = 2;
-  o2.check_capacity = false;
   hms::PlacementMap p;
   EXPECT_NEAR(ex.run(g, m, p, {}, o2).makespan, 4.0, 1e-6);
   SimExecutor::Options o8;
   o8.workers = 8;
-  o8.check_capacity = false;
   hms::PlacementMap p2;
   EXPECT_NEAR(ex.run(g, m, p2, {}, o8).makespan, 1.0, 1e-6);
 }
@@ -104,7 +101,6 @@ TEST(SimExecutor, IntraGroupDependencesSerialize) {
   SimExecutor ex;
   SimExecutor::Options opts;
   opts.workers = 8;
-  opts.check_capacity = false;
   hms::PlacementMap p;
   EXPECT_NEAR(ex.run(g, m, p, {}, opts).makespan, 4.0, 1e-6);
 }
@@ -131,7 +127,6 @@ TEST(SimExecutor, CopyUpdatesPlacementAndSpeedsLaterGroups) {
 
   SimExecutor ex;
   SimExecutor::Options opts;
-  opts.check_capacity = false;
 
   hms::PlacementMap stay;
   stay.set(1, 0, memsim::kNvm);
@@ -204,7 +199,6 @@ TEST(SimExecutor, UnhiddenCopyStallsTheNeedingGroup) {
   const TaskGraph g = gb.build();
   SimExecutor ex;
   SimExecutor::Options opts;
-  opts.check_capacity = false;
   hms::PlacementMap p;
   p.set(1, 0, memsim::kNvm);
   const std::vector<ScheduledCopy> schedule{
@@ -219,7 +213,6 @@ TEST(SimExecutor, NoopCopyIsFree) {
   const TaskGraph g = one_group_graph(2, 1, 1 << 20);
   SimExecutor ex;
   SimExecutor::Options opts;
-  opts.check_capacity = false;
   hms::PlacementMap p;
   p.set(1, 0, memsim::kDram);  // already there
   const std::vector<ScheduledCopy> schedule{
@@ -282,7 +275,6 @@ TEST(SimExecutor, GroupTimesSumToMakespan) {
   const TaskGraph g = gb.build();
   SimExecutor ex;
   SimExecutor::Options opts;
-  opts.check_capacity = false;
   hms::PlacementMap p;
   const SimReport r = ex.run(g, m, p, {}, opts);
   double sum = 0.0;
@@ -297,7 +289,6 @@ TEST(SimExecutor, DeterministicAcrossRuns) {
   const TaskGraph g = one_group_graph(16, 1, 1 << 20);
   SimExecutor ex;
   SimExecutor::Options opts;
-  opts.check_capacity = false;
   hms::PlacementMap p1;
   hms::PlacementMap p2;
   const double a = ex.run(g, m, p1, {}, opts).makespan;
@@ -313,7 +304,6 @@ TEST(SimExecutor, RejectsMalformedSchedules) {
   const std::vector<ScheduledCopy> bad{
       ScheduledCopy{1, 0, 64, memsim::kDram, 3, 1}};  // trigger after needed
   SimExecutor::Options opts;
-  opts.check_capacity = false;
   EXPECT_THROW(ex.run(g, m, p, bad, opts), ContractError);
 }
 

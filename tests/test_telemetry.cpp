@@ -322,7 +322,6 @@ TEST_F(TelemetryTest, StallDetectorFiresOnWedgedRun) {
   copy.needed_group = 1;
   task::SimExecutor ex;
   task::SimExecutor::Options opts;
-  opts.check_capacity = false;
   hms::PlacementMap placement;
   placement.set(1, 0, memsim::kDram);
   placement.set(2, 0, memsim::kNvm);

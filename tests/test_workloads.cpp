@@ -30,7 +30,8 @@ class WorkloadRealRun : public ::testing::TestWithParam<std::string> {};
 TEST_P(WorkloadRealRun, KernelsVerifyUnderRealExecution) {
   auto app = workloads::make_workload(GetParam(), workloads::Scale::Test);
   core::Runtime rt(real_config());
-  EXPECT_TRUE(rt.run_real(*app, /*schedule=*/{}, 2)) << GetParam();
+  EXPECT_TRUE(rt.run_real_report(*app, /*schedule=*/{}, 2).verified)
+      << GetParam();
 }
 
 TEST_P(WorkloadRealRun, KernelsVerifyWithMigrationsInFlight) {
@@ -45,7 +46,8 @@ TEST_P(WorkloadRealRun, KernelsVerifyWithMigrationsInFlight) {
   // Re-derive a simple static schedule exercising migration of the first
   // few objects back and forth across groups.
   std::vector<task::ScheduledCopy> schedule;
-  EXPECT_TRUE(rt.run_real(*app2, schedule, 3)) << GetParam();
+  EXPECT_TRUE(rt.run_real_report(*app2, schedule, 3).verified)
+      << GetParam();
   EXPECT_GT(r.compute_seconds, 0.0);
 }
 
@@ -119,7 +121,7 @@ TEST(Workloads, HeatResidualDecreasesAcrossIterations) {
   workloads::HeatApp app(
       workloads::HeatApp::config_for(workloads::Scale::Test));
   core::Runtime rt(real_config());
-  EXPECT_TRUE(rt.run_real(app, {}, 2));
+  EXPECT_TRUE(rt.run_real_report(app, {}, 2).verified);
 }
 
 TEST(Workloads, BenchScaleGraphsBuild) {
