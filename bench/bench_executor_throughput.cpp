@@ -35,6 +35,7 @@
 #include <chrono>
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -278,14 +279,16 @@ int main(int argc, char** argv) {
   const bench::ArtifactFlags artifacts = bench::apply_artifact_flags(flags);
 
   const bool quick = flags.get_bool("quick");
-  const std::size_t tasks =
-      quick ? 20000 : static_cast<std::size_t>(flags.get_int("tasks"));
-  const int fib_n = quick ? 20 : static_cast<int>(flags.get_int("fib-n"));
-  const int queens_n = quick ? 8 : static_cast<int>(flags.get_int("queens-n"));
-  const int reps = quick ? 2 : static_cast<int>(flags.get_int("reps"));
+  constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+  const std::size_t tasks = quick ? 20000 : flags.get_uint("tasks");
+  const int fib_n =
+      quick ? 20 : static_cast<int>(flags.get_uint("fib-n", kIntMax));
+  const int queens_n =
+      quick ? 8 : static_cast<int>(flags.get_uint("queens-n", kIntMax));
+  const int reps = quick ? 2 : static_cast<int>(flags.get_uint("reps", kIntMax));
   const bool check = flags.get_bool("check");
-  const auto check_workers =
-      static_cast<unsigned>(flags.get_int("check-workers"));
+  const auto check_workers = static_cast<unsigned>(flags.get_uint(
+      "check-workers", std::numeric_limits<unsigned>::max()));
   const double check_min_ratio = std::stod(flags.get_string("check-min-ratio"));
 
   std::vector<task::ExecutorBackend> backends;
@@ -321,7 +324,8 @@ int main(int argc, char** argv) {
       modes.emplace_back(m, make_flat(tasks, /*kernel=*/true));
     } else if (m == "fib") {
       modes.emplace_back(
-          m, make_fib(fib_n, static_cast<int>(flags.get_int("fib-cutoff"))));
+          m, make_fib(fib_n, static_cast<int>(
+                                 flags.get_uint("fib-cutoff", kIntMax))));
     } else if (m == "nqueens") {
       modes.emplace_back(m, make_queens(queens_n));
     } else {

@@ -212,7 +212,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   if (!trace_out.empty()) {
-    tahoe::trace::export_chrome_trace(tahoe::trace::global(), trace_out);
+    tahoe::trace::export_chrome_trace(trace_out);
   }
   return 0;
 }

@@ -19,7 +19,9 @@
 // latency improves strictly. --check asserts that ordering (CI smoke), and
 // --deterministic zeroes the wall-clock planning fields so same-seed runs
 // emit byte-identical reports, with their per-tenant "tenants" sections.
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -100,16 +102,16 @@ int main(int argc, char** argv) {
   const bench::ArtifactFlags artifacts = bench::apply_artifact_flags(flags);
 
   memsim::Machine machine = memsim::machines::optane_platform(
-      static_cast<std::uint64_t>(flags.get_int("dram-mib")) * kMiB);
-  if (flags.get_int("workers") != 0) {
-    machine.workers = static_cast<std::uint32_t>(flags.get_int("workers"));
-  }
+      bench::dram_capacity_from_flags(flags));
+  const auto workers = static_cast<std::uint32_t>(flags.get_uint(
+      "workers", std::numeric_limits<std::uint32_t>::max()));
+  if (workers != 0) machine.workers = workers;
 
   serve::ServeOptions opts;
   opts.duration_seconds = flags.get_double("duration");
   opts.epoch_seconds = flags.get_double("epoch");
   opts.deterministic = flags.get_bool("deterministic");
-  opts.workers = static_cast<std::uint32_t>(flags.get_int("workers"));
+  opts.workers = workers;
 
   // Same seeds + virtual time: both modes see the identical request
   // streams, so the only difference is the placement plan.

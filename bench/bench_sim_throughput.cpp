@@ -132,9 +132,8 @@ int main(int argc, char** argv) {
     flow_counts = {10000, 100000};
     device_counts = {2};
   }
-  const auto active =
-      static_cast<std::size_t>(flags.get_int("active"));
-  const auto ref_cap = static_cast<std::size_t>(flags.get_int("ref-cap"));
+  const std::size_t active = flags.get_uint("active");
+  const std::size_t ref_cap = flags.get_uint("ref-cap");
   const double min_events =
       static_cast<double>(flags.get_int("min-events-per-sec"));
 

@@ -1,7 +1,9 @@
 #include "bench_util.hpp"
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 
 #include "baselines/reactive.hpp"
 #include "baselines/xmem.hpp"
@@ -11,7 +13,6 @@
 #include "core/calibration.hpp"
 #include "trace/chrome_export.hpp"
 #include "trace/counters.hpp"
-#include "trace/flight.hpp"
 #include "trace/histogram.hpp"
 #include "trace/telemetry.hpp"
 #include "trace/trace.hpp"
@@ -179,23 +180,16 @@ ArtifactFlags apply_artifact_flags(const Flags& flags) {
   }
   if (!out.trace_out.empty()) {
     // Export at process exit so one invocation (possibly many runs) yields
-    // one timeline. The path outlives the call via a static. The retained
-    // overload stitches back any events the telemetry sampler drained into
-    // the flight-recorder ring before the exit hook runs.
+    // one timeline. The path outlives the call via a static.
     static std::string trace_path;
     const bool first = trace_path.empty();
     trace_path = out.trace_out;
     trace::global().set_enabled(true);
     if (first) {
-      std::atexit([] {
-        trace::export_chrome_trace(trace::global(), trace_path,
-                                   trace::flight().take_retained());
-      });
+      std::atexit([] { trace::export_chrome_trace(trace_path); });
     }
   }
-  // Telemetry sampler + flight recorder; retain drained events only when a
-  // full trace export is also pending (see above).
-  trace::configure_telemetry_from_flags(flags, !out.trace_out.empty());
+  trace::configure_telemetry_from_flags(flags);
   return out;
 }
 
@@ -213,15 +207,21 @@ BenchConfig config_from_flags(const Flags& flags, const std::string& nvm_spec) {
   const ArtifactFlags artifacts = apply_artifact_flags(flags);
   BenchConfig config;
   config.nvm_spec = nvm_spec;
-  config.dram_capacity =
-      static_cast<std::uint64_t>(flags.get_int("dram-mib")) * kMiB;
-  config.workers = static_cast<std::uint32_t>(flags.get_int("workers"));
+  config.dram_capacity = dram_capacity_from_flags(flags);
+  config.workers = static_cast<std::uint32_t>(flags.get_uint(
+      "workers", std::numeric_limits<std::uint32_t>::max()));
   config.scale = workloads::parse_scale(flags.get_string("scale"));
   config.report_json = artifacts.report_json;
   config.explain_out = artifacts.explain_out;
   config.attribution =
       !config.report_json.empty() || !config.explain_out.empty();
   return config;
+}
+
+std::uint64_t dram_capacity_from_flags(const Flags& flags) {
+  return flags.get_uint("dram-mib",
+                        std::numeric_limits<std::uint64_t>::max() / kMiB) *
+         kMiB;
 }
 
 void emit(const std::string& title, const Table& table, bool csv) {

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
             << "x faster than the frozen plan\n";
 
   if (!trace_out.empty()) {
-    trace::export_chrome_trace(trace::global(), trace_out);
+    trace::export_chrome_trace(trace_out);
   }
   if (!report_json.empty()) {
     std::ofstream os(report_json);

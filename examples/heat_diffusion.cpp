@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
             << to_mib(tahoe.bytes_moved) << " MiB moved)\n";
 
   if (!trace_out.empty()) {
-    trace::export_chrome_trace(trace::global(), trace_out);
+    trace::export_chrome_trace(trace_out);
   }
   if (!report_json.empty()) {
     std::ofstream os(report_json);

@@ -18,7 +18,6 @@
 #include "core/runtime.hpp"
 #include "trace/chrome_export.hpp"
 #include "trace/counters.hpp"
-#include "trace/flight.hpp"
 #include "trace/histogram.hpp"
 #include "trace/telemetry.hpp"
 #include "trace/trace.hpp"
@@ -112,7 +111,7 @@ int main(int argc, char** argv) {
   if (!trace_out.empty() || !report_json.empty() || !explain_out.empty()) {
     trace::set_histograms_enabled(true);
   }
-  trace::configure_telemetry_from_flags(flags, !trace_out.empty());
+  trace::configure_telemetry_from_flags(flags);
 
   core::RuntimeConfig config;
   const std::string machine_name = flags.get_string("machine");
@@ -181,11 +180,7 @@ int main(int argc, char** argv) {
             << (two_tier ? "DRAM/NVM" : "fast-tier/capacity-tier")
             << " gap\n";
 
-  // The retained overload stitches back any events the telemetry sampler
-  // drained into the flight-recorder ring mid-run.
-  if (!trace_out.empty() &&
-      trace::export_chrome_trace(trace::global(), trace_out,
-                                 trace::flight().take_retained())) {
+  if (!trace_out.empty() && trace::export_chrome_trace(trace_out)) {
     std::cout << "  trace written to " << trace_out
               << " (open in chrome://tracing or https://ui.perfetto.dev)\n";
   }

@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
             << tahoe.runtime_cost_fraction() * 100.0 << "%)\n";
 
   if (!trace_out.empty()) {
-    trace::export_chrome_trace(trace::global(), trace_out);
+    trace::export_chrome_trace(trace_out);
   }
   if (!report_json.empty()) {
     std::ofstream os(report_json);

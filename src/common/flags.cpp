@@ -122,6 +122,15 @@ std::int64_t Flags::get_int(const std::string& name) const {
   return std::strtoll(lookup(name, Kind::Int).value.c_str(), nullptr, 10);
 }
 
+std::uint64_t Flags::get_uint(const std::string& name,
+                              std::uint64_t max) const {
+  const std::int64_t value = get_int(name);
+  TAHOE_REQUIRE(value >= 0 && static_cast<std::uint64_t>(value) <= max,
+                "flag --" + name + " expects an integer in [0, " +
+                    std::to_string(max) + "], got " + std::to_string(value));
+  return static_cast<std::uint64_t>(value);
+}
+
 double Flags::get_double(const std::string& name) const {
   return std::strtod(lookup(name, Kind::Double).value.c_str(), nullptr);
 }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -29,6 +30,12 @@ class Flags {
   std::vector<std::string> parse(int argc, const char* const* argv);
 
   std::int64_t get_int(const std::string& name) const;
+  /// An int flag that counts or sizes something. Throws ContractError
+  /// naming the flag when the value is negative or above `max`, so it can
+  /// never wrap around when narrowed or scaled.
+  std::uint64_t get_uint(
+      const std::string& name,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
   const std::string& get_string(const std::string& name) const;

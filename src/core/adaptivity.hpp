@@ -12,21 +12,17 @@ namespace tahoe::core {
 
 class AdaptiveMonitor {
  public:
-  explicit AdaptiveMonitor(double threshold = 0.10) : threshold_(threshold) {}
-
   /// Capture the expected per-group durations (decision-time state).
   void set_baseline(std::vector<double> group_seconds);
 
   bool has_baseline() const noexcept { return !baseline_.empty(); }
-  double threshold() const noexcept { return threshold_; }
 
   /// True when the observed iteration deviates "obviously": any group
-  /// carrying at least 1 % of the iteration deviates by more than the
-  /// threshold, or the iteration total does.
+  /// carrying at least 1 % of the iteration deviates by more than 10 %,
+  /// or the iteration total does.
   bool deviates(const std::vector<double>& group_seconds) const;
 
  private:
-  double threshold_;
   std::vector<double> baseline_;
   double baseline_total_ = 0.0;
 };

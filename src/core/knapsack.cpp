@@ -25,63 +25,6 @@ void finalize(KnapsackResult& r, std::span<const KnapsackItem> items) {
   }
 }
 
-}  // namespace
-
-KnapsackResult solve(std::span<const KnapsackItem> items,
-                     std::uint64_t capacity, std::uint32_t grid) {
-  TAHOE_REQUIRE(grid >= 2, "grid too coarse");
-  KnapsackResult result;
-  if (capacity == 0 || items.empty()) return result;
-
-  // Candidate filtering: positive value, fits alone.
-  std::vector<std::size_t> cand;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (items[i].value > 0.0 && items[i].size <= capacity &&
-        items[i].size > 0) {
-      cand.push_back(i);
-    }
-  }
-  if (cand.empty()) return result;
-
-  const std::uint64_t granule =
-      std::max<std::uint64_t>(1, capacity / grid);
-  const auto cap_g = static_cast<std::size_t>(capacity / granule);
-
-  // dp[c] = best value using capacity c granules; keep choice bits per item
-  // row for reconstruction.
-  std::vector<double> dp(cap_g + 1, 0.0);
-  std::vector<std::vector<bool>> take(cand.size(),
-                                      std::vector<bool>(cap_g + 1, false));
-  for (std::size_t k = 0; k < cand.size(); ++k) {
-    const KnapsackItem& it = items[cand[k]];
-    const std::uint64_t need = granules_for(it.size, granule);
-    if (need > cap_g) continue;
-    for (std::size_t c = cap_g + 1; c-- > need;) {
-      const double with = dp[c - need] + it.value;
-      if (with > dp[c]) {
-        dp[c] = with;
-        take[k][c] = true;
-      }
-    }
-  }
-
-  // Reconstruct.
-  std::size_t c = cap_g;
-  for (std::size_t k = cand.size(); k-- > 0;) {
-    if (take[k][c]) {
-      result.chosen.push_back(cand[k]);
-      c -= static_cast<std::size_t>(
-          granules_for(items[cand[k]].size, granule));
-    }
-  }
-  finalize(result, items);
-  TAHOE_ASSERT(result.total_size <= capacity,
-               "knapsack DP violated the capacity constraint");
-  return result;
-}
-
-namespace {
-
 void finalize_multi(MultiTierResult& r, std::span<const MultiTierItem> items,
                     std::size_t num_tiers) {
   r.total_value = 0.0;
@@ -347,6 +290,24 @@ MultiTierResult solve_multi(std::span<const MultiTierItem> items,
     TAHOE_ASSERT(result.tier_sizes[t] <= capacities[t],
                  "multi-tier DP violated a capacity constraint");
   }
+  return result;
+}
+
+KnapsackResult solve(std::span<const KnapsackItem> items,
+                     std::uint64_t capacity) {
+  std::vector<MultiTierItem> one_tier;
+  one_tier.reserve(items.size());
+  for (const KnapsackItem& it : items) {
+    one_tier.push_back(MultiTierItem{it.size, {it.value}});
+  }
+  const std::uint64_t caps[]{capacity};
+  const MultiTierResult multi = solve_multi(one_tier, caps);
+  KnapsackResult result;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (multi.assignment[i] == 0) result.chosen.push_back(i);
+  }
+  result.total_value = multi.total_value;
+  result.total_size = multi.tier_sizes[0];
   return result;
 }
 

@@ -4,10 +4,9 @@
 // Eq. (7) weight w = BFT - COST - extra_COST. The planner places units with
 // the multi-choice solver (solve_multi), one dimension per constrained
 // tier; a two-tier machine has one, where it is the 0/1 knapsack. The 0/1
-// solvers serve the single-capacity users (initial placement, the
+// entry points serve the single-capacity users (initial placement, the
 // quota-free tenant baseline):
-//   * solve():       scaled dynamic programming (pseudo-polynomial with
-//                    byte sizes quantized to a capacity grid),
+//   * solve():       the one-tier solve_multi, on its 2048-granule grid,
 //   * solve_exact(): exhaustive search, used by property tests as oracle.
 #pragma once
 
@@ -28,12 +27,12 @@ struct KnapsackResult {
   std::uint64_t total_size = 0;
 };
 
-/// Scaled DP. `grid` controls quantization: sizes are rounded *up* to
-/// capacity/grid granules, so the capacity constraint is never violated
+/// solve_multi over one constrained tier. Sizes are rounded *up* to
+/// capacity/2048 granules, so the capacity constraint is never violated
 /// (solutions can only be slightly conservative). Items with value <= 0 or
 /// size > capacity are never chosen.
 KnapsackResult solve(std::span<const KnapsackItem> items,
-                     std::uint64_t capacity, std::uint32_t grid = 2048);
+                     std::uint64_t capacity);
 
 /// Exhaustive oracle; requires items.size() <= 24.
 KnapsackResult solve_exact(std::span<const KnapsackItem> items,
@@ -46,8 +45,8 @@ KnapsackResult solve_exact(std::span<const KnapsackItem> items,
 // capacity tier (the implicit "skip" choice, value 0). values[t] is the
 // Eq. (7) weight of placing the unit on constrained tier t instead of
 // leaving it on the capacity tier. With T = 1 this is the 0/1 knapsack
-// above: at solve()'s default grid it takes exactly solve()'s items, with
-// a bit-identical total value.
+// above, on a grid of 2048 granules: it takes exactly the items of the
+// textbook 0/1 DP at that grid, with a bit-identical total value.
 
 struct MultiTierItem {
   std::uint64_t size = 0;

@@ -127,19 +127,6 @@ std::vector<task::TierHint> compute_tier_hints(
   return hints;
 }
 
-/// Register the standard track labels on the global tracer (no-op when
-/// tracing is off). Shared by the simulated and real execution paths.
-void name_standard_tracks(std::uint32_t workers) {
-  trace::Tracer& tracer = trace::global();
-  if (!tracer.enabled()) return;
-  for (std::uint32_t w = 0; w < workers; ++w) {
-    tracer.set_track_name(w, "worker " + std::to_string(w));
-  }
-  tracer.set_track_name(trace::kMigrationTrack, "migration engine");
-  tracer.set_track_name(trace::kPlannerTrack, "planner");
-  tracer.set_track_name(trace::kRuntimeTrack, "runtime phases");
-}
-
 /// Replay the planned schedule against a hypothetical occupancy of every
 /// constrained tier and return the first object whose fill cannot reserve
 /// space even after kReservationRetries extra attempts (injected vetoes
@@ -337,7 +324,7 @@ RunReport Runtime::run(Application& app, Policy& policy) {
   const bool traced = tracer.enabled();
   double vclock = 0.0;
   if (traced) {
-    name_standard_tracks(machine.workers);
+    trace::name_standard_tracks(machine.workers);
     opts.tracer = &tracer;
   }
 
@@ -568,7 +555,7 @@ RunReport Runtime::run_fixed(
   trace::telemetry().begin_run("run:" + app.name() + "/" + report.policy);
   double vclock = 0.0;
   if (tracer.enabled()) {
-    name_standard_tracks(machine.workers);
+    trace::name_standard_tracks(machine.workers);
     opts.tracer = &tracer;
   }
   for (std::size_t iter = 0; iter < app.iterations(); ++iter) {
@@ -622,7 +609,7 @@ RunReport Runtime::run_real_report(
   // thread (if configured) does the ticking, this just marks the phase.
   trace::telemetry().begin_run("real:" + app.name());
   AppState state = prepare(app, /*huge_tiers=*/false);
-  name_standard_tracks(workers);
+  trace::name_standard_tracks(workers);
   hms::MigrationEngine engine(*state.registry,
                               hms::MigrationEngine::Mode::HelperThread);
   const auto executor = std::make_unique<task::Executor>(workers);

@@ -5,18 +5,17 @@
 // placement per chunk. The policy here decides how many chunks an object
 // should be split into, mirroring the conservative approach of the paper:
 // only objects flagged as partitionable (regular references) are split.
+// A chunk is at most a quarter of DRAM, so several can coexist with other
+// resident objects, and no object is split into more than 64 chunks.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace tahoe::hms {
 
 struct ChunkingPolicy {
   std::uint64_t dram_capacity = 0;
-  /// A chunk should be at most this fraction of DRAM so several can
-  /// coexist with other resident objects.
-  double max_chunk_dram_fraction = 0.25;
-  std::size_t max_chunks = 64;
 
   /// Number of chunks for an object of `bytes`. Returns 1 (no split) when
   /// the object is not partitionable, already fits the chunk budget, or

@@ -12,6 +12,9 @@
 namespace tahoe::hms {
 namespace {
 
+/// Retries of a transient (aborted) copy before the request is abandoned.
+constexpr int kMaxRetries = 3;
+
 void sleep_seconds(double seconds) {
   if (seconds <= 0.0) return;
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
@@ -25,7 +28,6 @@ MigrationEngine::MigrationEngine(ObjectRegistry& registry, Mode mode)
 MigrationEngine::MigrationEngine(ObjectRegistry& registry,
                                  const Options& options)
     : registry_(registry), options_(options) {
-  TAHOE_REQUIRE(options_.max_retries >= 0, "negative retry bound");
   TAHOE_REQUIRE(options_.retry_backoff_seconds >= 0.0, "negative backoff");
   const std::size_t n = registry_.num_tiers();
   bytes_moved_.resize(n * n);
@@ -113,7 +115,7 @@ void MigrationEngine::execute(const MigrationRequest& req) {
   // does not (retrying a full tier without eviction cannot succeed).
   double backoff = options_.retry_backoff_seconds;
   for (int attempt = 0;
-       res == MigrateResult::kAborted && attempt < options_.max_retries;
+       res == MigrateResult::kAborted && attempt < kMaxRetries;
        ++attempt) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -168,7 +170,7 @@ void MigrationEngine::execute(const MigrationRequest& req) {
     trace::global_counters().get("migrate.aborted").increment();
     TAHOE_WARN("migration of object " << req.object << " chunk " << req.chunk
                                       << " abandoned after "
-                                      << options_.max_retries
+                                      << kMaxRetries
                                       << " retries; object pinned to NVM");
   }
 }

@@ -46,14 +46,11 @@ class MigrationEngine {
  public:
   enum class Mode { HelperThread, Inline };
 
-  /// Degradation knobs. Defaults match the pre-fault-injection engine
-  /// except that transient copy aborts are now retried.
+  /// A transient (aborted) copy is retried 3 times before the engine gives
+  /// up on the request and, for a promotion, pins its object to the
+  /// capacity tier.
   struct Options {
     Mode mode = Mode::HelperThread;
-    /// Retries after a transient (aborted) copy before giving up on the
-    /// request and, for a promotion, pinning its object to the capacity
-    /// tier.
-    int max_retries = 3;
     /// Initial backoff between retries; doubles per attempt. Only slept in
     /// HelperThread mode so inline runs stay instantaneous.
     double retry_backoff_seconds = 50e-6;

@@ -230,31 +230,17 @@ void ObjectRegistry::register_alias(ObjectId id, void** slot) {
   *slot = obj.chunk(0).data();
 }
 
-void ObjectRegistry::set_fallback_order(std::vector<memsim::TierId> order) {
-  for (const memsim::TierId t : order) {
-    TAHOE_REQUIRE(t < arenas_.size(), "fallback tier out of range");
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  fallback_order_ = std::move(order);
-}
-
 void* ObjectRegistry::alloc_with_fallback(std::uint64_t bytes,
                                           memsim::DeviceId initial,
                                           memsim::DeviceId& chosen) {
-  // Tier order: requested tier first, then the fallback chain. By default
-  // the chain is every other tier in device order (DRAM-requested objects
-  // degrade toward the capacity tier, mirroring the runtime's
-  // fallback-to-slow-tier policy; never silently "upgrade" capacity). A
-  // configured chain restricts and reorders the tiers tried.
+  // Tier order: requested tier first, then every other tier in device
+  // order, fastest first. A tier-0 request degrades toward the capacity
+  // tier, mirroring the runtime's fallback-to-slow-tier policy. A request
+  // for any other tier, the capacity tier included, tries tier 0 next
+  // when its own tier is full: falling back can move an object up.
   std::vector<memsim::DeviceId> order{initial};
-  if (fallback_order_.empty()) {
-    for (memsim::DeviceId d = 0; d < arenas_.size(); ++d) {
-      if (d != initial) order.push_back(d);
-    }
-  } else {
-    for (const memsim::TierId t : fallback_order_) {
-      if (t != initial) order.push_back(t);
-    }
+  for (memsim::DeviceId d = 0; d < arenas_.size(); ++d) {
+    if (d != initial) order.push_back(d);
   }
   fault::FaultInjector& inj = fault::global();
   for (const memsim::DeviceId dev : order) {

@@ -118,13 +118,6 @@ class ObjectRegistry {
                                                        : arenas_.size() - 1);
   }
 
-  /// Configure the chain of tiers tried when an allocation's requested
-  /// tier is full (default: every other tier in device order). The chain
-  /// lists tiers to try *after* the requested one; entries equal to the
-  /// requested tier are skipped, tiers missing from the chain are never
-  /// tried. Pass an empty chain to restore the default.
-  void set_fallback_order(std::vector<memsim::TierId> order);
-
   const MigrationStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = MigrationStats{}; }
 
@@ -149,9 +142,9 @@ class ObjectRegistry {
 
  private:
   /// Allocate `bytes` on `initial`, retrying through injected failures and
-  /// falling back to the other tiers (Unimem-style fallback-to-NVM
-  /// semantics). Returns nullptr only when every tier is truly full.
-  /// `chosen` receives the tier that served the allocation.
+  /// falling back to every other tier in device order (Unimem-style
+  /// fallback-to-NVM semantics). Returns nullptr only when every tier is
+  /// truly full. `chosen` receives the tier that served the allocation.
   void* alloc_with_fallback(std::uint64_t bytes, memsim::DeviceId initial,
                             memsim::DeviceId& chosen);
 
@@ -168,7 +161,6 @@ class ObjectRegistry {
   Segment segment_;
   std::uint64_t root_off_ = 0;
   std::vector<std::unique_ptr<Arena>> arenas_;
-  std::vector<memsim::TierId> fallback_order_;  ///< empty = device order
   mutable std::mutex mutex_;
   MigrationStats stats_;
   /// Destination tiers already warned about a refused (no-space) migration

@@ -15,9 +15,13 @@
 #include "trace/counters.hpp"
 #include "trace/histogram.hpp"
 #include "trace/telemetry.hpp"
+#include "trace/trace.hpp"
 
 namespace tahoe::serve {
 namespace {
+
+/// Requests one tenant may dispatch per epoch; the rest wait in its queue.
+constexpr std::size_t kMaxBatch = 64;
 
 /// Per-tenant mutable serving state. Histograms hold atomics, so the state
 /// lives behind unique_ptr.
@@ -57,7 +61,6 @@ ServeResult run_serve(TenantManager& manager, const ServeOptions& options) {
   TAHOE_REQUIRE(
       std::isfinite(options.epoch_seconds) && options.epoch_seconds > 0.0,
       "epoch must be finite and positive");
-  TAHOE_REQUIRE(options.max_batch > 0, "max_batch must be positive");
   const memsim::Machine& machine = manager.machine();
 
   ServeResult result;
@@ -123,6 +126,12 @@ ServeResult run_serve(TenantManager& manager, const ServeOptions& options) {
     sampler->begin_run("serve:" + report.policy);
   }
 
+  trace::Tracer* tracer = nullptr;
+  if (trace::global().enabled()) {
+    tracer = &trace::global();
+    trace::name_standard_tracks(options.workers != 0 ? options.workers
+                                                     : machine.workers);
+  }
   task::SimExecutor executor;
   std::uint64_t next_tag = 0;
   double clock = 0.0;
@@ -156,7 +165,7 @@ ServeResult run_serve(TenantManager& manager, const ServeOptions& options) {
       Batch b;
       b.tenant = i;
       b.group = builder.begin_group(manager.tenant(i).name);
-      while (!st.queue.empty() && b.requests.size() < options.max_batch) {
+      while (!st.queue.empty() && b.requests.size() < kMaxBatch) {
         Request r = st.queue.front();
         st.queue.pop_front();
         manager.tenant(i).service->append_request(builder, next_tag++,
@@ -177,7 +186,7 @@ ServeResult run_serve(TenantManager& manager, const ServeOptions& options) {
     sim_opts.unit_size = [&manager](hms::ObjectId id, std::size_t chunk) {
       return manager.unit_bytes(id, chunk);
     };
-    sim_opts.tracer = options.tracer;
+    sim_opts.tracer = tracer;
     sim_opts.trace_time_offset = clock;
     const task::SimReport sim =
         executor.run(graph, machine, placement, {}, sim_opts);

@@ -11,6 +11,15 @@ namespace tahoe::task {
 
 using detail::bump;
 
+namespace {
+
+/// Decline rates that switch a worker to steal-half (above) and back to
+/// steal-one (below); see adapt_mode().
+constexpr double kHalfThreshold = 0.5;
+constexpr double kOneThreshold = 0.25;
+
+}  // namespace
+
 ChannelExecutor::ChannelExecutor(unsigned num_workers, Options options)
     : ExecutorBase(num_workers), options_(options) {
   TAHOE_REQUIRE(options_.adapt_window >= 1, "adapt window must be >= 1");
@@ -199,10 +208,10 @@ void ChannelExecutor::adapt_mode(WorkerState& ws, bool declined) {
   // (and stops flooding the pool with requests). Low decline rate = work
   // is plentiful: steal-one keeps it spread across workers. The band in
   // between is hysteresis.
-  if (mode == StealMode::kOne && rate > options_.half_threshold) {
+  if (mode == StealMode::kOne && rate > kHalfThreshold) {
     ws.mode.store(StealMode::kHalf, std::memory_order_relaxed);
     bump(ws.stats.mode_switches);
-  } else if (mode == StealMode::kHalf && rate < options_.one_threshold) {
+  } else if (mode == StealMode::kHalf && rate < kOneThreshold) {
     ws.mode.store(StealMode::kOne, std::memory_order_relaxed);
     bump(ws.stats.mode_switches);
   }

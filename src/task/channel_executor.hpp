@@ -72,12 +72,10 @@ class ChannelExecutor final : public ExecutorBase {
     StealMode initial_mode = StealMode::kOne;
     /// Adaptive steal-one<->steal-half switching from decline rates.
     bool adaptive = true;
-    /// Requests per adaptation window.
+    /// Requests per adaptation window. A worker switches to steal-half
+    /// when more than half of a window's requests were declined, and back
+    /// to steal-one when fewer than a quarter were.
     unsigned adapt_window = 32;
-    /// Switch to steal-half above this decline rate…
-    double half_threshold = 0.5;
-    /// …and back to steal-one below this one (hysteresis band between).
-    double one_threshold = 0.25;
     /// Per-worker injection inbox capacity (caller spins when full).
     std::size_t inbox_capacity = 1024;
   };

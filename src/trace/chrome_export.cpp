@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/log.hpp"
+#include "trace/flight.hpp"
 #include "trace/json.hpp"
 
 namespace tahoe::trace {
@@ -108,18 +109,14 @@ void write_chrome_trace(
   os << '\n';
 }
 
-bool export_chrome_trace(Tracer& tracer, const std::string& path) {
-  return export_chrome_trace(tracer, path, {});
-}
-
-bool export_chrome_trace(Tracer& tracer, const std::string& path,
-                         const std::vector<TraceEvent>& retained) {
+bool export_chrome_trace(const std::string& path) {
   std::ofstream os(path);
   if (!os) {
     TAHOE_WARN("cannot open trace output file '" << path << "'");
     return false;
   }
-  std::vector<TraceEvent> events = retained;
+  Tracer& tracer = global();
+  std::vector<TraceEvent> events = flight().take_retained();
   const std::vector<TraceEvent> fresh = tracer.drain();
   events.insert(events.end(), fresh.begin(), fresh.end());
   const std::uint64_t dropped = tracer.dropped();

@@ -25,17 +25,14 @@ void write_chrome_trace(
     const std::vector<std::pair<TrackId, std::string>>& track_names,
     std::uint64_t dropped_events = 0);
 
-/// Drain `tracer` and write its trace to `path`. Returns false (after
-/// logging a warning) when the file cannot be opened. Unnamed tracks get a
-/// generated "track <id>" label.
-bool export_chrome_trace(Tracer& tracer, const std::string& path);
-
-/// Same, but prepends `retained` — events the telemetry sampler already
-/// drained into the flight recorder's ring (FlightRecorder::take_retained)
-/// — so a run with both --trace-out and an armed flight recorder still
-/// exports its full timeline. The exporter sorts by timestamp, so the
-/// stitched stream reads identically to a single drain.
-bool export_chrome_trace(Tracer& tracer, const std::string& path,
-                         const std::vector<TraceEvent>& retained);
+/// Drain the global tracer and write its trace to `path`. Events the
+/// telemetry sampler already drained into the flight recorder
+/// (FlightRecorder::take_retained) are stitched back first, so a run with
+/// both --trace-out and an armed flight recorder still exports its full
+/// timeline; the exporter sorts by timestamp, so the stitched stream reads
+/// identically to a single drain. Returns false (after logging a warning)
+/// when the file cannot be opened. Unnamed tracks get a generated
+/// "track <id>" label.
+bool export_chrome_trace(const std::string& path);
 
 }  // namespace tahoe::trace

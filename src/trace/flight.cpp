@@ -88,9 +88,7 @@ void FlightRecorder::record_events(const std::vector<TraceEvent>& events) {
     events_.push_back(ev);
     if (events_.size() > config_.max_events) events_.pop_front();
   }
-  if (config_.retain_events) {
-    retained_.insert(retained_.end(), events.begin(), events.end());
-  }
+  retained_.insert(retained_.end(), events.begin(), events.end());
 }
 
 void FlightRecorder::record_line(const std::string& line) {

@@ -13,10 +13,11 @@
 // The recorder is fed by the TelemetrySampler (telemetry.hpp): each
 // sampling interval drains the global tracer into the event ring. Because
 // Tracer::drain() is destructive, a run that also wants a full
-// --trace-out timeline would lose every drained event to the ring; the
-// `retain_events` mode keeps a full copy of everything drained, and the
-// chrome exporter's retained-events overload stitches the two back
-// together at exit (chrome_export.hpp).
+// --trace-out timeline would lose every drained event to the ring, so the
+// recorder also keeps a full copy of everything drained, and the chrome
+// exporter stitches the two back together at exit (chrome_export.hpp).
+// The tracer is on only while a trace export is pending, so the copy
+// holds what the tracer would have buffered anyway.
 //
 // Process-global, like the tracer / counter registry / fault injector:
 // the dump triggers live in layers (sampler, signal handler) that cannot
@@ -39,10 +40,6 @@ class FlightRecorder {
     std::string out_path;            ///< dump destination ("" = disarmed)
     std::size_t max_events = 2048;   ///< trace-event ring capacity (K)
     std::size_t max_intervals = 64;  ///< telemetry-line ring capacity (M)
-    /// Keep a full copy of every drained trace event so an at-exit
-    /// chrome export still sees the whole timeline (set when --trace-out
-    /// is also active).
-    bool retain_events = false;
   };
 
   /// Arm (or re-arm) the recorder: clears both rings, resets the dump
@@ -54,7 +51,8 @@ class FlightRecorder {
     return armed_.load(std::memory_order_relaxed);
   }
 
-  /// Append drained trace events to the bounded ring (oldest evicted).
+  /// Append drained trace events to the bounded ring (oldest evicted) and
+  /// to the full copy take_retained() hands out.
   void record_events(const std::vector<TraceEvent>& events);
 
   /// Append one serialized telemetry JSONL line (interval / phase /
@@ -68,8 +66,8 @@ class FlightRecorder {
   /// in the global counter registry.
   bool dump(const std::string& reason, double t);
 
-  /// Move the retained full-fidelity event copy out (empties it). Used by
-  /// the chrome exporter at exit; empty unless retain_events was set.
+  /// Move the full copy of every event recorded since arming out
+  /// (empties it). Used by the chrome exporter.
   std::vector<TraceEvent> take_retained();
 
   std::uint64_t dumps() const;

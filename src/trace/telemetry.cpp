@@ -3,6 +3,7 @@
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -553,23 +554,19 @@ TelemetryConfig telemetry_config_from_flags(const Flags& flags) {
                 "--telemetry-clock must be 'virtual' or 'wall'");
   config.wall_clock = clock == "wall";
   config.rules = parse_slo_rules(flags.get_string("slo-rules"));
-  config.stall_intervals =
-      static_cast<int>(flags.get_int("slo-stall-intervals"));
+  config.stall_intervals = static_cast<int>(flags.get_uint(
+      "slo-stall-intervals", std::numeric_limits<int>::max()));
   return config;
 }
 
-void configure_telemetry_from_flags(const Flags& flags,
-                                    bool retain_trace_events) {
+void configure_telemetry_from_flags(const Flags& flags) {
   // Flight first: the sampler's activation check consults armed().
   const std::string flight_out = flags.get_string("flight-out");
   if (!flight_out.empty()) {
     FlightRecorder::Config fc;
     fc.out_path = flight_out;
-    fc.max_events =
-        static_cast<std::size_t>(flags.get_int("flight-events"));
-    fc.max_intervals =
-        static_cast<std::size_t>(flags.get_int("flight-intervals"));
-    fc.retain_events = retain_trace_events;
+    fc.max_events = flags.get_uint("flight-events");
+    fc.max_intervals = flags.get_uint("flight-intervals");
     flight().configure(fc);
   } else {
     flight().disarm();

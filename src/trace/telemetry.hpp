@@ -204,12 +204,8 @@ void register_telemetry_flags(Flags& flags);
 TelemetryConfig telemetry_config_from_flags(const Flags& flags);
 
 /// Configure (or disable) the global sampler and flight recorder from the
-/// parsed flags. `retain_trace_events` keeps a full copy of every trace
-/// event the sampler drains into the flight ring, so an at-exit chrome
-/// export still sees the whole timeline — pass true when --trace-out is
-/// also active. Installs a process-exit hook that flushes the stream.
-void configure_telemetry_from_flags(const Flags& flags,
-                                    bool retain_trace_events = false);
+/// parsed flags. Installs a process-exit hook that flushes the stream.
+void configure_telemetry_from_flags(const Flags& flags);
 
 /// Satellite of the tracer: publish Tracer::dropped() into the registry as
 /// the "trace.dropped_events" counter (registered only once drops exist,

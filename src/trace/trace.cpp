@@ -202,6 +202,17 @@ Tracer& global() {
   return tracer;
 }
 
+void name_standard_tracks(std::uint32_t workers) {
+  Tracer& tracer = global();
+  if (!tracer.enabled()) return;
+  for (std::uint32_t w = 0; w < workers; ++w) {
+    tracer.set_track_name(w, "worker " + std::to_string(w));
+  }
+  tracer.set_track_name(kMigrationTrack, "migration engine");
+  tracer.set_track_name(kPlannerTrack, "planner");
+  tracer.set_track_name(kRuntimeTrack, "runtime phases");
+}
+
 double now_seconds() {
   using Clock = std::chrono::steady_clock;
   static const Clock::time_point epoch = Clock::now();

@@ -166,6 +166,11 @@ class Tracer {
 /// Disabled by default; binaries enable it when --trace-out is given.
 Tracer& global();
 
+/// Label worker lanes 0..workers-1 and the migration, planner and runtime
+/// tracks on global() (no-op while it is disabled). Shared by every run
+/// that traces: simulated, real and serving.
+void name_standard_tracks(std::uint32_t workers);
+
 /// Monotonic wall-clock seconds since the first call (steady_clock based).
 /// Used by the real Executor / MigrationEngine instrumentation.
 double now_seconds();

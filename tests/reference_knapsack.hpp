@@ -2,6 +2,9 @@
 // tests/ as differential oracles; nothing in src/ calls them. Production
 // must return exactly what they return, ties included, bit for bit.
 //
+//  * solve: the textbook 0/1 DP over a capacity/grid granule grid, one row
+//    of choice bits per candidate, a strict `>` from the top state down.
+//    core::solve, the one-tier core::solve_multi, must match it at 2048.
 //  * solve_multi: the full-grid, per-state scan DP that core::solve_multi
 //    replaced. Every state of the (cap_g + 1)^T grid is visited for every
 //    item, and each state tries the constrained tiers in ascending order
@@ -24,6 +27,69 @@ namespace tahoe::core::reference {
 
 inline std::uint64_t granules_for(std::uint64_t size, std::uint64_t granule) {
   return (size + granule - 1) / granule;
+}
+
+inline void finalize(KnapsackResult& r, std::span<const KnapsackItem> items) {
+  std::sort(r.chosen.begin(), r.chosen.end());
+  r.total_value = 0.0;
+  r.total_size = 0;
+  for (std::size_t i : r.chosen) {
+    r.total_value += items[i].value;
+    r.total_size += items[i].size;
+  }
+}
+
+inline KnapsackResult solve(std::span<const KnapsackItem> items,
+                            std::uint64_t capacity, std::uint32_t grid = 2048) {
+  TAHOE_REQUIRE(grid >= 2, "grid too coarse");
+  KnapsackResult result;
+  if (capacity == 0 || items.empty()) return result;
+
+  // Candidate filtering: positive value, fits alone.
+  std::vector<std::size_t> cand;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (items[i].value > 0.0 && items[i].size <= capacity &&
+        items[i].size > 0) {
+      cand.push_back(i);
+    }
+  }
+  if (cand.empty()) return result;
+
+  const std::uint64_t granule =
+      std::max<std::uint64_t>(1, capacity / grid);
+  const auto cap_g = static_cast<std::size_t>(capacity / granule);
+
+  // dp[c] = best value using capacity c granules; keep choice bits per item
+  // row for reconstruction.
+  std::vector<double> dp(cap_g + 1, 0.0);
+  std::vector<std::vector<bool>> take(cand.size(),
+                                      std::vector<bool>(cap_g + 1, false));
+  for (std::size_t k = 0; k < cand.size(); ++k) {
+    const KnapsackItem& it = items[cand[k]];
+    const std::uint64_t need = granules_for(it.size, granule);
+    if (need > cap_g) continue;
+    for (std::size_t c = cap_g + 1; c-- > need;) {
+      const double with = dp[c - need] + it.value;
+      if (with > dp[c]) {
+        dp[c] = with;
+        take[k][c] = true;
+      }
+    }
+  }
+
+  // Reconstruct.
+  std::size_t c = cap_g;
+  for (std::size_t k = cand.size(); k-- > 0;) {
+    if (take[k][c]) {
+      result.chosen.push_back(cand[k]);
+      c -= static_cast<std::size_t>(
+          granules_for(items[cand[k]].size, granule));
+    }
+  }
+  finalize(result, items);
+  TAHOE_ASSERT(result.total_size <= capacity,
+               "knapsack DP violated the capacity constraint");
+  return result;
 }
 
 inline void finalize_multi(MultiTierResult& r,

@@ -107,6 +107,37 @@ TEST(Flags, OverflowRejected) {
   EXPECT_EQ(n.get_int("count"), INT64_MAX);
 }
 
+TEST(Flags, UnsignedGetterRejectsNegativeAndOversizedValues) {
+  // Count and size flags are read through get_uint: a negative value must
+  // not wrap around to a huge count, and a value past the caller's bound
+  // (a thread count above UINT32_MAX, MiB whose bytes overflow) must not
+  // be narrowed or scaled into garbage. The error names the flag.
+  Flags f = make_flags();
+  parse(f, {"--count=-1"});
+  EXPECT_EQ(f.get_int("count"), -1);  // seeds may still be negative
+  try {
+    (void)f.get_uint("count");
+    FAIL() << "expected ContractError";
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("--count"), std::string::npos);
+  }
+  Flags g = make_flags();
+  parse(g, {"--count=4294967296"});
+  EXPECT_THROW((void)g.get_uint("count", UINT32_MAX), ContractError);
+  EXPECT_EQ(g.get_uint("count"), 4294967296u);
+  Flags h = make_flags();
+  parse(h, {"--count", "4294967295"});
+  EXPECT_EQ(h.get_uint("count", UINT32_MAX), UINT32_MAX);
+  Flags k = make_flags();
+  parse(k, {"--count=17592186044416"});  // 2^44 MiB is 2^64 bytes
+  EXPECT_THROW((void)k.get_uint("count", UINT64_MAX / (1u << 20)),
+               ContractError);
+  Flags m = make_flags();
+  parse(m, {"--count=0"});
+  EXPECT_EQ(m.get_uint("count"), 0u);
+  EXPECT_THROW((void)m.get_uint("ratio"), ContractError);  // not an int
+}
+
 TEST(Flags, TinyDoubleUnderflowAccepted) {
   // Underflow (ERANGE with a finite result) is benign, unlike overflow.
   Flags f = make_flags();

@@ -16,7 +16,7 @@ namespace {
 TEST(Knapsack, PicksBestSimpleCase) {
   const std::vector<KnapsackItem> items{
       {60, 10.0}, {100, 20.0}, {120, 30.0}};
-  const KnapsackResult r = solve(items, 220, 2048);
+  const KnapsackResult r = solve(items, 220);
   // Optimal: items 1+2 (value 50, size 220).
   EXPECT_DOUBLE_EQ(r.total_value, 50.0);
   EXPECT_EQ(r.chosen, (std::vector<std::size_t>{1, 2}));
@@ -25,7 +25,7 @@ TEST(Knapsack, PicksBestSimpleCase) {
 TEST(Knapsack, SkipsNonPositiveAndOversized) {
   const std::vector<KnapsackItem> items{
       {10, -5.0}, {10, 0.0}, {1000, 99.0}, {10, 1.0}};
-  const KnapsackResult r = solve(items, 100, 2048);
+  const KnapsackResult r = solve(items, 100);
   EXPECT_EQ(r.chosen, (std::vector<std::size_t>{3}));
   EXPECT_DOUBLE_EQ(r.total_value, 1.0);
 }
@@ -37,16 +37,18 @@ TEST(Knapsack, EmptyInputsAndZeroCapacity) {
 }
 
 TEST(Knapsack, NeverExceedsCapacityUnderCoarseGrid) {
-  // The grid rounds sizes *up*, so even a coarse grid stays feasible.
+  // The grid rounds sizes *up*, so it stays feasible even where MiB-scale
+  // sizes and capacities make each of its 2048 granules many bytes wide.
+  constexpr std::uint64_t kScale = (1ULL << 20) + 3;
   Rng rng(123);
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<KnapsackItem> items;
     for (int i = 0; i < 12; ++i) {
-      items.push_back(KnapsackItem{rng.next_below(1000) + 1,
+      items.push_back(KnapsackItem{(rng.next_below(1000) + 1) * kScale,
                                    rng.next_double() * 10.0});
     }
-    const std::uint64_t cap = rng.next_below(3000) + 100;
-    const KnapsackResult r = solve(items, cap, 16);  // very coarse
+    const std::uint64_t cap = (rng.next_below(3000) + 100) * kScale;
+    const KnapsackResult r = solve(items, cap);
     EXPECT_LE(r.total_size, cap);
   }
 }
@@ -61,9 +63,9 @@ TEST(Knapsack, DpMatchesOracleOnRandomInstances) {
                                    (rng.next_double() - 0.2) * 20.0});
     }
     const std::uint64_t cap = rng.next_below(1500) + 200;
-    const KnapsackResult dp = solve(items, cap, 4096);
+    const KnapsackResult dp = solve(items, cap);
     const KnapsackResult oracle = solve_exact(items, cap);
-    // Fine grid (4096 on cap <= 1700 -> granule 1): exact match expected.
+    // 2048 granules on cap <= 1700 are one byte each: exact match expected.
     EXPECT_NEAR(dp.total_value, oracle.total_value, 1e-9)
         << "trial " << trial;
     EXPECT_LE(dp.total_size, cap);
@@ -77,7 +79,7 @@ TEST(Knapsack, LargeInstanceRunsFast) {
     items.push_back(
         KnapsackItem{(rng.next_below(1u << 26)) + 1, rng.next_double()});
   }
-  const KnapsackResult r = solve(items, 1ULL << 28, 2048);
+  const KnapsackResult r = solve(items, 1ULL << 28);
   EXPECT_LE(r.total_size, 1ULL << 28);
   EXPECT_GT(r.chosen.size(), 0u);
 }
@@ -119,11 +121,12 @@ void check_consistent(std::span<const MultiTierItem> items,
 
 TEST(MultiKnapsack, OneTierDegeneratesToZeroOne) {
   // The planner places units on a two-tier machine with solve_multi over
-  // its one constrained tier, so there it must be the 0/1 knapsack exactly:
-  // at solve()'s default grid (the default state budget gives solve_multi
-  // the same 2048 granules) it puts exactly solve()'s items on tier 0 and
-  // its total value matches bit for bit. A small value set makes ties
-  // common; zeros of both signs and negatives are never taken.
+  // its one constrained tier, and solve() is that same call, so both must
+  // be the 0/1 knapsack exactly: at the textbook DP's 2048-granule grid
+  // (the default state budget gives solve_multi the same 2048 granules)
+  // they take exactly its items and match its total value bit for bit. A
+  // small value set makes ties common; zeros of both signs and negatives
+  // are never taken.
   static constexpr double kPalette[] = {-3.0, -0.0, 0.0, 0.5,
                                         1.0,  1.0,  2.5, 4.0};
   Rng rng(11);
@@ -161,7 +164,7 @@ TEST(MultiKnapsack, OneTierDegeneratesToZeroOne) {
       items.push_back(MultiTierItem{it.size, {it.value}});
     }
     const std::uint64_t caps[]{cap};
-    const KnapsackResult want = solve(flat, cap);
+    const KnapsackResult want = reference::solve(flat, cap);
     const MultiTierResult got = solve_multi(items, caps);
     std::vector<std::size_t> on_tier;
     for (std::size_t i = 0; i < items.size(); ++i) {
@@ -173,6 +176,12 @@ TEST(MultiKnapsack, OneTierDegeneratesToZeroOne) {
               std::bit_cast<std::uint64_t>(want.total_value))
         << "trial " << trial;
     ASSERT_EQ(got.tier_sizes[0], want.total_size) << "trial " << trial;
+    const KnapsackResult zero_one = solve(flat, cap);
+    ASSERT_EQ(zero_one.chosen, want.chosen) << "trial " << trial;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(zero_one.total_value),
+              std::bit_cast<std::uint64_t>(want.total_value))
+        << "trial " << trial;
+    ASSERT_EQ(zero_one.total_size, want.total_size) << "trial " << trial;
   }
   EXPECT_GT(coarse, 5000);
 }
@@ -588,8 +597,8 @@ TEST(MultiKnapsack, OracleRejectsHugeInstances) {
 
 TEST(Knapsack, DeterministicTieBreaks) {
   const std::vector<KnapsackItem> items{{50, 5.0}, {50, 5.0}, {50, 5.0}};
-  const KnapsackResult a = solve(items, 100, 2048);
-  const KnapsackResult b = solve(items, 100, 2048);
+  const KnapsackResult a = solve(items, 100);
+  const KnapsackResult b = solve(items, 100);
   EXPECT_EQ(a.chosen, b.chosen);
   EXPECT_EQ(a.chosen.size(), 2u);
 }

@@ -96,7 +96,6 @@ TEST_F(MigrationStress, AlwaysAbortingCopyPinsObjectDeterministically) {
   const ObjectId id = reg.create("doomed", 1 * kMiB, memsim::kNvm);
   MigrationEngine::Options opts;
   opts.mode = MigrationEngine::Mode::HelperThread;
-  opts.max_retries = 3;
   opts.retry_backoff_seconds = 1e-6;
   MigrationEngine engine(reg, opts);
 

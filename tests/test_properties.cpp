@@ -210,7 +210,7 @@ TEST(KnapsackProperty, SolutionsAlwaysFitWithAscendingIndices) {
                                          rng.next_double() * 4.0 - 0.5});
     }
     const std::uint64_t cap = 400 + rng.next_below(2000);
-    const core::KnapsackResult dp = core::solve(items, cap, 4096);
+    const core::KnapsackResult dp = core::solve(items, cap);
     EXPECT_LE(dp.total_size, cap);
     // Chosen indices are unique and ascending.
     for (std::size_t i = 1; i < dp.chosen.size(); ++i) {

@@ -181,21 +181,6 @@ TEST(RegistryNTier, MidTierRequestDegradesDownOnly) {
   EXPECT_EQ(reg.stats().alloc_fallbacks, 1u);
 }
 
-TEST(RegistryNTier, FallbackOrderRestrictsTheChain) {
-  ObjectRegistry reg(caps3());
-  reg.set_fallback_order({2});  // never consider the middle tier
-  const ObjectId id = reg.create("x", 1800 * kKiB, 0);  // too big for tier 0
-  EXPECT_EQ(reg.get(id).device(), 2u);  // tier 1 would fit but is skipped
-  reg.set_fallback_order({});           // restore default device order
-  const ObjectId y = reg.create("y", 1800 * kKiB, 0);
-  EXPECT_EQ(reg.get(y).device(), 1u);
-}
-
-TEST(RegistryNTier, FallbackOrderOutOfRangeThrows) {
-  ObjectRegistry reg(caps3());
-  EXPECT_THROW(reg.set_fallback_order({3}), ContractError);
-}
-
 TEST(RegistryNTier, ToTierStatsTrackEveryDestination) {
   ObjectRegistry reg(caps3());
   const ObjectId id = reg.create("v", 512 * kKiB, 2);

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -22,6 +23,7 @@
 #include "serve/zipf.hpp"
 #include "task/graph.hpp"
 #include "trace/histogram.hpp"
+#include "trace/trace.hpp"
 
 namespace tahoe::serve {
 namespace {
@@ -397,6 +399,61 @@ TEST(ServeDriver, QosStrictlyImprovesHighPriorityTailLatency) {
   EXPECT_LT(q.request_latency.p99(), f.request_latency.p99());
   // Under QoS the prod tenant actually holds fast-tier residency.
   EXPECT_GT(q.fast_bytes, 0u);
+}
+
+TEST(ServeDriver, TracesEveryEpochOnTheGlobalTracer) {
+  // With the global tracer on, every epoch's tenant groups and tasks land
+  // in it: one "group <tenant>" span per dispatched batch, whose task
+  // counts add up to the run's, and one span per task on a worker lane.
+  const memsim::Machine machine = memsim::machines::optane_platform(64 * kMiB);
+  TenantManager tm(machine);
+  TenantConfig prod;
+  prod.name = "prod";
+  prod.priority = 4.0;
+  prod.arrival_hz = 400.0;
+  prod.seed = 7;
+  prod.service = make_kv_service(KvConfig{});
+  tm.add(std::move(prod));
+  TenantConfig bg;
+  bg.name = "bg";
+  bg.arrival_hz = 100.0;
+  bg.seed = 8;
+  GraphConfig graph;
+  graph.prefix = "bg";
+  bg.service = make_graph_service(graph);
+  tm.add(std::move(bg));
+  ServeOptions opts;
+  opts.duration_seconds = 0.05;
+  opts.deterministic = true;
+
+  trace::Tracer& tracer = trace::global();
+  (void)tracer.drain();
+  const std::uint64_t dropped_before = tracer.dropped();
+  tracer.set_enabled(true);
+  const ServeResult r = run_serve(tm, opts);
+  tracer.set_enabled(false);
+  const std::vector<trace::TraceEvent> events = tracer.drain();
+
+  ASSERT_GT(r.report.tasks_executed, 0u);
+  std::map<std::string, std::uint64_t> group_tasks;
+  std::uint64_t task_spans = 0;
+  for (const trace::TraceEvent& ev : events) {
+    if (ev.kind != trace::EventKind::Complete) continue;
+    const std::string name(ev.name);
+    if (ev.track == trace::kRuntimeTrack && name.rfind("group ", 0) == 0) {
+      ASSERT_EQ(ev.num_args, 1u);
+      EXPECT_STREQ(ev.arg_key[0], "tasks");
+      group_tasks[name.substr(6)] += ev.arg_val[0];
+    } else if (ev.track < machine.workers) {
+      ++task_spans;
+    }
+  }
+  ASSERT_EQ(group_tasks.size(), 2u);
+  EXPECT_GT(group_tasks["prod"], 0u);
+  EXPECT_GT(group_tasks["bg"], 0u);
+  EXPECT_EQ(group_tasks["prod"] + group_tasks["bg"], r.report.tasks_executed);
+  EXPECT_EQ(task_spans, r.report.tasks_executed);
+  EXPECT_EQ(tracer.dropped(), dropped_before);
 }
 
 // Non-finite inputs are rejected up front: an infinite rate puts every

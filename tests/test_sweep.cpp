@@ -17,11 +17,16 @@ namespace {
 
 #ifdef TAHOE_SWEEP_BIN
 
+/// Exit status of the sweep. No argument may hang it: a sweep still
+/// running after 60 s is killed by coreutils timeout, whose exit status
+/// 124 fails the test.
 int run_sweep(const std::string& args) {
-  const std::string cmd =
-      std::string(TAHOE_SWEEP_BIN) + " " + args + " > /dev/null 2>&1";
+  const std::string cmd = "timeout 60 " + std::string(TAHOE_SWEEP_BIN) + " " +
+                          args + " > /dev/null 2>&1";
   const int status = std::system(cmd.c_str());
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  EXPECT_NE(code, 124) << "tahoe_sweep " << args << " hung";
+  return code;
 }
 
 trace::JsonValue read_artifact(const std::string& path) {
@@ -60,6 +65,21 @@ TEST(Sweep, UnknownScaleIsRejectedBeforeAnyCellRuns) {
                       " --nvm-specs bw:0.5 --scale bnech --jobs 1"),
             0);
   EXPECT_FALSE(std::ifstream(out).good()) << "sweep wrote " << out;
+}
+
+TEST(Sweep, NonPositiveJobsIsRejectedBeforeAnyCellRuns) {
+  // With --jobs 0 the fan-out loop has no child to reap and would wait
+  // forever; --jobs -1 must not wrap around to "fork every cell at once".
+  for (const char* jobs : {"0", "-1"}) {
+    const std::string out = ::testing::TempDir() + "sweep_jobs.json";
+    std::remove(out.c_str());
+    EXPECT_NE(run_sweep("--out " + out +
+                        " --workloads cg --policies static-dram"
+                        " --nvm-specs bw:0.5 --scale test --jobs " + jobs),
+              0)
+        << "--jobs " << jobs;
+    EXPECT_FALSE(std::ifstream(out).good()) << "sweep wrote " << out;
+  }
 }
 
 TEST(Sweep, FailedCellIsMarkedNotSilentlyMerged) {

@@ -10,13 +10,17 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/fault.hpp"
 #include "common/units.hpp"
+#include "core/calibration.hpp"
+#include "core/planner.hpp"
 #include "core/runtime.hpp"
 #include "memsim/machine.hpp"
 #include "task/sim_executor.hpp"
+#include "trace/chrome_export.hpp"
 #include "trace/counters.hpp"
 #include "trace/flight.hpp"
 #include "trace/json.hpp"
@@ -262,6 +266,62 @@ TEST_F(TelemetryTest, SeededRunsWriteByteIdenticalStreams) {
   EXPECT_EQ(a, b);
   std::remove("telemetry_det_a.jsonl");
   std::remove("telemetry_det_b.jsonl");
+}
+
+TEST_F(TelemetryTest, ArmedFlightRecorderLosesNoEventFromTheTraceExport) {
+  // A sampler whose cadence is shorter than one iteration drains the
+  // tracer into the armed flight recorder mid-run; the export must stitch
+  // those events back, so the trace holds every task span, exactly the
+  // spans of the same run traced with the recorder disarmed.
+  using Span = std::tuple<std::string, double, double, double, double>;
+  const auto task_spans = [](bool armed) {
+    if (armed) {
+      FlightRecorder::Config fc;
+      fc.out_path = "telemetry_split_flight.json";
+      flight().configure(fc);
+    }
+    TelemetryConfig cfg;
+    cfg.out_path = "telemetry_split.jsonl";
+    cfg.interval_seconds = 1e-4;
+    telemetry().configure(cfg);
+    workloads::StreamApp app({24 * kMiB, 8, 4});
+    core::RuntimeConfig c;
+    c.machine = memsim::machines::platform_a(
+        memsim::devices::nvm_bw_fraction(memsim::devices::dram(64 * kMiB),
+                                         0.5, 4 * kGiB),
+        64 * kMiB);
+    c.backing = hms::Backing::Virtual;
+    core::Runtime rt(c);
+    core::TahoePolicy policy(core::calibrate(rt.machine()).to_constants());
+    (void)global().drain();
+    global().set_enabled(true);
+    const core::RunReport report = rt.run(app, policy);
+    global().set_enabled(false);
+    telemetry().shutdown();
+    EXPECT_LT(cfg.interval_seconds, report.iteration_seconds.front());
+    EXPECT_EQ(flight().event_count() > 0, armed);
+    const std::string path = "telemetry_split.trace.json";
+    EXPECT_TRUE(export_chrome_trace(path));
+    flight().disarm();
+    const JsonValue doc = parse_json(read_file(path));
+    std::remove(path.c_str());
+    std::vector<Span> spans;
+    for (const JsonValue& ev : doc.at("traceEvents").array) {
+      if (ev.at("ph").string != "X" || !ev.at("args").object.count("task")) {
+        continue;
+      }
+      spans.emplace_back(ev.at("name").string, ev.at("ts").number,
+                         ev.at("dur").number, ev.at("tid").number,
+                         ev.at("args").at("task").number);
+    }
+    EXPECT_EQ(spans.size(), report.tasks_executed) << "armed " << armed;
+    return spans;
+  };
+  const std::vector<Span> split = task_spans(true);
+  const std::vector<Span> whole = task_spans(false);
+  EXPECT_EQ(split, whole);
+  std::remove("telemetry_split.jsonl");
+  std::remove("telemetry_split_flight.json");
 }
 
 TEST_F(TelemetryTest, StallDetectorFiresOnWedgedRun) {

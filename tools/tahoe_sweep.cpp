@@ -25,6 +25,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/assert.hpp"
 #include "common/flags.hpp"
 #include "trace/analyze.hpp"
 #include "trace/counters.hpp"
@@ -188,9 +190,11 @@ int main(int argc, char** argv) {
   tele.interval = flags.get_double("telemetry-interval");
   tele.rules = flags.get_string("slo-rules");
   bench::BenchConfig base;
-  base.dram_capacity =
-      static_cast<std::uint64_t>(flags.get_int("dram-mib")) * kMiB;
+  base.dram_capacity = bench::dram_capacity_from_flags(flags);
   base.scale = workloads::parse_scale(flags.get_string("scale"));
+  // reap_one() cannot make room for a child when none is running.
+  const std::uint64_t jobs = flags.get_uint("jobs");
+  TAHOE_REQUIRE(jobs >= 1, "flag --jobs must be at least 1");
 
   std::vector<Cell> cells;
   for (const std::string& nvm : split_csv(flags.get_string("nvm-specs"))) {
@@ -217,7 +221,6 @@ int main(int argc, char** argv) {
   }
 
   // Fan out, at most --jobs children in flight.
-  const auto jobs = static_cast<std::size_t>(flags.get_int("jobs"));
   std::map<pid_t, std::size_t> running;
   std::vector<bool> cell_failed(cells.size(), false);
   const auto reap_one = [&] {
