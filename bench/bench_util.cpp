@@ -65,6 +65,7 @@ core::RuntimeConfig runtime_config(const BenchConfig& config) {
   c.machine = make_machine(config);
   c.backing = hms::Backing::Virtual;
   c.attribution = config.attribution;
+  if (config.deterministic) c.fixed_decision_seconds = 0.0;
   return c;
 }
 
@@ -199,6 +200,9 @@ Flags standard_flags() {
   flags.define_bool("csv", false, "also emit CSV");
   flags.define_int("dram-mib", 256, "DRAM tier capacity in MiB");
   flags.define_int("workers", 0, "worker override (0 = machine default)");
+  flags.define_bool("deterministic", false,
+                    "zero out the wall-clock-measured planning cost so "
+                    "same-flag runs print byte-identical tables");
   register_artifact_flags(flags);
   return flags;
 }
@@ -215,6 +219,7 @@ BenchConfig config_from_flags(const Flags& flags, const std::string& nvm_spec) {
   config.explain_out = artifacts.explain_out;
   config.attribution =
       !config.report_json.empty() || !config.explain_out.empty();
+  config.deterministic = flags.get_bool("deterministic");
   return config;
 }
 

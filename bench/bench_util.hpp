@@ -33,6 +33,10 @@ struct BenchConfig {
   /// Collect per-(task type, object) attribution into the reports. Enabled
   /// automatically whenever report_json or explain_out is set.
   bool attribution = false;
+  /// Fix the measured planning cost at 0 (RuntimeConfig::
+  /// fixed_decision_seconds), so the tables that print it (TAB-5's runtime
+  /// cost, FIG-11) are byte-identical from run to run.
+  bool deterministic = false;
 };
 
 /// Build the machine for a config (platform-a unless spec == "optane").
@@ -91,9 +95,9 @@ void register_artifact_flags(Flags& flags);
 /// --trace-out. Returns the parsed paths.
 ArtifactFlags apply_artifact_flags(const Flags& flags);
 
-/// Standard flag set (--scale, --csv, --dram-mib, --workers, --trace-out,
-/// --report-json, --explain-out); returns the parsed flags after
-/// registering bench defaults.
+/// Standard flag set (--scale, --csv, --dram-mib, --workers,
+/// --deterministic, --trace-out, --report-json, --explain-out); returns the
+/// parsed flags after registering bench defaults.
 Flags standard_flags();
 /// Builds the config; additionally enables global tracing when --trace-out
 /// is set (the Chrome trace is exported at process exit), and turns on
