@@ -180,6 +180,55 @@ hms::ObjectId first_unreservable(
   return hms::kInvalidObject;
 }
 
+/// One simulated iteration: the step run() and run_fixed() share.
+/// Iterative applications re-instantiate the same task graph every
+/// iteration, so build() keeps the previous graph when the declaration
+/// repeats it exactly, and simulate() takes the previous outcome when the
+/// kept graph also starts from the same residency under the same schedule
+/// and nothing records from inside the run (task::RunMemo).
+class SimStep {
+ public:
+  SimStep(const memsim::Machine& machine, task::SimExecutor::Options options)
+      : machine_(machine), options_(std::move(options)) {}
+
+  /// Build iteration `iter` of `app`; the graph stays valid until the next
+  /// build().
+  const task::TaskGraph& build(Application& app, std::size_t iter) {
+    task::GraphBuilder builder(std::move(graph_));
+    app.build_iteration(builder, iter);
+    memo_has_graph_ = memo_has_graph_ && builder.repeats_previous();
+    graph_ = builder.build();
+    return graph_;
+  }
+
+  /// Simulate the last built graph from `placement`, which is left in its
+  /// end state, under `schedule`, with trace timestamps offset by
+  /// `vclock`. The report stays valid until the next simulate().
+  const task::SimReport& simulate(
+      hms::PlacementMap& placement,
+      const std::vector<task::ScheduledCopy>& schedule, double vclock) {
+    options_.trace_time_offset = vclock;
+    if (memo_.repeats(memo_has_graph_, placement, schedule, options_)) {
+      return memo_.replay(placement, graph_.num_tasks());
+    }
+    hms::PlacementMap start = placement;
+    task::SimReport report =
+        executor_.run(graph_, machine_, placement, schedule, options_);
+    memo_has_graph_ = true;
+    return memo_.keep(std::move(start), schedule, std::move(report),
+                      placement);
+  }
+
+ private:
+  const memsim::Machine& machine_;
+  task::SimExecutor::Options options_;
+  task::SimExecutor executor_;
+  task::TaskGraph graph_;
+  task::RunMemo memo_;
+  /// Whether memo_ holds a run of graph_.
+  bool memo_has_graph_ = false;
+};
+
 }  // namespace
 
 PlanDecision Runtime::decide_validated(Policy& policy, PlanInputs inputs,
@@ -305,7 +354,6 @@ RunReport Runtime::run(Application& app, Policy& policy) {
   bool decided = false;
   std::size_t enforced_since_decision = 0;
 
-  task::SimExecutor executor;
   task::SimExecutor::Options opts;
   opts.unit_size = [&state](hms::ObjectId id, std::size_t chunk) {
     return state.registry->get(id).chunk(chunk).bytes;
@@ -327,6 +375,7 @@ RunReport Runtime::run(Application& app, Policy& policy) {
     trace::name_standard_tracks(machine.workers);
     opts.tracer = &tracer;
   }
+  SimStep step(machine, std::move(opts));
 
   // Plan on `graph` and install the schedule that every later simulated
   // iteration replays. `profiles` is null for offline policies; `at` is the
@@ -363,18 +412,15 @@ RunReport Runtime::run(Application& app, Policy& policy) {
   TAHOE_REQUIRE(iterations >= 1, "application declares no iterations");
 
   for (std::size_t iter = 0; iter < iterations; ++iter) {
-    task::GraphBuilder builder;
-    app.build_iteration(builder, iter);
-    const task::TaskGraph graph = builder.build();
+    const task::TaskGraph& graph = step.build(app, iter);
 
     // Offline policies (no profiling) decide on the first iteration's
     // graph, before it runs.
     if (!decided && profiling_left == 0) decide(graph, nullptr, iter, vclock);
 
     const std::uint64_t samples_before = profiler.samples_taken();
-    opts.trace_time_offset = vclock;
-    const task::SimReport sim =
-        executor.run(graph, machine, state.placement, schedule, opts);
+    const task::SimReport& sim =
+        step.simulate(state.placement, schedule, vclock);
     report.iteration_seconds.push_back(sim.makespan);
     report.compute_seconds += sim.makespan;
     report.tasks_executed += graph.num_tasks();
@@ -548,7 +594,6 @@ RunReport Runtime::run_fixed(
 
   // With no copies to run, the executor never compares a tier's contents
   // with its capacity, so the machine needs no enlarged tier.
-  task::SimExecutor executor;
   task::SimExecutor::Options opts;
   trace::Tracer& tracer = trace::global();
   const std::uint64_t dropped_before = tracer.dropped();
@@ -558,13 +603,10 @@ RunReport Runtime::run_fixed(
     trace::name_standard_tracks(machine.workers);
     opts.tracer = &tracer;
   }
+  SimStep step(machine, std::move(opts));
   for (std::size_t iter = 0; iter < app.iterations(); ++iter) {
-    task::GraphBuilder builder;
-    app.build_iteration(builder, iter);
-    const task::TaskGraph graph = builder.build();
-    opts.trace_time_offset = vclock;
-    const task::SimReport sim =
-        executor.run(graph, machine, state.placement, {}, opts);
+    const task::TaskGraph& graph = step.build(app, iter);
+    const task::SimReport& sim = step.simulate(state.placement, {}, vclock);
     vclock += sim.makespan;
     report.iteration_seconds.push_back(sim.makespan);
     report.compute_seconds += sim.makespan;

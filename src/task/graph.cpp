@@ -1,6 +1,7 @@
 #include "task/graph.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/assert.hpp"
 
@@ -8,6 +9,35 @@ namespace tahoe::task {
 namespace {
 
 using Unit = std::pair<hms::ObjectId, std::size_t>;
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_traffic(const memsim::ObjectTraffic& a,
+                  const memsim::ObjectTraffic& b) {
+  return a.loads == b.loads && a.stores == b.stores &&
+         a.footprint == b.footprint && same_bits(a.dep_frac, b.dep_frac) &&
+         same_bits(a.locality, b.locality) && same_bits(a.spatial, b.spatial);
+}
+
+/// Equal as declared (id and group included); `work` is not compared.
+bool same_task(const Task& a, const Task& b) {
+  if (a.id != b.id || a.group != b.group || a.label != b.label ||
+      !same_bits(a.compute_seconds, b.compute_seconds) ||
+      a.request != b.request || a.accesses.size() != b.accesses.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.accesses.size(); ++i) {
+    const DataAccess& x = a.accesses[i];
+    const DataAccess& y = b.accesses[i];
+    if (x.object != y.object || x.chunk != y.chunk || x.mode != y.mode ||
+        !same_traffic(x.traffic, y.traffic)) {
+      return false;
+    }
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -74,11 +104,15 @@ bool TaskGraph::edges_respect_program_order() const {
   return true;
 }
 
+GraphBuilder::GraphBuilder(TaskGraph previous) {
+  if (previous.num_groups() > 0) previous_ = std::move(previous);
+}
+
 GroupId GraphBuilder::begin_group(std::string name) {
   const auto g = static_cast<GroupId>(graph_.groups_.size());
   Group grp;
   grp.name = std::move(name);
-  grp.first_task = static_cast<TaskId>(graph_.tasks_.size());
+  grp.first_task = static_cast<TaskId>(num_tasks());
   grp.last_task = grp.first_task;
   graph_.groups_.push_back(std::move(grp));
   group_open_ = true;
@@ -131,52 +165,79 @@ void GraphBuilder::consult_access(const UnitState& st, TaskId tid,
 
 TaskId GraphBuilder::add_task(Task t) {
   TAHOE_REQUIRE(group_open_, "add_task outside of a group");
-  const auto tid = static_cast<TaskId>(graph_.tasks_.size());
+  const auto tid = static_cast<TaskId>(num_tasks());
   t.id = tid;
   t.group = static_cast<GroupId>(graph_.groups_.size() - 1);
   TAHOE_REQUIRE(t.compute_seconds >= 0.0, "negative compute time");
-
-  graph_.succs_.emplace_back();
-  graph_.pred_count_.push_back(0);
-
   for (const DataAccess& a : t.accesses) {
     TAHOE_REQUIRE(a.object != hms::kInvalidObject, "access to invalid object");
-    const Unit unit{a.object, a.chunk};
-
-    if (a.chunk == kAllChunks) {
-      // A whole-object access conflicts with each tracked chunk of the
-      // object as well as the whole-object stream itself.
-      for (auto it = unit_state_.lower_bound(Unit{a.object, 0});
-           it != unit_state_.end() && it->first.first == a.object; ++it) {
-        if (it->first.second == kAllChunks) continue;
-        apply_access(it->first, tid, a.writes());
-      }
-      apply_access(unit, tid, a.writes());
-    } else {
-      // A chunk access also conflicts with the whole-object stream, but
-      // must not register in it: same-chunk ordering lives in the chunk's
-      // own unit, and registering here would make later accesses to other
-      // chunks of the object conflict with this one spuriously.
-      if (const auto it = unit_state_.find(Unit{a.object, kAllChunks});
-          it != unit_state_.end()) {
-        consult_access(it->second, tid, a.writes());
-      }
-      apply_access(unit, tid, a.writes());
-    }
-
-    auto& groups = graph_.unit_groups_[unit];
-    if (groups.empty() || groups.back() != t.group) {
-      groups.push_back(t.group);
-    }
   }
-
   graph_.groups_.back().last_task = tid + 1;
+  if (previous_) {
+    if (tid < previous_->num_tasks() && same_task(t, previous_->task(tid))) {
+      ++matched_;
+      return tid;
+    }
+    take_previous_tasks();
+  }
   graph_.tasks_.push_back(std::move(t));
   return tid;
 }
 
+bool GraphBuilder::repeats_previous() const {
+  return previous_ && matched_ == previous_->num_tasks() &&
+         graph_.groups_ == previous_->groups_;
+}
+
+void GraphBuilder::take_previous_tasks() {
+  graph_.tasks_ = std::move(previous_->tasks_);
+  graph_.tasks_.erase(graph_.tasks_.begin() +
+                          static_cast<std::ptrdiff_t>(matched_),
+                      graph_.tasks_.end());
+  previous_.reset();
+}
+
+void GraphBuilder::derive() {
+  graph_.succs_.assign(graph_.tasks_.size(), {});
+  graph_.pred_count_.assign(graph_.tasks_.size(), 0);
+  for (const Task& t : graph_.tasks_) {
+    for (const DataAccess& a : t.accesses) {
+      const Unit unit{a.object, a.chunk};
+
+      if (a.chunk == kAllChunks) {
+        // A whole-object access conflicts with each tracked chunk of the
+        // object as well as the whole-object stream itself.
+        for (auto it = unit_state_.lower_bound(Unit{a.object, 0});
+             it != unit_state_.end() && it->first.first == a.object; ++it) {
+          if (it->first.second == kAllChunks) continue;
+          apply_access(it->first, t.id, a.writes());
+        }
+        apply_access(unit, t.id, a.writes());
+      } else {
+        // A chunk access also conflicts with the whole-object stream, but
+        // must not register in it: same-chunk ordering lives in the
+        // chunk's own unit, and registering here would make later accesses
+        // to other chunks of the object conflict with this one spuriously.
+        if (const auto it = unit_state_.find(Unit{a.object, kAllChunks});
+            it != unit_state_.end()) {
+          consult_access(it->second, t.id, a.writes());
+        }
+        apply_access(unit, t.id, a.writes());
+      }
+
+      auto& groups = graph_.unit_groups_[unit];
+      if (groups.empty() || groups.back() != t.group) {
+        groups.push_back(t.group);
+      }
+    }
+  }
+}
+
 TaskGraph GraphBuilder::build() {
   TAHOE_REQUIRE(!graph_.groups_.empty(), "graph has no groups");
+  if (repeats_previous()) return std::move(*previous_);
+  if (previous_) take_previous_tasks();
+  derive();
   unit_state_.clear();
   last_target_of_.clear();
   return std::move(graph_);

@@ -10,7 +10,15 @@
 // Dependences are derived from declared access sets at (object, chunk)
 // granularity, with OpenMP-style semantics: read-after-write,
 // write-after-read, and write-after-write conflicts create edges. A
-// whole-object access conflicts with every chunk of that object.
+// whole-object access conflicts with every chunk of that object. The
+// builder records tasks as they are added and derives every edge in
+// build(), in one pass in program order.
+//
+// An iterative application re-instantiates the same graph every
+// iteration. A builder given the previous iteration's graph compares each
+// task against it as it arrives; when the whole declaration repeats it
+// exactly, build() hands the previous graph back without deriving it
+// again.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +37,7 @@ struct Group {
   TaskId last_task = 0;   ///< exclusive
 
   std::size_t size() const noexcept { return last_task - first_task; }
+  bool operator==(const Group&) const = default;
 };
 
 class TaskGraph {
@@ -86,6 +95,14 @@ class TaskGraph {
 
 class GraphBuilder {
  public:
+  GraphBuilder() = default;
+  /// A builder that checks the declaration against `previous`, the graph
+  /// of the iteration before. While the tasks repeat it, they are compared
+  /// and counted but not stored; the first task that differs takes over
+  /// previous's task list up to that point. A graph with no groups is no
+  /// previous graph at all.
+  explicit GraphBuilder(TaskGraph previous);
+
   /// Open a new group; subsequent add_task calls attach to it.
   GroupId begin_group(std::string name);
 
@@ -93,10 +110,21 @@ class GraphBuilder {
   /// id and group fields are assigned by the builder. Returns the id.
   TaskId add_task(Task t);
 
-  /// Finalize. The builder must not be reused afterwards.
+  /// Whether the declaration so far equals the previous graph exactly: the
+  /// same groups (name and boundaries) and as many tasks, each equal in
+  /// label, compute_seconds, request and every access's object, chunk,
+  /// mode and traffic. Doubles compare bit for bit, so 0.0 and -0.0
+  /// differ. `work` is not compared: a kept graph keeps previous's kernels.
+  bool repeats_previous() const;
+
+  /// Finalize: derive the dependences, or return the previous graph as it
+  /// is when the declaration repeats it. The builder must not be reused
+  /// afterwards.
   TaskGraph build();
 
-  std::size_t num_tasks() const noexcept { return graph_.tasks_.size(); }
+  std::size_t num_tasks() const noexcept {
+    return previous_ ? matched_ : graph_.tasks_.size();
+  }
 
  private:
   struct UnitState {
@@ -104,6 +132,11 @@ class GraphBuilder {
     std::vector<TaskId> readers_since_write;
   };
 
+  /// Stop comparing: the previous graph's first `matched_` tasks become
+  /// the start of this graph's task list.
+  void take_previous_tasks();
+  /// Derive edges, predecessor counts and unit_groups_ for every task.
+  void derive();
   void add_edge(TaskId from, TaskId to);
   /// Apply one access to the dependence state of `unit`.
   void apply_access(const std::pair<hms::ObjectId, std::size_t>& unit,
@@ -116,6 +149,10 @@ class GraphBuilder {
 
   TaskGraph graph_;
   bool group_open_ = false;
+  /// The graph being repeated, while every task so far equals its own.
+  std::optional<TaskGraph> previous_;
+  /// Tasks declared so far while previous_ is held (none stored).
+  std::size_t matched_ = 0;
   std::map<std::pair<hms::ObjectId, std::size_t>, UnitState> unit_state_;
   /// Dedup edges from the same source to the same target.
   std::vector<TaskId> last_target_of_;  // indexed by source task id

@@ -96,6 +96,26 @@ TEST_P(RegisteredWorkload, GroupNamesStableAcrossIterations) {
   }
 }
 
+TEST_P(RegisteredWorkload, IdenticalRebuildRepeatsThePreviousGraph) {
+  // Each iteration re-declares the same graph, so a builder given the
+  // previous iteration's graph keeps it and derives nothing.
+  auto app = workloads::make_workload(GetParam(), workloads::Scale::Test);
+  hms::ObjectRegistry reg({64 * kMiB, 4 * kGiB}, hms::Backing::Virtual);
+  hms::ChunkingPolicy chunking;
+  app->setup(reg, chunking);
+  task::GraphBuilder first;
+  app->build_iteration(first, 0);
+  task::TaskGraph g = first.build();
+  const std::size_t edges = g.num_edges();
+  for (std::size_t iter = 0; iter < 2; ++iter) {
+    task::GraphBuilder again(std::move(g));
+    app->build_iteration(again, iter);
+    EXPECT_TRUE(again.repeats_previous()) << "iteration " << iter;
+    g = again.build();
+    EXPECT_EQ(g.num_edges(), edges);
+  }
+}
+
 TEST_P(RegisteredWorkload, DeclaredTrafficIsSane) {
   auto app = workloads::make_workload(GetParam(), workloads::Scale::Test);
   hms::ObjectRegistry reg({64 * kMiB, 4 * kGiB}, hms::Backing::Virtual);

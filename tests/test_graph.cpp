@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "task/graph.hpp"
 
 namespace tahoe::task {
@@ -172,6 +177,169 @@ TEST(Graph, ContractViolations) {
   EXPECT_THROW(gb.add_task(task({acc(1, AccessMode::Read)})), ContractError);
   GraphBuilder gb2;
   EXPECT_THROW(gb2.build(), ContractError);
+}
+
+// ---- repeated declarations -------------------------------------------
+
+/// A declaration as an application makes it: groups in order, each with
+/// its tasks.
+using Declaration = std::vector<std::pair<std::string, std::vector<Task>>>;
+
+/// Every compared field set away from its default, with dependences across
+/// both groups and a whole-object access next to chunk accesses.
+Declaration base_declaration() {
+  auto with = [](std::string label, double compute,
+                 std::vector<DataAccess> accesses) {
+    Task t = task(std::move(accesses));
+    t.label = std::move(label);
+    t.compute_seconds = compute;
+    t.request = 7;
+    for (DataAccess& a : t.accesses) {
+      a.traffic.stores = a.writes() ? 3 : 0;
+      a.traffic.dep_frac = 0.25;
+      a.traffic.locality = 0.5;
+      a.traffic.spatial = 0.75;
+    }
+    return t;
+  };
+  return {{"produce",
+           {with("w0", 1e-3, {acc(1, AccessMode::Write, 0)}),
+            with("w1", 0.0, {acc(1, AccessMode::Write, 1)})}},
+          {"consume",
+           {with("r", 2e-3, {acc(1, AccessMode::Read),
+                             acc(2, AccessMode::ReadWrite)}),
+            with("w2", 3e-3, {acc(2, AccessMode::Write, 0)})}}};
+}
+
+void declare(GraphBuilder& gb, const Declaration& d) {
+  for (const auto& [name, tasks] : d) {
+    gb.begin_group(name);
+    for (const Task& t : tasks) gb.add_task(t);
+  }
+}
+
+TaskGraph built(const Declaration& d) {
+  GraphBuilder gb;
+  declare(gb, d);
+  return gb.build();
+}
+
+bool repeats_base(const Declaration& d) {
+  GraphBuilder gb(built(base_declaration()));
+  declare(gb, d);
+  return gb.repeats_previous();
+}
+
+/// Same tasks, groups, edges and unit references.
+void expect_same_graph(const TaskGraph& a, const TaskGraph& b) {
+  ASSERT_EQ(a.num_tasks(), b.num_tasks());
+  EXPECT_EQ(a.groups(), b.groups());
+  EXPECT_EQ(a.num_edges(), b.num_edges());
+  for (TaskId id = 0; id < a.num_tasks(); ++id) {
+    EXPECT_EQ(a.task(id).label, b.task(id).label);
+    EXPECT_EQ(a.task(id).group, b.task(id).group);
+    EXPECT_EQ(a.successors(id), b.successors(id));
+    EXPECT_EQ(a.num_predecessors(id), b.num_predecessors(id));
+  }
+  EXPECT_EQ(a.referenced_units(), b.referenced_units());
+  for (const auto& [obj, chunk] : a.referenced_units()) {
+    EXPECT_EQ(a.groups_referencing(obj, chunk),
+              b.groups_referencing(obj, chunk));
+  }
+}
+
+TEST(GraphRepeat, IdenticalDeclarationRepeatsAndKeepsThePreviousGraph) {
+  // `work` is not compared, so a previous graph with a kernel repeats a
+  // declaration without one, and build() hands it back kernel and all.
+  Declaration with_kernel = base_declaration();
+  with_kernel[0].second[0].work = [] {};
+  const TaskGraph fresh = built(base_declaration());
+  GraphBuilder gb(built(with_kernel));
+  declare(gb, base_declaration());
+  EXPECT_EQ(gb.num_tasks(), 4u);
+  ASSERT_TRUE(gb.repeats_previous());
+  const TaskGraph g = gb.build();
+  EXPECT_TRUE(static_cast<bool>(g.task(0).work));
+  expect_same_graph(g, fresh);
+  EXPECT_GT(g.num_edges(), 0u);
+}
+
+TEST(GraphRepeat, EveryDeclaredFieldBreaksTheMatch) {
+  using Edit = std::function<void(Declaration&)>;
+  auto first_access = [](Declaration& d) -> DataAccess& {
+    return d[1].second[0].accesses[0];
+  };
+  const std::vector<std::pair<std::string, Edit>> edits = {
+      {"label", [](Declaration& d) { d[0].second[0].label = "w0'"; }},
+      {"compute_seconds",
+       [](Declaration& d) { d[0].second[0].compute_seconds = 1.5e-3; }},
+      {"compute_seconds 0.0 -> -0.0",
+       [](Declaration& d) { d[0].second[1].compute_seconds = -0.0; }},
+      {"request", [](Declaration& d) { d[1].second[1].request = 8; }},
+      {"access object",
+       [&](Declaration& d) { first_access(d).object = 3; }},
+      {"access chunk", [&](Declaration& d) { first_access(d).chunk = 1; }},
+      {"access mode",
+       [&](Declaration& d) { first_access(d).mode = AccessMode::ReadWrite; }},
+      {"access count",
+       [](Declaration& d) {
+         d[1].second[1].accesses.push_back(acc(3, AccessMode::Read));
+       }},
+      {"traffic loads", [&](Declaration& d) { first_access(d).traffic.loads++; }},
+      {"traffic stores",
+       [&](Declaration& d) { first_access(d).traffic.stores++; }},
+      {"traffic footprint",
+       [&](Declaration& d) { first_access(d).traffic.footprint++; }},
+      {"traffic dep_frac",
+       [&](Declaration& d) { first_access(d).traffic.dep_frac = 0.3; }},
+      {"traffic locality",
+       [&](Declaration& d) { first_access(d).traffic.locality = 0.6; }},
+      {"traffic spatial",
+       [&](Declaration& d) { first_access(d).traffic.spatial = 0.8; }},
+      {"group name", [](Declaration& d) { d[1].first = "consume'"; }},
+      {"group boundary",
+       [](Declaration& d) {
+         d[1].second.insert(d[1].second.begin(), d[0].second.back());
+         d[0].second.pop_back();
+       }},
+      {"one empty group more",
+       [](Declaration& d) { d.emplace_back("idle", std::vector<Task>{}); }},
+      {"one task more",
+       [](Declaration& d) { d[1].second.push_back(d[1].second.back()); }},
+      {"one task fewer", [](Declaration& d) { d[1].second.pop_back(); }},
+  };
+  EXPECT_TRUE(repeats_base(base_declaration()));
+  for (const auto& [what, edit] : edits) {
+    Declaration d = base_declaration();
+    edit(d);
+    EXPECT_FALSE(repeats_base(d)) << what;
+    // Whatever differs, build() derives the same graph a fresh builder
+    // does.
+    GraphBuilder gb(built(base_declaration()));
+    declare(gb, d);
+    expect_same_graph(gb.build(), built(d));
+  }
+}
+
+TEST(GraphRepeat, NoPreviousGraphNeverRepeats) {
+  GraphBuilder fresh;
+  declare(fresh, base_declaration());
+  EXPECT_FALSE(fresh.repeats_previous());
+  GraphBuilder from_empty{TaskGraph{}};
+  declare(from_empty, base_declaration());
+  EXPECT_FALSE(from_empty.repeats_previous());
+  expect_same_graph(from_empty.build(), built(base_declaration()));
+}
+
+TEST(GraphRepeat, PreconditionsHoldWhileRepeating) {
+  GraphBuilder gb(built(base_declaration()));
+  gb.begin_group("produce");
+  Task bad = base_declaration()[0].second[0];
+  bad.compute_seconds = -1.0;
+  EXPECT_THROW(gb.add_task(bad), ContractError);
+  Task invalid = base_declaration()[0].second[0];
+  invalid.accesses[0].object = hms::kInvalidObject;
+  EXPECT_THROW(gb.add_task(invalid), ContractError);
 }
 
 }  // namespace
