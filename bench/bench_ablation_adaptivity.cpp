@@ -23,7 +23,7 @@ core::RunReport run_drift(const bench::BenchConfig& config, bool adaptive) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Flags flags = bench::standard_flags();
   flags.parse(argc, argv);
   const bool csv = flags.get_bool("csv");
@@ -45,4 +45,6 @@ int main(int argc, char** argv) {
           std::to_string(adaptive.reprofiles) + " time(s))",
       table, csv);
   return 0;
+} catch (const tahoe::FlagError& e) {
+  return tahoe::flag_error_exit(argv[0], e);
 }

@@ -3,7 +3,7 @@
 // baseline. Reports normalized time and exposed stall per iteration.
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace tahoe;
   Flags flags = bench::standard_flags();
   flags.parse(argc, argv);
@@ -33,4 +33,6 @@ int main(int argc, char** argv) {
       "= migration cost exposed on the critical path)",
       table, csv);
   return 0;
+} catch (const tahoe::FlagError& e) {
+  return tahoe::flag_error_exit(argv[0], e);
 }

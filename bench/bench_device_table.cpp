@@ -3,7 +3,7 @@
 #include "bench_util.hpp"
 #include "memsim/device.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace tahoe;
   Flags flags = bench::standard_flags();
   flags.parse(argc, argv);
@@ -20,4 +20,6 @@ int main(int argc, char** argv) {
   bench::emit("TAB-1: device characteristics (simulator presets)", table,
               csv);
   return 0;
+} catch (const tahoe::FlagError& e) {
+  return tahoe::flag_error_exit(argv[0], e);
 }

@@ -2,7 +2,7 @@
 // (128 / 256 / 512 MiB), Tahoe vs the static baselines.
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace tahoe;
   Flags flags = bench::standard_flags();
   flags.parse(argc, argv);
@@ -33,4 +33,6 @@ int main(int argc, char** argv) {
       "NVM = 1/2 DRAM bandwidth)",
       table, csv);
   return 0;
+} catch (const tahoe::FlagError& e) {
+  return tahoe::flag_error_exit(argv[0], e);
 }

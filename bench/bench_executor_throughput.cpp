@@ -251,7 +251,7 @@ std::vector<std::string> split_csv(const std::string& csv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Flags flags;
   flags.define_string("backend", "both",
                       "executor backend: chaselev, channel, or both");
@@ -423,4 +423,6 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const tahoe::FlagError& e) {
+  return tahoe::flag_error_exit(argv[0], e);
 }

@@ -3,7 +3,7 @@
 // characterization at task-parallel granularity.
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace tahoe;
   Flags flags = bench::standard_flags();
   flags.parse(argc, argv);
@@ -29,4 +29,6 @@ int main(int argc, char** argv) {
       "higher = slower)",
       table, csv);
   return 0;
+} catch (const tahoe::FlagError& e) {
+  return tahoe::flag_error_exit(argv[0], e);
 }

@@ -2,7 +2,7 @@
 // (2x, 4x, 8x DRAM latency).
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace tahoe;
   Flags flags = bench::standard_flags();
   flags.parse(argc, argv);
@@ -28,4 +28,6 @@ int main(int argc, char** argv) {
       "higher = slower)",
       table, csv);
   return 0;
+} catch (const tahoe::FlagError& e) {
+  return tahoe::flag_error_exit(argv[0], e);
 }

@@ -3,7 +3,7 @@
 // baseline, and HMS with Tahoe.
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace tahoe;
   Flags flags = bench::standard_flags();
   flags.parse(argc, argv);
@@ -29,4 +29,6 @@ int main(int argc, char** argv) {
       "better; 1.00 = DRAM-only)",
       table, csv);
   return 0;
+} catch (const tahoe::FlagError& e) {
+  return tahoe::flag_error_exit(argv[0], e);
 }

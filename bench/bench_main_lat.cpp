@@ -1,7 +1,7 @@
 // FIG-10: main comparison with NVM at 4x DRAM latency.
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace tahoe;
   Flags flags = bench::standard_flags();
   flags.parse(argc, argv);
@@ -27,4 +27,6 @@ int main(int argc, char** argv) {
       "better; 1.00 = DRAM-only)",
       table, csv);
   return 0;
+} catch (const tahoe::FlagError& e) {
+  return tahoe::flag_error_exit(argv[0], e);
 }

@@ -34,7 +34,7 @@ double memory_mode_seconds(const std::string& name,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace tahoe;
   Flags flags = bench::standard_flags();
   flags.parse(argc, argv);
@@ -64,4 +64,6 @@ int main(int argc, char** argv) {
       "read/write distinction in the performance model)",
       table, csv);
   return 0;
+} catch (const tahoe::FlagError& e) {
+  return tahoe::flag_error_exit(argv[0], e);
 }

@@ -21,7 +21,7 @@ double pinned_normalized(const std::string& workload,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Flags flags = bench::standard_flags();
   flags.parse(argc, argv);
   const bool csv = flags.get_bool("csv");
@@ -56,4 +56,6 @@ int main(int argc, char** argv) {
       "DRAM-only)",
       table, csv);
   return 0;
+} catch (const tahoe::FlagError& e) {
+  return tahoe::flag_error_exit(argv[0], e);
 }

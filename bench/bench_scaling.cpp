@@ -3,7 +3,7 @@
 // node-scaling study).
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace tahoe;
   Flags flags = bench::standard_flags();
   flags.parse(argc, argv);
@@ -25,4 +25,6 @@ int main(int argc, char** argv) {
       "count; NVM = 0.6x DRAM bandwidth, as on the NUMA-emulated platform)",
       table, csv);
   return 0;
+} catch (const tahoe::FlagError& e) {
+  return tahoe::flag_error_exit(argv[0], e);
 }

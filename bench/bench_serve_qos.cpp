@@ -79,7 +79,7 @@ double ms(std::uint64_t ns) { return static_cast<double>(ns) / 1e6; }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Flags flags;
   flags.define_double("duration", 1.0, "virtual seconds of offered traffic");
   flags.define_double("epoch", 0.005, "batching epoch in virtual seconds");
@@ -93,12 +93,7 @@ int main(int argc, char** argv) {
                     "high-priority tenant's p99 over quota-free");
   flags.define_bool("csv", false, "also emit CSV");
   bench::register_artifact_flags(flags);
-  try {
-    flags.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << '\n' << flags.usage(argv[0]);
-    return 2;
-  }
+  flags.parse(argc, argv);
   const bench::ArtifactFlags artifacts = bench::apply_artifact_flags(flags);
 
   memsim::Machine machine = memsim::machines::optane_platform(
@@ -170,4 +165,6 @@ int main(int argc, char** argv) {
               << " ms (quota-free)\n";
   }
   return 0;
+} catch (const tahoe::FlagError& e) {
+  return tahoe::flag_error_exit(argv[0], e);
 }

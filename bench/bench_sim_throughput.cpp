@@ -106,7 +106,7 @@ std::vector<std::size_t> parse_sizes(const std::string& csv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Flags flags;
   flags.define_string("flows", "10000,100000,1000000",
                       "comma-separated total flow counts per cell");
@@ -207,4 +207,6 @@ int main(int argc, char** argv) {
                      table, flags.get_bool("csv"));
   if (!ok) return 1;
   return 0;
+} catch (const tahoe::FlagError& e) {
+  return tahoe::flag_error_exit(argv[0], e);
 }

@@ -37,7 +37,7 @@ tahoe::core::RunReport run(bool adaptive, bool attribution) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace tahoe;
   Flags flags;
   flags.define_string("trace-out", "",
@@ -89,4 +89,6 @@ int main(int argc, char** argv) {
     os << '\n';
   }
   return 0;
+} catch (const tahoe::FlagError& e) {
+  return tahoe::flag_error_exit(argv[0], e);
 }

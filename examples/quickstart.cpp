@@ -85,7 +85,7 @@ class QuickstartApp : public core::Application {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   tahoe::Flags flags;
   flags.define_string("trace-out", "",
                       "write a Chrome trace_event JSON timeline here "
@@ -200,4 +200,6 @@ int main(int argc, char** argv) {
     std::cout << "  plan provenance written to " << explain_out << "\n";
   }
   return 0;
+} catch (const tahoe::FlagError& e) {
+  return tahoe::flag_error_exit(argv[0], e);
 }

@@ -17,7 +17,7 @@
 #include "trace/trace.hpp"
 #include "workloads/cg.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace tahoe;
 
   Flags flags;
@@ -95,4 +95,6 @@ int main(int argc, char** argv) {
     os << '\n';
   }
   return 0;
+} catch (const tahoe::FlagError& e) {
+  return tahoe::flag_error_exit(argv[0], e);
 }

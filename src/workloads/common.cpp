@@ -1,6 +1,7 @@
 #include "workloads/common.hpp"
 
 #include "common/assert.hpp"
+#include "common/flags.hpp"
 #include "workloads/cg.hpp"
 #include "workloads/cholesky.hpp"
 #include "workloads/ft.hpp"
@@ -38,8 +39,7 @@ task::DataAccess access(hms::ObjectId obj, task::AccessMode mode,
 Scale parse_scale(const std::string& name) {
   if (name == "test") return Scale::Test;
   if (name == "bench") return Scale::Bench;
-  TAHOE_REQUIRE(false, "unknown scale '" + name + "' (test or bench)");
-  return Scale::Test;
+  throw FlagError("unknown scale '" + name + "' (test or bench)", "");
 }
 
 std::unique_ptr<core::Application> make_workload(const std::string& name,

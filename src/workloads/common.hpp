@@ -38,7 +38,7 @@ task::DataAccess access(hms::ObjectId obj, task::AccessMode mode,
 enum class Scale { Test, Bench };
 
 /// The Scale a `--scale` flag names: "test" or "bench". Any other name is
-/// a ContractError, so a typo never runs at a size nobody asked for.
+/// a FlagError, so a typo never runs at a size nobody asked for.
 Scale parse_scale(const std::string& name);
 
 /// Factory over every registered workload.

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <iostream>
+#include <sstream>
+
 #include "common/assert.hpp"
 #include "common/flags.hpp"
 
@@ -210,6 +213,74 @@ TEST(Flags, UsageListsEverything) {
   EXPECT_NE(u.find("--count"), std::string::npos);
   EXPECT_NE(u.find("--ratio"), std::string::npos);
   EXPECT_NE(u.find("bench"), std::string::npos);
+}
+
+TEST(FlagError, BadCommandLinesAreFlagErrors) {
+  for (const std::vector<const char*>& argv :
+       std::vector<std::vector<const char*>>{{"--no-such-flag"},
+                                             {"--"},
+                                             {"--count"},
+                                             {"--count=x"},
+                                             {"--ratio=y"},
+                                             {"--verbose=maybe"}}) {
+    Flags f = make_flags();
+    EXPECT_THROW(parse(f, argv), FlagError) << argv[0];
+  }
+  Flags g = make_flags();
+  parse(g, {"--count=-1"});
+  try {
+    (void)g.get_uint("count");
+    FAIL() << "expected FlagError";
+  } catch (const FlagError& e) {
+    EXPECT_FALSE(e.help());
+    EXPECT_NE(e.usage().find("usage: prog"), std::string::npos);
+  }
+}
+
+TEST(FlagError, MisusedDefinitionsAreNotFlagErrors) {
+  // A getter for an undefined or differently typed flag is a bug in the
+  // binary, not a bad command line: the guard must let it through.
+  Flags f = make_flags();
+  parse(f, {});
+  bool flag_error = false;
+  try {
+    (void)f.get_int("ratio");
+  } catch (const FlagError&) {
+    flag_error = true;
+  } catch (const ContractError&) {
+  }
+  EXPECT_FALSE(flag_error);
+}
+
+TEST(FlagError, HelpIsARequestNotAFailure) {
+  Flags f = make_flags();
+  try {
+    parse(f, {"--count=3", "--help"});
+    FAIL() << "expected --help to end the parse";
+  } catch (const FlagError& e) {
+    EXPECT_TRUE(e.help());
+    EXPECT_NE(e.usage().find("--count"), std::string::npos);
+  }
+  // A binary that defines its own --help keeps it.
+  Flags g = make_flags();
+  g.define_bool("help", false, "own help");
+  parse(g, {"--help"});
+  EXPECT_TRUE(g.get_bool("help"));
+}
+
+TEST(FlagError, GuardExitCodes) {
+  std::ostringstream out;
+  std::ostringstream err;
+  std::streambuf* const old_out = std::cout.rdbuf(out.rdbuf());
+  std::streambuf* const old_err = std::cerr.rdbuf(err.rdbuf());
+  const int help = flag_error_exit("/bin/tool", FlagError("--help", "U\n", true));
+  const int bad = flag_error_exit("/bin/tool", FlagError("unknown flag --x", "U\n"));
+  std::cout.rdbuf(old_out);
+  std::cerr.rdbuf(old_err);
+  EXPECT_EQ(help, 0);
+  EXPECT_EQ(bad, 2);
+  EXPECT_EQ(out.str(), "U\n");
+  EXPECT_EQ(err.str(), "tool: unknown flag --x\nU\n");
 }
 
 }  // namespace

@@ -76,7 +76,7 @@ void emit(const std::string& out, Render render) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   tahoe::Flags flags;
   flags.define_string("trace", "", "Chrome trace JSON (required unless "
                                    "--timeline is given)");
@@ -93,12 +93,7 @@ int main(int argc, char** argv) {
   flags.define_string("format", "table", "output format: table or json");
   flags.define_string("out", "", "write output to this file instead of stdout");
 
-  try {
-    flags.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << '\n' << flags.usage(argv[0]);
-    return 2;
-  }
+  flags.parse(argc, argv);
   const std::string trace_path = flags.get_string("trace");
   const std::string report_path = flags.get_string("report");
   const std::string explain_path = flags.get_string("explain");
@@ -158,4 +153,6 @@ int main(int argc, char** argv) {
     std::cerr << "tahoe_inspect: " << e.what() << '\n';
     return 1;
   }
+} catch (const tahoe::FlagError& e) {
+  return tahoe::flag_error_exit(argv[0], e);
 }

@@ -163,7 +163,7 @@ trace::HistogramSnapshot parse_snapshot(const trace::JsonValue& v) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Flags flags;
   flags.define_string("out", "sweep.json", "merged comparison artifact path");
   flags.define_string("workloads", "cg,mg", "comma-separated workload names");
@@ -194,7 +194,9 @@ int main(int argc, char** argv) {
   base.scale = workloads::parse_scale(flags.get_string("scale"));
   // reap_one() cannot make room for a child when none is running.
   const std::uint64_t jobs = flags.get_uint("jobs");
-  TAHOE_REQUIRE(jobs >= 1, "flag --jobs must be at least 1");
+  if (jobs < 1) {
+    throw FlagError("flag --jobs must be at least 1", flags.usage(argv[0]));
+  }
 
   std::vector<Cell> cells;
   for (const std::string& nvm : split_csv(flags.get_string("nvm-specs"))) {
@@ -406,4 +408,6 @@ int main(int argc, char** argv) {
   }
   std::cout << " -> " << out << "\n";
   return failed_cells == 0 ? 0 : 1;
+} catch (const tahoe::FlagError& e) {
+  return tahoe::flag_error_exit(argv[0], e);
 }
