@@ -6,7 +6,11 @@
 // rebuilds its per-iteration task graph on demand. The same builder
 // function runs every iteration; workloads with drift can vary the
 // declared traffic with the iteration number, which is what exercises the
-// adaptivity machinery.
+// adaptivity machinery. build_iteration runs every iteration even when the
+// declaration repeats the previous one exactly: the simulated runtime then
+// keeps the previous iteration's graph (and, from the same residency under
+// the same schedule, its outcome), so a kept graph carries the earlier
+// iteration's `work` kernels.
 #pragma once
 
 #include <cstdint>
