@@ -18,7 +18,10 @@ core::RunReport run_drift(const bench::BenchConfig& config, bool adaptive) {
   workloads::DriftApp app(
       {config.dram_capacity * 3 / 4, 8, 20, 10});  // drift at iteration 10
   core::TahoePolicy policy(core::calibrate(rt.machine()).to_constants());
-  return rt.run(app, policy);
+  core::RunReport report = rt.run(app, policy);
+  bench::append_report_json(report, config.report_json);
+  bench::append_explain_json(report, config.explain_out);
+  return report;
 }
 
 }  // namespace
