@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
-#include <numeric>
 
 #include "common/assert.hpp"
 
@@ -13,16 +11,6 @@ namespace {
 
 std::uint64_t granules_for(std::uint64_t size, std::uint64_t granule) {
   return (size + granule - 1) / granule;
-}
-
-void finalize(KnapsackResult& r, std::span<const KnapsackItem> items) {
-  std::sort(r.chosen.begin(), r.chosen.end());
-  r.total_value = 0.0;
-  r.total_size = 0;
-  for (std::size_t i : r.chosen) {
-    r.total_value += items[i].value;
-    r.total_size += items[i].size;
-  }
 }
 
 void finalize_multi(MultiTierResult& r, std::span<const MultiTierItem> items,
@@ -311,52 +299,6 @@ KnapsackResult solve(std::span<const KnapsackItem> items,
   return result;
 }
 
-MultiTierResult solve_multi_exact(std::span<const MultiTierItem> items,
-                                  std::span<const std::uint64_t> capacities) {
-  const std::size_t T = capacities.size();
-  TAHOE_REQUIRE(T >= 1, "solve_multi_exact needs a constrained tier");
-  double combos = 1.0;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    TAHOE_REQUIRE(items[i].values.size() == T,
-                  "item values must match the constrained-tier count");
-    combos *= static_cast<double>(T + 1);
-    TAHOE_REQUIRE(combos <= static_cast<double>(1 << 24),
-                  "exact multi-tier solver instance too large");
-  }
-  MultiTierResult best;
-  best.assignment.assign(items.size(), -1);
-
-  std::vector<int> cur(items.size(), -1);
-  std::vector<std::uint64_t> used(T, 0);
-  double value = 0.0;
-  // Depth-first enumeration of all (T+1)^n assignments, pruning branches
-  // that overflow a tier capacity.
-  const std::function<void(std::size_t)> visit = [&](std::size_t i) {
-    if (i == items.size()) {
-      if (value > best.total_value) {
-        best.assignment = cur;
-        best.total_value = value;
-      }
-      return;
-    }
-    cur[i] = -1;  // capacity tier: always feasible, value 0
-    visit(i + 1);
-    for (std::size_t t = 0; t < T; ++t) {
-      if (used[t] + items[i].size > capacities[t]) continue;
-      cur[i] = static_cast<int>(t);
-      used[t] += items[i].size;
-      value += items[i].values[t];
-      visit(i + 1);
-      value -= items[i].values[t];
-      used[t] -= items[i].size;
-    }
-    cur[i] = -1;
-  };
-  visit(0);
-  finalize_multi(best, items, T);
-  return best;
-}
-
 namespace {
 
 void finalize_tenant(TenantKnapsackResult& r,
@@ -492,69 +434,6 @@ TenantKnapsackResult solve_tenant_rows(std::span<const TenantItem> items,
                  "tenant knapsack violated a tenant row");
   }
   return result;
-}
-
-TenantKnapsackResult solve_tenant_rows_exact(std::span<const TenantItem> items,
-                                             std::uint64_t capacity,
-                                             std::span<const TenantRow> rows) {
-  TAHOE_REQUIRE(items.size() <= 20, "exact tenant solver limited to 20 items");
-  TAHOE_REQUIRE(!rows.empty(), "solve_tenant_rows_exact needs tenant rows");
-  TenantKnapsackResult best;
-  best.tenant_sizes.assign(rows.size(), 0);
-  const std::uint32_t n = static_cast<std::uint32_t>(items.size());
-  std::vector<std::uint64_t> used(rows.size());
-  for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
-    std::uint64_t size = 0;
-    double value = 0.0;
-    bool feasible = true;
-    std::fill(used.begin(), used.end(), 0);
-    for (std::uint32_t i = 0; i < n && feasible; ++i) {
-      if (!(mask & (1u << i))) continue;
-      const TenantItem& it = items[i];
-      size += it.size;
-      used[it.tenant] += it.size;
-      value += it.value * rows[it.tenant].priority;
-      feasible = size <= capacity && used[it.tenant] <= rows[it.tenant].quota;
-    }
-    if (feasible && value > best.total_value) {
-      best.chosen.clear();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (mask & (1u << i)) best.chosen.push_back(i);
-      }
-      best.total_value = value;
-    }
-  }
-  finalize_tenant(best, items, rows);
-  return best;
-}
-
-KnapsackResult solve_exact(std::span<const KnapsackItem> items,
-                           std::uint64_t capacity) {
-  TAHOE_REQUIRE(items.size() <= 24, "exact solver limited to 24 items");
-  KnapsackResult best;
-  const std::uint32_t n = static_cast<std::uint32_t>(items.size());
-  for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
-    std::uint64_t size = 0;
-    double value = 0.0;
-    bool feasible = true;
-    for (std::uint32_t i = 0; i < n && feasible; ++i) {
-      if (mask & (1u << i)) {
-        size += items[i].size;
-        value += items[i].value;
-        if (size > capacity) feasible = false;
-      }
-    }
-    if (feasible && value > best.total_value) {
-      best.chosen.clear();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (mask & (1u << i)) best.chosen.push_back(i);
-      }
-      best.total_value = value;
-      best.total_size = size;
-    }
-  }
-  finalize(best, items);
-  return best;
 }
 
 }  // namespace tahoe::core

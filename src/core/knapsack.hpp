@@ -4,10 +4,11 @@
 // Eq. (7) weight w = BFT - COST - extra_COST. The planner places units with
 // the multi-choice solver (solve_multi), one dimension per constrained
 // tier; a two-tier machine has one, where it is the 0/1 knapsack. The 0/1
-// entry points serve the single-capacity users (initial placement, the
-// quota-free tenant baseline):
-//   * solve():       the one-tier solve_multi, on its 2048-granule grid,
-//   * solve_exact(): exhaustive search, used by property tests as oracle.
+// entry point solve(), the one-tier solve_multi on its 2048-granule grid,
+// serves the single-capacity users (initial placement, the quota-free
+// tenant baseline). The oracles the tests check these solvers against,
+// the dense DPs they replaced and exhaustive searches, live under tests/
+// (reference_knapsack.hpp).
 #pragma once
 
 #include <cstdint>
@@ -33,10 +34,6 @@ struct KnapsackResult {
 /// size > capacity are never chosen.
 KnapsackResult solve(std::span<const KnapsackItem> items,
                      std::uint64_t capacity);
-
-/// Exhaustive oracle; requires items.size() <= 24.
-KnapsackResult solve_exact(std::span<const KnapsackItem> items,
-                           std::uint64_t capacity);
 
 // ---- Multi-choice knapsack (MCKP) for N-tier placement. ----
 //
@@ -77,11 +74,6 @@ struct MultiTierResult {
 MultiTierResult solve_multi(std::span<const MultiTierItem> items,
                             std::span<const std::uint64_t> capacities,
                             std::size_t state_budget = 1 << 18);
-
-/// Exhaustive oracle: enumerates all (T+1)^n assignments. Requires
-/// (T+1)^n <= 2^24.
-MultiTierResult solve_multi_exact(std::span<const MultiTierItem> items,
-                                  std::span<const std::uint64_t> capacities);
 
 // ---- Multi-tenant knapsack with per-tenant capacity rows. ----
 //
@@ -125,10 +117,5 @@ TenantKnapsackResult solve_tenant_rows(std::span<const TenantItem> items,
                                        std::uint64_t capacity,
                                        std::span<const TenantRow> rows,
                                        std::uint32_t grid = 2048);
-
-/// Exhaustive oracle; requires items.size() <= 20.
-TenantKnapsackResult solve_tenant_rows_exact(std::span<const TenantItem> items,
-                                             std::uint64_t capacity,
-                                             std::span<const TenantRow> rows);
 
 }  // namespace tahoe::core

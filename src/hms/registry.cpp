@@ -325,18 +325,6 @@ MigrateResult ObjectRegistry::try_migrate_chunk(ObjectId id, std::size_t chunk,
   return MigrateResult::kMoved;
 }
 
-bool ObjectRegistry::migrate(ObjectId id, memsim::DeviceId dst) {
-  std::size_t n = 0;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    n = resolve(id).object.num_chunks();
-  }
-  for (std::size_t c = 0; c < n; ++c) {
-    if (!migrate_chunk(id, c, dst)) return false;
-  }
-  return true;
-}
-
 Arena& ObjectRegistry::arena(memsim::DeviceId dev) {
   TAHOE_REQUIRE(dev < arenas_.size(), "tier out of range");
   return *arenas_[dev];

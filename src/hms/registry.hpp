@@ -104,9 +104,6 @@ class ObjectRegistry {
   MigrateResult try_migrate_chunk(ObjectId id, std::size_t chunk,
                                   memsim::DeviceId dst);
 
-  /// Convenience: migrate every chunk of the object.
-  bool migrate(ObjectId id, memsim::DeviceId dst);
-
   Arena& arena(memsim::DeviceId dev);
   const Arena& arena(memsim::DeviceId dev) const;
   std::size_t num_tiers() const noexcept { return arenas_.size(); }
@@ -119,7 +116,6 @@ class ObjectRegistry {
   }
 
   const MigrationStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = MigrationStats{}; }
 
   /// Bytes currently resident per tier across all objects.
   std::uint64_t resident_bytes(memsim::DeviceId dev) const;

@@ -3,8 +3,8 @@
 // The fluid simulator needs, for every (task, data object) pair, the
 // main-memory traffic that survives the cache. Trace-driven simulation of
 // every access would dominate runtime, so the engine uses a closed-form
-// model validated against the reference set-associative simulator
-// (cache_sim.hpp) in the test suite:
+// model validated against a trace-driven set-associative simulator in the
+// test suite (tests/cache_sim.hpp):
 //
 //   line_acc    = accesses collapsed by spatial adjacency (same-line
 //                 neighbours of a just-fetched line always hit)

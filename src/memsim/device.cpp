@@ -24,11 +24,6 @@ double DeviceModel::latency_seconds(const MemTraffic& t,
   return serial + overlapped;
 }
 
-double DeviceModel::uncontended_seconds(const MemTraffic& t,
-                                        double mlp) const noexcept {
-  return std::max(channel_seconds(t), latency_seconds(t, mlp));
-}
-
 namespace devices {
 
 // Bandwidths follow the NVM-characteristics survey table (NVMDB + Optane

@@ -34,9 +34,6 @@ struct DeviceModel {
   /// independent portion is overlapped by hardware memory-level
   /// parallelism (`mlp` outstanding misses).
   double latency_seconds(const MemTraffic& t, double mlp) const noexcept;
-
-  /// Lower-bound duration for this traffic running alone on the device.
-  double uncontended_seconds(const MemTraffic& t, double mlp) const noexcept;
 };
 
 /// Factory functions for the canonical devices. Capacities are defaults

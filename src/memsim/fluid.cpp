@@ -143,42 +143,7 @@ std::optional<FlowCompletion> ScanFluidCore::step() {
   return completion;
 }
 
-double ScanFluidCore::advance(double dt) {
-  TAHOE_REQUIRE(dt >= 0.0, "cannot advance backwards");
-  double advanced = 0.0;
-  // Stop early if a completion becomes available.
-  while (advanced < dt && ready_head_ >= ready_.size() && active_count_ > 0) {
-    const double step_dt = std::min(dt - advanced, next_component_dt());
-    drain(step_dt);
-    harvest_completions();
-    advanced += step_dt;
-  }
-  if (ready_head_ >= ready_.size() && active_count_ == 0 && advanced < dt) {
-    // Nothing active: time passes freely.
-    now_ += dt - advanced;
-    advanced = dt;
-  }
-  return advanced;
-}
-
 }  // namespace detail
-
-// ---------------------------------------------------------------------------
-// ReferenceFluidSim
-// ---------------------------------------------------------------------------
-
-ReferenceFluidSim::ReferenceFluidSim(std::size_t num_devices)
-    : core_(num_devices) {}
-
-FlowId ReferenceFluidSim::start_flow(FlowSpec spec) {
-  validate_spec(spec, core_.active_on_device_.size());
-  return core_.start_flow(std::move(spec), next_id_++);
-}
-
-double ReferenceFluidSim::device_busy_seconds(std::size_t dev) const {
-  TAHOE_REQUIRE(dev < core_.busy_seconds_.size(), "device index out of range");
-  return core_.busy_seconds_[dev];
-}
 
 // ---------------------------------------------------------------------------
 // FluidSim — exact scan core below the threshold, indexed engine above.
@@ -224,11 +189,6 @@ FlowId FluidSim::start_flow(FlowSpec spec) {
 
 std::optional<FlowCompletion> FluidSim::step() {
   return lazy_ ? lazy_step() : core_.step();
-}
-
-double FluidSim::advance(double dt) {
-  if (!lazy_) return core_.advance(dt);
-  return lazy_advance(dt);
 }
 
 double FluidSim::device_busy_seconds(std::size_t dev) const {
@@ -366,17 +326,17 @@ void FluidSim::component_done(std::uint32_t slot) {
   }
 }
 
-void FluidSim::lazy_advance_by(double dt, const NextEvent* ev) {
+void FluidSim::lazy_advance_by(const NextEvent& ev) {
   const auto greater = [](const HeapEntry& a, const HeapEntry& b) {
     return a.key > b.key || (a.key == b.key && a.slot > b.slot);
   };
   for (std::size_t d = 0; d < virtual_.size(); ++d) {
     if (active_on_device_[d] > 0) {
-      virtual_[d] += dt * rate_[d];
-      busy_seconds_lazy_[d] += dt;
+      virtual_[d] += ev.dt * rate_[d];
+      busy_seconds_lazy_[d] += ev.dt;
     }
   }
-  now_ += dt;
+  now_ += ev.dt;
 
   finished_this_event_.clear();
   const auto pop_serial = [&]() {
@@ -396,18 +356,15 @@ void FluidSim::lazy_advance_by(double dt, const NextEvent* ev) {
     component_done(slot);
   };
 
-  // The component that defined a full-event dt is drained by construction;
-  // popping it unconditionally guarantees progress even when rounding left
-  // its key a hair above the advanced clock.
-  if (ev != nullptr) {
-    if (ev->source == NextEvent::Source::Serial) {
-      TAHOE_ASSERT(!serial_heap_.empty(), "event source heap empty");
-      pop_serial();
-    } else if (ev->source == NextEvent::Source::Device) {
-      TAHOE_ASSERT(!device_heap_[ev->device].empty(),
-                   "event source heap empty");
-      pop_device(ev->device);
-    }
+  // The component that defined the dt is drained by construction; popping
+  // it unconditionally guarantees progress even when rounding left its key
+  // a hair above the advanced clock.
+  if (ev.source == NextEvent::Source::Serial) {
+    TAHOE_ASSERT(!serial_heap_.empty(), "event source heap empty");
+    pop_serial();
+  } else {
+    TAHOE_ASSERT(!device_heap_[ev.device].empty(), "event source heap empty");
+    pop_device(ev.device);
   }
   while (!serial_heap_.empty() && serial_heap_.front().key <= now_ + kEps) {
     pop_serial();
@@ -442,7 +399,7 @@ std::optional<FlowCompletion> FluidSim::lazy_step() {
     const NextEvent ev = lazy_next_event();
     TAHOE_ASSERT(ev.source != NextEvent::Source::None,
                  "active flows but nothing draining");
-    lazy_advance_by(ev.dt, &ev);
+    lazy_advance_by(ev);
   }
   FlowCompletion completion = ready_[ready_head_++];
   if (ready_head_ >= ready_.size()) {
@@ -450,30 +407,6 @@ std::optional<FlowCompletion> FluidSim::lazy_step() {
     ready_head_ = 0;
   }
   return completion;
-}
-
-double FluidSim::lazy_advance(double dt) {
-  TAHOE_REQUIRE(dt >= 0.0, "cannot advance backwards");
-  double advanced = 0.0;
-  // Stop early if a completion becomes available.
-  while (advanced < dt && ready_head_ >= ready_.size() && active_count_ > 0) {
-    const NextEvent ev = lazy_next_event();
-    TAHOE_ASSERT(ev.source != NextEvent::Source::None,
-                 "active flows but nothing draining");
-    if (ev.dt <= dt - advanced) {
-      lazy_advance_by(ev.dt, &ev);
-      advanced += ev.dt;
-    } else {
-      lazy_advance_by(dt - advanced, nullptr);
-      advanced = dt;
-    }
-  }
-  if (ready_head_ >= ready_.size() && active_count_ == 0 && advanced < dt) {
-    // Nothing active: time passes freely.
-    now_ += dt - advanced;
-    advanced = dt;
-  }
-  return advanced;
 }
 
 }  // namespace tahoe::memsim

@@ -25,8 +25,8 @@
 //   * detail::ScanFluidCore — the original O(active flows × devices)
 //     per-event scan. Its floating-point arithmetic is pinned byte-for-byte
 //     by the golden report JSON in tests/golden/, so it is kept verbatim.
-//     ReferenceFluidSim exposes it directly as the oracle for the
-//     differential equivalence suite.
+//     The differential equivalence suite wraps it as its oracle
+//     (tests/reference_fluid.hpp).
 //
 //   * The indexed engine inside FluidSim — per-device active-flow counts
 //     with incrementally maintained processor-sharing rates, a min-heap of
@@ -70,8 +70,9 @@ struct FlowCompletion {
 namespace detail {
 
 /// The original per-event full-scan engine (see file comment). All members
-/// are open: ReferenceFluidSim wraps it unchanged, and FluidSim drains it
-/// into the indexed engine when crossing the lazy threshold.
+/// are open: the tests' reference simulator wraps it unchanged, and
+/// FluidSim drains it into the indexed engine when crossing the lazy
+/// threshold.
 struct ScanFluidCore {
   struct Flow {
     double serial_left = 0.0;
@@ -84,7 +85,6 @@ struct ScanFluidCore {
 
   FlowId start_flow(FlowSpec spec, FlowId id);
   std::optional<FlowCompletion> step();
-  double advance(double dt);
 
   /// Drain all components by `dt` at current rates; updates active counts.
   void drain(double dt);
@@ -105,41 +105,6 @@ struct ScanFluidCore {
 };
 
 }  // namespace detail
-
-/// The pre-rebuild simulator, byte-for-byte: the oracle the differential
-/// equivalence suite (tests/test_fluid_equivalence.cpp) checks FluidSim
-/// against, and the baseline bench_sim_throughput measures speedups over.
-class ReferenceFluidSim {
- public:
-  explicit ReferenceFluidSim(std::size_t num_devices);
-
-  double now() const noexcept { return core_.now_; }
-  std::size_t num_devices() const noexcept {
-    return core_.active_on_device_.size();
-  }
-
-  /// Start a flow at the current simulated time.
-  FlowId start_flow(FlowSpec spec);
-
-  /// Number of flows not yet completed.
-  std::size_t active_flows() const noexcept { return core_.active_count_; }
-
-  /// Advance simulated time to the next flow completion and return it.
-  /// Returns nullopt when no flows are active.
-  std::optional<FlowCompletion> step() { return core_.step(); }
-
-  /// Advance simulated time by exactly `dt` (or to the next completion,
-  /// whichever is earlier) without consuming a completion. Returns the
-  /// amount actually advanced.
-  double advance(double dt) { return core_.advance(dt); }
-
-  /// Total channel-seconds ever served per device (utilization metric).
-  double device_busy_seconds(std::size_t dev) const;
-
- private:
-  detail::ScanFluidCore core_;
-  FlowId next_id_ = 0;
-};
 
 class FluidSim {
  public:
@@ -171,11 +136,6 @@ class FluidSim {
   /// Advance simulated time to the next flow completion and return it.
   /// Returns nullopt when no flows are active.
   std::optional<FlowCompletion> step();
-
-  /// Advance simulated time by exactly `dt` (or to the next completion,
-  /// whichever is earlier) without consuming a completion. Used to model
-  /// timed arrivals. Returns the amount actually advanced.
-  double advance(double dt);
 
   /// Total channel-seconds ever served per device (utilization metric).
   double device_busy_seconds(std::size_t dev) const;
@@ -211,12 +171,11 @@ class FluidSim {
   void switch_to_lazy();
   FlowId lazy_start_flow(const FlowSpec& spec);
   NextEvent lazy_next_event() const;
-  /// Advance the virtual clocks by `dt` and harvest every component that
-  /// drains, force-popping `ev`'s entry (the one that defined a full-event
-  /// dt) so floating-point rounding can never stall progress.
-  void lazy_advance_by(double dt, const NextEvent* ev);
+  /// Advance the virtual clocks by `ev.dt` and harvest every component
+  /// that drains, force-popping `ev`'s entry (the one that defined the dt)
+  /// so floating-point rounding can never stall progress.
+  void lazy_advance_by(const NextEvent& ev);
   std::optional<FlowCompletion> lazy_step();
-  double lazy_advance(double dt);
   void component_done(std::uint32_t slot);
   std::uint32_t alloc_slot();
 

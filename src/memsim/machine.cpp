@@ -1,7 +1,5 @@
 #include "memsim/machine.hpp"
 
-#include <algorithm>
-
 #include "common/assert.hpp"
 #include "common/units.hpp"
 
@@ -56,15 +54,6 @@ FlowSpec Machine::copy_flow(std::uint64_t bytes, DeviceId src, DeviceId dst,
   const double copy_bw = copy_bw_for(src, dst);
   spec.serial_seconds = copy_bw > 0.0 ? b / copy_bw : 0.0;
   return spec;
-}
-
-double Machine::uncontended_task_seconds(
-    double compute_seconds,
-    const std::vector<std::pair<ObjectTraffic, DeviceId>>& accesses) const {
-  const FlowSpec spec = task_flow(compute_seconds, accesses, 0);
-  double channel = 0.0;
-  for (double d : spec.device_seconds) channel = std::max(channel, d);
-  return std::max(spec.serial_seconds, channel);
 }
 
 namespace machines {

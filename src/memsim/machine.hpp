@@ -78,12 +78,6 @@ struct Machine {
   /// engine (one memcpy stream cannot exceed copy_engine_bw).
   FlowSpec copy_flow(std::uint64_t bytes, DeviceId src, DeviceId dst,
                      std::uint64_t tag) const;
-
-  /// Duration of the task flow when running alone (no contention): used by
-  /// oracle computations in tests.
-  double uncontended_task_seconds(
-      double compute_seconds,
-      const std::vector<std::pair<ObjectTraffic, DeviceId>>& accesses) const;
 };
 
 namespace machines {

@@ -37,16 +37,16 @@ class OpenLoopSource {
   /// unbounded; successive calls continue where the previous one stopped.
   std::vector<Request> drain_until(double t) {
     std::vector<Request> out;
-    if (!has_pending_) advance();
+    if (!has_pending_) draw_next();
     while (pending_.arrival < t) {
       out.push_back(pending_);
-      advance();
+      draw_next();
     }
     return out;
   }
 
  private:
-  void advance() {
+  void draw_next() {
     // Exponential inter-arrival; 1 - u in (0, 1] keeps log() finite.
     const double u = rng_.next_double();
     clock_ += -std::log(1.0 - u) / rate_;

@@ -79,31 +79,6 @@ std::optional<GroupId> TaskGraph::last_reference_before(hms::ObjectId obj,
   return best;
 }
 
-bool TaskGraph::group_references(GroupId g, hms::ObjectId obj,
-                                 std::size_t chunk) const {
-  const std::vector<GroupId> refs = groups_referencing(obj, chunk);
-  return std::binary_search(refs.begin(), refs.end(), g);
-}
-
-std::vector<Unit> TaskGraph::referenced_units() const {
-  std::vector<Unit> out;
-  out.reserve(unit_groups_.size());
-  for (const auto& [unit, groups] : unit_groups_) {
-    (void)groups;
-    out.push_back(unit);
-  }
-  return out;
-}
-
-bool TaskGraph::edges_respect_program_order() const {
-  for (TaskId from = 0; from < succs_.size(); ++from) {
-    for (TaskId to : succs_[from]) {
-      if (to <= from) return false;
-    }
-  }
-  return true;
-}
-
 GraphBuilder::GraphBuilder(TaskGraph previous) {
   if (previous.num_groups() > 0) previous_ = std::move(previous);
 }
@@ -130,7 +105,6 @@ void GraphBuilder::add_edge(TaskId from, TaskId to) {
   last_target_of_[from] = to;
   graph_.succs_[from].push_back(to);
   ++graph_.pred_count_[to];
-  ++graph_.edge_count_;
 }
 
 void GraphBuilder::apply_access(const Unit& unit, TaskId tid, bool writes) {

@@ -1,5 +1,7 @@
 // Task graph: program-order construction, automatic dependence derivation,
-// and the reference-index queries the data-placement planner needs.
+// and the reference-index queries the data-placement planner needs. The
+// queries only tests ask (edge count, referenced units, program order of
+// every edge) are built over this public API in tests/graph_queries.hpp.
 //
 // Tasks are appended in program order inside *groups*. A group is the
 // task-parallel analogue of the paper line's execution phase: one static
@@ -54,7 +56,6 @@ class TaskGraph {
     return succs_.at(id);
   }
   std::uint32_t num_predecessors(TaskId id) const { return pred_count_.at(id); }
-  std::size_t num_edges() const noexcept { return edge_count_; }
 
   /// Groups that reference the given unit, ascending. A chunk query also
   /// includes groups that referenced the whole object, and a whole-object
@@ -68,18 +69,6 @@ class TaskGraph {
                                                std::size_t chunk,
                                                GroupId g) const;
 
-  /// Does any task of group `g` access the unit?
-  bool group_references(GroupId g, hms::ObjectId obj, std::size_t chunk) const;
-
-  /// All (object, chunk) units referenced anywhere, with chunk == kAllChunks
-  /// entries listed as-is.
-  std::vector<std::pair<hms::ObjectId, std::size_t>> referenced_units() const;
-
-  /// Topological sanity: true when every edge goes from a lower- or
-  /// equal-group task to a later task in program order (always holds for
-  /// builder-produced graphs; exposed for property tests).
-  bool edges_respect_program_order() const;
-
  private:
   friend class GraphBuilder;
 
@@ -87,7 +76,6 @@ class TaskGraph {
   std::vector<Group> groups_;
   std::vector<std::vector<TaskId>> succs_;
   std::vector<std::uint32_t> pred_count_;
-  std::size_t edge_count_ = 0;
   /// unit -> ascending group ids referencing it (deduplicated).
   std::map<std::pair<hms::ObjectId, std::size_t>, std::vector<GroupId>>
       unit_groups_;

@@ -4,10 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "cache_sim.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "memsim/cache_model.hpp"
-#include "memsim/cache_sim.hpp"
 
 namespace tahoe::memsim {
 namespace {

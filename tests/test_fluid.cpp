@@ -74,9 +74,13 @@ TEST(Fluid, FlowsOnDifferentDevicesDoNotInterfere) {
 TEST(Fluid, LateArrivalSharesOnlyFromItsStart) {
   FluidSim sim(1);
   sim.start_flow(flow(0.0, {2.0}, 1));
-  // Let 1 second pass (flow 1 drains 1 of its 2 channel-seconds).
-  const double advanced = sim.advance(1.0);
-  EXPECT_DOUBLE_EQ(advanced, 1.0);
+  // A serial-only flow lets 1 second pass (flow 1 drains 1 of its 2
+  // channel-seconds).
+  sim.start_flow(flow(1.0, {}, 0));
+  const auto timer = sim.step();
+  ASSERT_TRUE(timer.has_value());
+  EXPECT_EQ(timer->tag, 0u);
+  EXPECT_DOUBLE_EQ(timer->time, 1.0);
   sim.start_flow(flow(0.0, {2.0}, 2));
   const auto c1 = sim.step();
   ASSERT_TRUE(c1.has_value());
@@ -114,12 +118,6 @@ TEST(Fluid, BusySecondsAccounted) {
   EXPECT_DOUBLE_EQ(sim.device_busy_seconds(1), 0.25);
 }
 
-TEST(Fluid, AdvanceWithNothingActivePassesTime) {
-  FluidSim sim(1);
-  EXPECT_DOUBLE_EQ(sim.advance(2.5), 2.5);
-  EXPECT_DOUBLE_EQ(sim.now(), 2.5);
-}
-
 TEST(Fluid, StepWithNoFlowsReturnsNullopt) {
   FluidSim sim(1);
   EXPECT_FALSE(sim.step().has_value());
@@ -154,7 +152,7 @@ TEST(Fluid, ThroughputConservation) {
     const double d = 0.1 * (i % 5 + 1);
     total += d;
     sim.start_flow(flow(0.0, {d}));
-    if (i % 3 == 0) sim.advance(0.05);
+    if (i % 3 == 0) (void)sim.step();
   }
   while (sim.step().has_value()) {
   }

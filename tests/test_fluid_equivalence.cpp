@@ -3,12 +3,12 @@
 // FluidSim's indexed engine (per-device finish-time heaps + lazy
 // virtual-time draining) must be observationally equivalent to
 // ReferenceFluidSim, the pre-rebuild scan engine whose arithmetic the
-// golden reports pin. Equivalence means: identical completion id-order,
-// completion/start times within 1e-9, and per-device busy seconds within
-// 1e-9. Runs whose active flow count stays under the default lazy
-// threshold must be *bit-identical* — they execute the very same scan
-// arithmetic. The randomized schedules here interleave start_flow /
-// step / advance the same way the schedule executor does.
+// golden reports pin (tests/reference_fluid.hpp). Equivalence means:
+// identical completion id-order, completion/start times within 1e-9, and
+// per-device busy seconds within 1e-9. Runs whose active flow count stays
+// under the default lazy threshold must be *bit-identical* — they execute
+// the very same scan arithmetic. The randomized schedules here interleave
+// start_flow and step the same way the schedule executor does.
 #include "memsim/fluid.hpp"
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "memsim/machine.hpp"
+#include "reference_fluid.hpp"
 #include "task/sim_executor.hpp"
 
 namespace tahoe::memsim {
@@ -44,9 +45,8 @@ FlowSpec flow(double serial, std::vector<double> dev, std::uint64_t tag = 0) {
 
 /// One randomized schedule op, applied to both sims in lockstep.
 struct Op {
-  enum class Kind { Start, Step, Advance } kind = Kind::Start;
+  enum class Kind { Start, Step } kind = Kind::Start;
   FlowSpec spec;
-  double dt = 0.0;
 };
 
 /// `with_eps_specs` mixes in zero-demand and sub-epsilon flows. Those are
@@ -90,11 +90,6 @@ std::vector<Op> random_schedule(std::uint64_t seed, std::size_t flows,
       }
       ++started;
       ops.push_back(std::move(op));
-    } else if (roll < 8) {
-      Op op;
-      op.kind = Op::Kind::Advance;
-      op.dt = rng.next_double() * 5e-4;
-      ops.push_back(op);
     } else {
       Op op;
       op.kind = Op::Kind::Step;
@@ -106,7 +101,6 @@ std::vector<Op> random_schedule(std::uint64_t seed, std::size_t flows,
 
 struct RunLog {
   std::vector<FlowCompletion> completions;
-  std::vector<double> advanced;  ///< return value of every Advance op
   std::vector<double> busy;
 };
 
@@ -117,9 +111,6 @@ RunLog run_schedule(Sim& sim, const std::vector<Op>& ops) {
     switch (op.kind) {
       case Op::Kind::Start:
         sim.start_flow(op.spec);
-        break;
-      case Op::Kind::Advance:
-        log.advanced.push_back(sim.advance(op.dt));
         break;
       case Op::Kind::Step: {
         const auto c = sim.step();
@@ -149,10 +140,6 @@ void expect_equivalent(const RunLog& test, const RunLog& oracle,
         << "completion " << i;
     EXPECT_NEAR(test.completions[i].start_time,
                 oracle.completions[i].start_time, tol);
-  }
-  ASSERT_EQ(test.advanced.size(), oracle.advanced.size());
-  for (std::size_t i = 0; i < oracle.advanced.size(); ++i) {
-    EXPECT_NEAR(test.advanced[i], oracle.advanced[i], tol) << "advance " << i;
   }
   ASSERT_EQ(test.busy.size(), oracle.busy.size());
   for (std::size_t d = 0; d < oracle.busy.size(); ++d) {
@@ -229,10 +216,11 @@ TEST(FluidEquivalence, SerialOnlyFlowsMatch) {
     start.kind = Op::Kind::Start;
     start.spec = flow(0.25 * (i % 4 + 1), {}, static_cast<std::uint64_t>(i));
     ops.push_back(std::move(start));
-    Op adv;
-    adv.kind = Op::Kind::Advance;
-    adv.dt = 0.125;
-    ops.push_back(adv);
+    if (i % 2 == 1) {
+      Op step;
+      step.kind = Op::Kind::Step;
+      ops.push_back(step);
+    }
   }
   expect_equivalent(run_schedule(sim, ops), run_schedule(ref, ops));
 }
@@ -294,22 +282,6 @@ TEST(FluidEquivalence, FlowSpanningAllDevicesFinishesWithSlowestComponent) {
   ASSERT_TRUE(c.has_value());
   EXPECT_DOUBLE_EQ(c->time, 1.0);
   EXPECT_DOUBLE_EQ(sim.device_busy_seconds(1), 1.0);
-}
-
-TEST(FluidEquivalence, AdvanceStopsExactlyAtFirstCompletion) {
-  FluidSim sim(1, forced_lazy());
-  sim.start_flow(flow(0.0, {1.0}, 7));
-  // The flow finishes at t=1; a 5-second advance must stop there and leave
-  // the completion consumable without further time passing.
-  EXPECT_DOUBLE_EQ(sim.advance(5.0), 1.0);
-  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
-  const auto c = sim.step();
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(c->tag, 7u);
-  EXPECT_DOUBLE_EQ(c->time, 1.0);
-  // With nothing active, time passes freely again.
-  EXPECT_DOUBLE_EQ(sim.advance(2.0), 2.0);
-  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
 }
 
 TEST(FluidEquivalence, BusySecondsConserved10kRandomFlows) {
@@ -380,7 +352,12 @@ TEST(FluidEquivalence, EpsSpecCompletesAtNowWithoutTouchingActiveCounts) {
   for (const bool lazy : {false, true}) {
     FluidSim sim(2, lazy ? forced_lazy() : FluidSim::Tuning{});
     sim.start_flow(flow(0.0, {1.0, 0.0}, 1));
-    sim.advance(0.5);
+    // A serial-only flow brings the clock to 0.5 without sharing device 0.
+    sim.start_flow(flow(0.5, {}, 3));
+    const auto timer = sim.step();
+    ASSERT_TRUE(timer.has_value());
+    EXPECT_EQ(timer->tag, 3u);
+    EXPECT_DOUBLE_EQ(timer->time, 0.5);
     const FlowId eps_id = sim.start_flow(flow(1e-16, {1e-16, 1e-16}, 2));
     const auto eps = sim.step();
     ASSERT_TRUE(eps.has_value());

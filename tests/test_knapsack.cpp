@@ -64,7 +64,7 @@ TEST(Knapsack, DpMatchesOracleOnRandomInstances) {
     }
     const std::uint64_t cap = rng.next_below(1500) + 200;
     const KnapsackResult dp = solve(items, cap);
-    const KnapsackResult oracle = solve_exact(items, cap);
+    const KnapsackResult oracle = reference::solve_exact(items, cap);
     // 2048 granules on cap <= 1700 are one byte each: exact match expected.
     EXPECT_NEAR(dp.total_value, oracle.total_value, 1e-9)
         << "trial " << trial;
@@ -86,7 +86,7 @@ TEST(Knapsack, LargeInstanceRunsFast) {
 
 TEST(Knapsack, OracleRejectsHugeInstances) {
   std::vector<KnapsackItem> items(30, KnapsackItem{1, 1.0});
-  EXPECT_THROW(solve_exact(items, 10), ContractError);
+  EXPECT_THROW(reference::solve_exact(items, 10), ContractError);
 }
 
 // ---- Multi-choice knapsack (N-tier placement). ----
@@ -226,7 +226,7 @@ TEST(MultiKnapsack, TwoTierDpMatchesOracleOnRandomInstances) {
     const std::uint64_t caps[]{rng.next_below(300) + 50,
                                rng.next_below(300) + 50};
     const MultiTierResult dp = solve_multi(items, caps);
-    const MultiTierResult oracle = solve_multi_exact(items, caps);
+    const MultiTierResult oracle = reference::solve_multi_exact(items, caps);
     EXPECT_NEAR(dp.total_value, oracle.total_value, 1e-9)
         << "trial " << trial;
     check_consistent(items, caps, dp);
@@ -252,7 +252,7 @@ TEST(MultiKnapsack, ThreeTierDpMatchesOracle) {
                                rng.next_below(50) + 10,
                                rng.next_below(50) + 10};
     const MultiTierResult dp = solve_multi(items, caps);
-    const MultiTierResult oracle = solve_multi_exact(items, caps);
+    const MultiTierResult oracle = reference::solve_multi_exact(items, caps);
     EXPECT_NEAR(dp.total_value, oracle.total_value, 1e-9)
         << "trial " << trial;
     check_consistent(items, caps, dp);
@@ -592,7 +592,7 @@ TEST(TenantKnapsack, MatchesReferenceSplitBitForBit) {
 TEST(MultiKnapsack, OracleRejectsHugeInstances) {
   std::vector<MultiTierItem> items(30, MultiTierItem{1, {1.0, 1.0, 1.0}});
   const std::uint64_t caps[]{10, 10, 10};
-  EXPECT_THROW(solve_multi_exact(items, caps), ContractError);
+  EXPECT_THROW(reference::solve_multi_exact(items, caps), ContractError);
 }
 
 TEST(Knapsack, DeterministicTieBreaks) {

@@ -10,6 +10,7 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "core/knapsack.hpp"
+#include "graph_queries.hpp"
 #include "hms/space_manager.hpp"
 #include "memsim/fluid.hpp"
 #include "memsim/machine.hpp"
@@ -44,7 +45,12 @@ TEST(FluidProperty, WorkConservationUnderRandomArrivals) {
       const memsim::FlowId id = sim.start_flow(spec);
       lower_bound[id] = lb;
       start[id] = sim.now();
-      if (rng.next_below(3) == 0) sim.advance(rng.next_double() * 0.1);
+      // Sometimes let the next completion pass before the next arrival.
+      if (rng.next_below(3) == 0) {
+        if (const auto c = sim.step()) {
+          EXPECT_GE(c->time - start[c->id] + 1e-9, lower_bound[c->id]);
+        }
+      }
     }
     while (const auto c = sim.step()) {
       EXPECT_GE(c->time - start[c->id] + 1e-9, lower_bound[c->id]);
@@ -100,17 +106,12 @@ TEST(GraphProperty, RandomGraphsAreAcyclicAndConsistent) {
   Rng rng(99);
   for (int trial = 0; trial < 20; ++trial) {
     const task::TaskGraph g = random_graph(rng, 4, 8, 5);
-    EXPECT_TRUE(g.edges_respect_program_order());
+    EXPECT_TRUE(task::edges_respect_program_order(g));
     // Predecessor counts match the successor lists exactly.
     std::vector<std::uint32_t> counted(g.num_tasks(), 0);
-    std::size_t edges = 0;
     for (task::TaskId id = 0; id < g.num_tasks(); ++id) {
-      for (task::TaskId s : g.successors(id)) {
-        ++counted[s];
-        ++edges;
-      }
+      for (task::TaskId s : g.successors(id)) ++counted[s];
     }
-    EXPECT_EQ(edges, g.num_edges());
     for (task::TaskId id = 0; id < g.num_tasks(); ++id) {
       EXPECT_EQ(counted[id], g.num_predecessors(id));
     }

@@ -9,6 +9,7 @@
 #include "common/fault.hpp"
 #include "common/units.hpp"
 #include "hms/registry.hpp"
+#include "migrate_object.hpp"
 
 namespace tahoe::hms {
 namespace {
@@ -31,7 +32,7 @@ TEST(Registry, MigrationPreservesPayloadAndRedirects) {
   Handle<int> h = make_array<int>(reg, "v", 4096, memsim::kNvm);
   std::iota(h.data(), h.data() + h.size(), 17);
   const int* before = h.data();
-  ASSERT_TRUE(reg.migrate(h.id(), memsim::kDram));
+  ASSERT_TRUE(migrate_object(reg, h.id(), memsim::kDram));
   const int* after = h.data();
   EXPECT_NE(before, after);
   EXPECT_EQ(reg.get(h.id()).device(), memsim::kDram);
@@ -46,7 +47,7 @@ TEST(Registry, MigrationPreservesPayloadAndRedirects) {
 TEST(Registry, MigrationToSameTierIsNoop) {
   ObjectRegistry reg(caps());
   const ObjectId id = reg.create("v", 4096, memsim::kNvm);
-  EXPECT_TRUE(reg.migrate(id, memsim::kNvm));
+  EXPECT_TRUE(migrate_object(reg, id, memsim::kNvm));
   EXPECT_EQ(reg.stats().migrations, 0u);
 }
 
@@ -55,7 +56,7 @@ TEST(Registry, MigrationFailsWhenTierFull) {
   const ObjectId big = reg.create("big", 900 * kKiB, memsim::kNvm);
   const ObjectId blocker = reg.create("blocker", 512 * kKiB, memsim::kDram);
   (void)blocker;
-  EXPECT_FALSE(reg.migrate(big, memsim::kDram));
+  EXPECT_FALSE(migrate_object(reg, big, memsim::kDram));
   EXPECT_EQ(reg.get(big).device(), memsim::kNvm);  // untouched
   EXPECT_EQ(reg.stats().failed_no_space, 1u);
 }
@@ -68,7 +69,7 @@ TEST(Registry, AliasSlotsRewrittenOnMigration) {
   reg.register_alias(id, &alias1);
   reg.register_alias(id, &alias2);
   EXPECT_EQ(alias1, reg.chunk_ptr(id));
-  ASSERT_TRUE(reg.migrate(id, memsim::kDram));
+  ASSERT_TRUE(migrate_object(reg, id, memsim::kDram));
   EXPECT_EQ(alias1, reg.chunk_ptr(id));
   EXPECT_EQ(alias2, reg.chunk_ptr(id));
 }
@@ -184,9 +185,9 @@ TEST(RegistryNTier, MidTierRequestDegradesDownOnly) {
 TEST(RegistryNTier, ToTierStatsTrackEveryDestination) {
   ObjectRegistry reg(caps3());
   const ObjectId id = reg.create("v", 512 * kKiB, 2);
-  ASSERT_TRUE(reg.migrate(id, 1));
-  ASSERT_TRUE(reg.migrate(id, 0));
-  ASSERT_TRUE(reg.migrate(id, 2));
+  ASSERT_TRUE(migrate_object(reg, id, 1));
+  ASSERT_TRUE(migrate_object(reg, id, 0));
+  ASSERT_TRUE(migrate_object(reg, id, 2));
   const MigrationStats& s = reg.stats();
   ASSERT_EQ(s.to_tier.size(), 3u);
   EXPECT_EQ(s.to_tier[0], 1u);

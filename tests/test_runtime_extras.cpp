@@ -10,6 +10,7 @@
 #include "core/calibration.hpp"
 #include "core/planner.hpp"
 #include "core/runtime.hpp"
+#include "migrate_object.hpp"
 #include "workloads/sp.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -117,7 +118,7 @@ TEST(MultiTier, ThreeTierMachineAndRegistryWork) {
                           hms::Backing::Virtual);
   const hms::ObjectId obj = reg.create("v", 16 * kMiB, 2);  // slowest tier
   EXPECT_EQ(reg.get(obj).device(), 2u);
-  ASSERT_TRUE(reg.migrate(obj, memsim::kDram));
+  ASSERT_TRUE(hms::migrate_object(reg, obj, memsim::kDram));
   EXPECT_EQ(reg.get(obj).device(), memsim::kDram);
 
   // Simulated timing distinguishes all three tiers.

@@ -18,6 +18,7 @@
 #include "common/units.hpp"
 #include "core/knapsack.hpp"
 #include "golden.hpp"
+#include "reference_knapsack.hpp"
 #include "memsim/machine.hpp"
 #include "serve/request.hpp"
 #include "serve/zipf.hpp"
@@ -57,7 +58,7 @@ TEST(TenantKnapsack, MatchesExactOracleOnSmallInstances) {
     const core::TenantKnapsackResult dp =
         core::solve_tenant_rows(items, capacity, rows);
     const core::TenantKnapsackResult oracle =
-        core::solve_tenant_rows_exact(items, capacity, rows);
+        core::reference::solve_tenant_rows_exact(items, capacity, rows);
     EXPECT_NEAR(dp.total_value, oracle.total_value, 1e-9)
         << "trial " << trial << ": DP missed the optimum";
   }
