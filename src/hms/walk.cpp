@@ -5,6 +5,7 @@
 
 #include "common/assert.hpp"
 #include "hms/layout.hpp"
+#include "trace/json.hpp"
 
 namespace tahoe::hms {
 
@@ -74,52 +75,52 @@ RegistryWalk walk_registry(const Segment& segment) {
 }
 
 std::string RegistryWalk::to_json() const {
+  const auto u64 = [](auto v) { return static_cast<std::uint64_t>(v); };
   std::ostringstream os;
-  os << "{\n";
-  os << "  \"num_tiers\": " << num_tiers << ",\n";
-  os << "  \"live_objects\": " << live_objects << ",\n";
-  os << "  \"slot_capacity\": " << slot_capacity << ",\n";
-  os << "  \"objects\": [\n";
-  for (std::size_t i = 0; i < objects.size(); ++i) {
-    const ObjectWalk& o = objects[i];
-    os << "    {\"id\": " << o.id << ", \"name\": \"" << o.name
-       << "\", \"bytes\": " << o.bytes << ", \"owner\": " << o.owner
-       << ", \"aliases\": " << o.num_aliases << ", \"chunks\": [";
-    for (std::size_t c = 0; c < o.chunks.size(); ++c) {
-      os << "[" << o.chunks[c].first << ", " << o.chunks[c].second << "]";
-      if (c + 1 < o.chunks.size()) os << ", ";
+  trace::JsonWriter w(os);
+  w.begin_object();
+  w.kv("num_tiers", u64(num_tiers));
+  w.kv("live_objects", u64(live_objects));
+  w.kv("slot_capacity", u64(slot_capacity));
+  w.key("objects").begin_array();
+  for (const ObjectWalk& o : objects) {
+    w.begin_object();
+    w.kv("id", u64(o.id));
+    w.kv("name", o.name);
+    w.kv("bytes", o.bytes);
+    w.kv("owner", u64(o.owner));
+    w.kv("aliases", u64(o.num_aliases));
+    w.key("chunks").begin_array();
+    for (const auto& [bytes, device] : o.chunks) {
+      w.begin_array().value(bytes).value(u64(device)).end_array();
     }
-    os << "]}" << (i + 1 < objects.size() ? "," : "") << "\n";
+    w.end_array();
+    w.end_object();
   }
-  os << "  ],\n";
-  os << "  \"arenas\": [\n";
-  for (std::size_t i = 0; i < arenas.size(); ++i) {
-    const ArenaWalk& a = arenas[i];
-    os << "    {\"name\": \"" << a.name << "\", \"capacity\": " << a.capacity
-       << ", \"used\": " << a.used << ", \"live_blocks\": " << a.live_blocks
-       << ", \"free_ranges\": " << a.free_ranges
-       << ", \"largest_free_range\": " << a.largest_free_range << "}"
-       << (i + 1 < arenas.size() ? "," : "") << "\n";
+  w.end_array();
+  w.key("arenas").begin_array();
+  for (const ArenaWalk& a : arenas) {
+    w.begin_object();
+    w.kv("name", a.name);
+    w.kv("capacity", a.capacity);
+    w.kv("used", a.used);
+    w.kv("live_blocks", a.live_blocks);
+    w.kv("free_ranges", a.free_ranges);
+    w.kv("largest_free_range", a.largest_free_range);
+    w.end_object();
   }
-  os << "  ],\n";
-  os << "  \"resident_by_tier\": [";
-  for (std::size_t t = 0; t < resident_by_tier.size(); ++t) {
-    os << resident_by_tier[t] << (t + 1 < resident_by_tier.size() ? ", " : "");
-  }
-  os << "],\n";
-  os << "  \"owned_by_tier\": {";
-  bool first = true;
+  w.end_array();
+  w.key("resident_by_tier").begin_array();
+  for (const std::uint64_t bytes : resident_by_tier) w.value(bytes);
+  w.end_array();
+  w.key("owned_by_tier").begin_object();
   for (const auto& [owner, tiers] : owned_by_tier) {
-    if (!first) os << ", ";
-    first = false;
-    os << "\"" << owner << "\": [";
-    for (std::size_t t = 0; t < tiers.size(); ++t) {
-      os << tiers[t] << (t + 1 < tiers.size() ? ", " : "");
-    }
-    os << "]";
+    w.key(std::to_string(owner)).begin_array();
+    for (const std::uint64_t bytes : tiers) w.value(bytes);
+    w.end_array();
   }
-  os << "}\n";
-  os << "}\n";
+  w.end_object();
+  w.end_object();
   return os.str();
 }
 

@@ -59,8 +59,9 @@ struct RegistryWalk {
 
   bool operator==(const RegistryWalk&) const = default;
 
-  /// Deterministic single-line-per-entry rendering (test diffs, CI
-  /// artifacts). Identical walks produce identical strings.
+  /// One JSON document written with trace::JsonWriter, so object and
+  /// arena names are escaped (test diffs, CI artifacts). Identical walks
+  /// produce identical strings.
   std::string to_json() const;
 };
 
