@@ -32,7 +32,6 @@ trace::Counter& pair_bytes_counter(std::size_t src, std::size_t dst) {
 struct CopyState {
   bool fired = false;
   bool done = false;
-  bool in_flight = false;
   memsim::DeviceId src = memsim::kDram;  ///< captured at start for tracing
 };
 
@@ -96,7 +95,6 @@ SimReport SimExecutor::run(const TaskGraph& graph,
   std::vector<CopyState> copy_state(schedule.size());
   std::deque<std::size_t> copy_fifo;
   std::size_t in_flight_copy = schedule.size();  // sentinel: none
-  std::map<memsim::FlowId, std::size_t> copy_flow_to_idx;
 
   // Group-indexed views of the schedule so entering a group touches only
   // its own copies instead of rescanning the whole schedule (which made
@@ -156,9 +154,7 @@ SimReport SimExecutor::run(const TaskGraph& graph,
       }
       const memsim::FlowSpec spec =
           machine.copy_flow(c.bytes, src, c.dst, kCopyBit | idx);
-      const memsim::FlowId fid = sim.start_flow(spec);
-      copy_flow_to_idx[fid] = idx;
-      copy_state[idx].in_flight = true;
+      (void)sim.start_flow(spec);
       copy_state[idx].src = src;
       in_flight_copy = idx;
       if (tracer != nullptr) {
@@ -169,7 +165,10 @@ SimReport SimExecutor::run(const TaskGraph& graph,
     }
   };
 
-  auto complete_copy = [&](std::size_t idx, double duration, bool hidden) {
+  // A copy flow's tag carries its schedule index.
+  auto complete_copy = [&](const memsim::FlowCompletion& done, bool hidden) {
+    const std::size_t idx = done.tag & ~kCopyBit;
+    const double duration = done.time - done.start_time;
     const ScheduledCopy& c = schedule[idx];
     if (tracer != nullptr) {
       trace::TraceEvent ev;
@@ -194,7 +193,6 @@ SimReport SimExecutor::run(const TaskGraph& graph,
     }
     pair_counters[pair]->add(c.bytes);
     report.tier_pair_bytes[pair] += c.bytes;
-    copy_state[idx].in_flight = false;
     copy_state[idx].done = true;
     placement.set(c.object, c.chunk, c.dst);
     ++report.copies_done;
@@ -309,12 +307,10 @@ SimReport SimExecutor::run(const TaskGraph& graph,
       const auto completion = sim.step();
       TAHOE_ASSERT(completion.has_value(),
                    "waiting on copies but no active flows");
-      const auto it = copy_flow_to_idx.find(completion->id);
-      TAHOE_ASSERT(it != copy_flow_to_idx.end(),
+      TAHOE_ASSERT(completion->tag & kCopyBit,
                    "unexpected task completion while only copies should run");
       // A copy the group is blocked on is exposed, not hidden.
-      complete_copy(it->second, completion->time - completion->start_time,
-                    /*hidden=*/false);
+      complete_copy(*completion, /*hidden=*/false);
     }
     // Telemetry rides the same run-relative virtual clock as the trace:
     // t0 carries the run's accumulated iteration time, and begin_run()
@@ -343,10 +339,7 @@ SimReport SimExecutor::run(const TaskGraph& graph,
       const auto completion = sim.step();
       TAHOE_ASSERT(completion.has_value(), "group deadlock in simulation");
       if (completion->tag & kCopyBit) {
-        const auto it = copy_flow_to_idx.find(completion->id);
-        TAHOE_ASSERT(it != copy_flow_to_idx.end(), "unknown copy flow");
-        complete_copy(it->second, completion->time - completion->start_time,
-                      /*hidden=*/true);
+        complete_copy(*completion, /*hidden=*/true);
         continue;
       }
       const auto tid = static_cast<TaskId>(completion->tag);
@@ -394,10 +387,8 @@ SimReport SimExecutor::run(const TaskGraph& graph,
     if (in_flight_copy == schedule.size()) break;  // all remaining were no-ops
     const auto completion = sim.step();
     TAHOE_ASSERT(completion.has_value(), "copy drain deadlock");
-    const auto it = copy_flow_to_idx.find(completion->id);
-    TAHOE_ASSERT(it != copy_flow_to_idx.end(), "unknown trailing flow");
-    complete_copy(it->second, completion->time - completion->start_time,
-                  /*hidden=*/true);
+    TAHOE_ASSERT(completion->tag & kCopyBit, "unknown trailing flow");
+    complete_copy(*completion, /*hidden=*/true);
   }
 
   report.device_busy_seconds.resize(num_tiers);
