@@ -1,9 +1,14 @@
-# Compare the SHA-256 digests of one figure bench's --scale=bench
-# --deterministic artifacts, its --report-json and --explain-out files, with
-# its digest file under tests/golden/bench/:
+# Compare the SHA-256 digests of one bench's artifacts, its --report-json
+# and --explain-out files, with its digest file under tests/golden/bench/:
 #
 #   cmake -DBENCH=<binary> -DGOLDEN=<digest file> -DOUT_DIR=<directory>
+#         [-DARGS=<bench arguments>] [-DWITH_STDOUT=ON]
 #         -P check_bench_artifacts.cmake
+#
+# ARGS is the bench's command line, split like a shell would; it defaults to
+# the figure benches' "--scale=bench --deterministic". WITH_STDOUT adds the
+# digest of the bench's stdout, as stdout.txt, for a bench whose printed
+# table no bench_stdout.* golden pins.
 #
 # The digests see every bit of every report and explain document, which
 # the two-decimal tables of bench_stdout.* round away. The digest file has
@@ -11,18 +16,26 @@
 # On a match the artifacts are removed. On a mismatch they stay in OUT_DIR
 # for diffing, next to their digests.sha256, and the test fails. With
 # TAHOE_UPDATE_GOLDENS set, the digest file is rewritten instead.
+if(NOT DEFINED ARGS)
+  set(ARGS "--scale=bench --deterministic")
+endif()
+separate_arguments(bench_args UNIX_COMMAND "${ARGS}")
 file(REMOVE_RECURSE "${OUT_DIR}")
 file(MAKE_DIRECTORY "${OUT_DIR}")
-execute_process(COMMAND "${BENCH}" --scale=bench --deterministic
+execute_process(COMMAND "${BENCH}" ${bench_args}
                         --report-json=${OUT_DIR}/report.jsonl
                         --explain-out=${OUT_DIR}/explain.jsonl
-                OUTPUT_QUIET
+                OUTPUT_FILE "${OUT_DIR}/stdout.txt"
                 RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
   message(FATAL_ERROR "${BENCH} exited with status ${status}")
 endif()
+set(artifacts report.jsonl explain.jsonl)
+if(WITH_STDOUT)
+  list(APPEND artifacts stdout.txt)
+endif()
 set(actual "")
-foreach(artifact report.jsonl explain.jsonl)
+foreach(artifact ${artifacts})
   if(EXISTS "${OUT_DIR}/${artifact}")
     file(SHA256 "${OUT_DIR}/${artifact}" digest)
     string(APPEND actual "${digest}  ${artifact}\n")
