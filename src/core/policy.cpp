@@ -56,14 +56,13 @@ std::vector<task::ScheduledCopy> cyclic_preamble(
           0});
     }
   }
-  const auto& current = in.current.entries();
   for (const auto& [u, t] : start) {
     // A start unit sitting on the wrong constrained tier must vacate it
     // before any same-trigger fill can count on that space: demote it
     // with the evictions (same-trigger copies run in schedule order), then
     // fill it onto its tier like everything else.
-    const auto cur = current.find(u);
-    if (cur != current.end() && cur->second != cap_tier && cur->second != t) {
+    const auto cur = in.current.find(u);
+    if (cur && *cur != cap_tier && *cur != t) {
       preamble.push_back(task::ScheduledCopy{
           u.first, u.second, in.unit_bytes(u.first, u.second), cap_tier, 0,
           0});

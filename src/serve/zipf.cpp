@@ -1,6 +1,5 @@
 #include "serve/zipf.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/assert.hpp"
@@ -18,13 +17,24 @@ Zipf::Zipf(std::size_t n, double s) : s_(s) {
   }
   for (double& c : cdf_) c /= total;
   cdf_.back() = 1.0;  // guard against rounding drift at the tail
+  // One merge-like pass: both j / kGuideEntries and the CDF ascend.
+  guide_.resize(kGuideEntries);
+  std::size_t k = 0;
+  for (std::size_t j = 0; j < kGuideEntries; ++j) {
+    const double u = static_cast<double>(j) / kGuideEntries;
+    while (cdf_[k] <= u) ++k;
+    guide_[j] = k;
+  }
 }
 
-std::size_t Zipf::sample(Rng& rng) const {
-  const double u = rng.next_double();  // [0, 1)
-  const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), u);
-  return it == cdf_.end() ? cdf_.size() - 1
-                          : static_cast<std::size_t>(it - cdf_.begin());
+std::size_t Zipf::rank_of(double u) const {
+  TAHOE_REQUIRE(u >= 0.0 && u < 1.0, "Zipf::rank_of needs u in [0, 1)");
+  // u * kGuideEntries only shifts the exponent, so the entry index is
+  // exact and the entry's u never exceeds this one; cdf_.back() == 1.0
+  // stops the scan.
+  std::size_t k = guide_[static_cast<std::size_t>(u * kGuideEntries)];
+  while (cdf_[k] <= u) ++k;
+  return k;
 }
 
 double Zipf::cdf(std::size_t k) const {

@@ -1,10 +1,14 @@
 // Zipfian rank distribution for serving-workload key popularity.
 //
 // P[X = k] is proportional to 1/(k+1)^s over ranks k in [0, n). The CDF is
-// precomputed once (O(n)) and sampling is an inverse-CDF binary search
-// (O(log n)), drawing from the repo's deterministic Rng so same-seed runs
-// produce identical key streams. The analytic CDF is exposed so tests can
-// compare the empirical distribution against it directly.
+// precomputed once (O(n)), drawing from the repo's deterministic Rng so
+// same-seed runs produce identical key streams. Sampling inverts the CDF
+// through a guide table (Chen and Asau): entry j holds the rank for
+// u = j/4096, so a draw u starts at entry floor(u * 4096), which is exact
+// because 4096 is a power of two, and scans forward to the first CDF value
+// above u. Each draw gets the rank a binary search over the CDF would give
+// it, in expected O(1). The analytic CDF is exposed so tests can compare
+// the empirical distribution against it directly.
 #pragma once
 
 #include <cstddef>
@@ -19,8 +23,11 @@ class Zipf {
   /// `n` ranks with exponent `s` (s = 0 degenerates to uniform).
   Zipf(std::size_t n, double s);
 
-  /// Draw one rank in [0, n).
-  std::size_t sample(Rng& rng) const;
+  /// Draw one rank in [0, n): rank_of of the Rng's next double.
+  std::size_t sample(Rng& rng) const { return rank_of(rng.next_double()); }
+
+  /// The smallest rank k with cdf(k) > u, for u in [0, 1).
+  std::size_t rank_of(double u) const;
 
   /// Analytic CDF: P[X <= k]. Requires k < size().
   double cdf(std::size_t k) const;
@@ -32,7 +39,11 @@ class Zipf {
   double exponent() const noexcept { return s_; }
 
  private:
+  static constexpr std::size_t kGuideEntries = 4096;
+
   std::vector<double> cdf_;  ///< cdf_[k] = P[X <= k]; back() == 1.0
+  /// guide_[j] = rank_of(j / kGuideEntries).
+  std::vector<std::size_t> guide_;
   double s_ = 0.0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <unordered_map>
 
 #include "common/assert.hpp"
 
@@ -38,6 +39,21 @@ bool same_task(const Task& a, const Task& b) {
   }
   return true;
 }
+
+/// Dependence state of one unit: its last writer and the readers since.
+struct Stream {
+  std::optional<TaskId> last_writer;
+  std::vector<TaskId> readers_since_write;
+  /// The unit's TaskGraph::unit_groups_ entry, found on first access.
+  std::vector<GroupId>* groups = nullptr;
+};
+
+/// One object's dependence state: the whole-object stream, and a stream
+/// per chunk accessed so far, sorted by chunk.
+struct ObjectStreams {
+  Stream whole;
+  std::vector<std::pair<std::size_t, Stream>> chunks;
+};
 
 }  // namespace
 
@@ -94,49 +110,6 @@ GroupId GraphBuilder::begin_group(std::string name) {
   return g;
 }
 
-void GraphBuilder::add_edge(TaskId from, TaskId to) {
-  if (from == to) return;
-  // Cheap dedup: consecutive accesses of one task to sibling units would
-  // otherwise create the same edge repeatedly.
-  if (from < last_target_of_.size() && last_target_of_[from] == to) return;
-  if (from >= last_target_of_.size()) {
-    last_target_of_.resize(from + 1, static_cast<TaskId>(-1));
-  }
-  last_target_of_[from] = to;
-  graph_.succs_[from].push_back(to);
-  ++graph_.pred_count_[to];
-}
-
-void GraphBuilder::apply_access(const Unit& unit, TaskId tid, bool writes) {
-  UnitState& st = unit_state_[unit];
-  if (writes) {
-    // WAR edges from all readers since the last write, then WAW from the
-    // previous writer (if no readers intervened, the WAR set is empty and
-    // the WAW edge orders the writes).
-    for (TaskId r : st.readers_since_write) add_edge(r, tid);
-    if (st.readers_since_write.empty() && st.last_writer) {
-      add_edge(*st.last_writer, tid);
-    }
-    st.last_writer = tid;
-    st.readers_since_write.clear();
-  } else {
-    if (st.last_writer) add_edge(*st.last_writer, tid);  // RAW
-    st.readers_since_write.push_back(tid);
-  }
-}
-
-void GraphBuilder::consult_access(const UnitState& st, TaskId tid,
-                                  bool writes) {
-  if (writes) {
-    for (TaskId r : st.readers_since_write) add_edge(r, tid);
-    if (st.readers_since_write.empty() && st.last_writer) {
-      add_edge(*st.last_writer, tid);
-    }
-  } else {
-    if (st.last_writer) add_edge(*st.last_writer, tid);
-  }
-}
-
 TaskId GraphBuilder::add_task(Task t) {
   TAHOE_REQUIRE(group_open_, "add_task outside of a group");
   const auto tid = static_cast<TaskId>(num_tasks());
@@ -172,36 +145,75 @@ void GraphBuilder::take_previous_tasks() {
 }
 
 void GraphBuilder::derive() {
-  graph_.succs_.assign(graph_.tasks_.size(), {});
-  graph_.pred_count_.assign(graph_.tasks_.size(), 0);
+  const std::size_t n = graph_.tasks_.size();
+  graph_.succs_.assign(n, {});
+  graph_.pred_count_.assign(n, 0);
+  // Cheap dedup: consecutive accesses of one task to sibling units would
+  // otherwise create the same edge repeatedly.
+  std::vector<TaskId> last_target_of(n, static_cast<TaskId>(-1));
+  const auto add_edge = [&](TaskId from, TaskId to) {
+    if (from == to || last_target_of[from] == to) return;
+    last_target_of[from] = to;
+    graph_.succs_[from].push_back(to);
+    ++graph_.pred_count_[to];
+  };
+  // Add the edges an access gets from `st` without registering in it.
+  const auto consult = [&](const Stream& st, TaskId tid, bool writes) {
+    if (writes) {
+      // WAR edges from all readers since the last write, then WAW from the
+      // previous writer (if no readers intervened, the WAR set is empty
+      // and the WAW edge orders the writes).
+      for (TaskId r : st.readers_since_write) add_edge(r, tid);
+      if (st.readers_since_write.empty() && st.last_writer) {
+        add_edge(*st.last_writer, tid);
+      }
+    } else if (st.last_writer) {
+      add_edge(*st.last_writer, tid);  // RAW
+    }
+  };
+  const auto apply = [&](Stream& st, TaskId tid, bool writes) {
+    consult(st, tid, writes);
+    if (writes) {
+      st.last_writer = tid;
+      st.readers_since_write.clear();
+    } else {
+      st.readers_since_write.push_back(tid);
+    }
+  };
+
+  std::unordered_map<hms::ObjectId, ObjectStreams> objects;
   for (const Task& t : graph_.tasks_) {
     for (const DataAccess& a : t.accesses) {
-      const Unit unit{a.object, a.chunk};
-
+      ObjectStreams& obj = objects[a.object];
+      Stream* unit = nullptr;
       if (a.chunk == kAllChunks) {
         // A whole-object access conflicts with each tracked chunk of the
-        // object as well as the whole-object stream itself.
-        for (auto it = unit_state_.lower_bound(Unit{a.object, 0});
-             it != unit_state_.end() && it->first.first == a.object; ++it) {
-          if (it->first.second == kAllChunks) continue;
-          apply_access(it->first, t.id, a.writes());
-        }
-        apply_access(unit, t.id, a.writes());
+        // object, in ascending chunk order, as well as the whole-object
+        // stream itself.
+        for (auto& [chunk, st] : obj.chunks) apply(st, t.id, a.writes());
+        unit = &obj.whole;
       } else {
         // A chunk access also conflicts with the whole-object stream, but
         // must not register in it: same-chunk ordering lives in the
-        // chunk's own unit, and registering here would make later accesses
-        // to other chunks of the object conflict with this one spuriously.
-        if (const auto it = unit_state_.find(Unit{a.object, kAllChunks});
-            it != unit_state_.end()) {
-          consult_access(it->second, t.id, a.writes());
+        // chunk's own stream, and registering there would make later
+        // accesses to other chunks of the object conflict with this one
+        // spuriously.
+        consult(obj.whole, t.id, a.writes());
+        auto it = std::lower_bound(
+            obj.chunks.begin(), obj.chunks.end(), a.chunk,
+            [](const auto& e, std::size_t c) { return e.first < c; });
+        if (it == obj.chunks.end() || it->first != a.chunk) {
+          it = obj.chunks.insert(it, {a.chunk, Stream{}});
         }
-        apply_access(unit, t.id, a.writes());
+        unit = &it->second;
       }
+      apply(*unit, t.id, a.writes());
 
-      auto& groups = graph_.unit_groups_[unit];
-      if (groups.empty() || groups.back() != t.group) {
-        groups.push_back(t.group);
+      if (unit->groups == nullptr) {
+        unit->groups = &graph_.unit_groups_[Unit{a.object, a.chunk}];
+      }
+      if (unit->groups->empty() || unit->groups->back() != t.group) {
+        unit->groups->push_back(t.group);
       }
     }
   }
@@ -212,8 +224,6 @@ TaskGraph GraphBuilder::build() {
   if (repeats_previous()) return std::move(*previous_);
   if (previous_) take_previous_tasks();
   derive();
-  unit_state_.clear();
-  last_target_of_.clear();
   return std::move(graph_);
 }
 

@@ -14,7 +14,10 @@
 // write-after-read, and write-after-write conflicts create edges. A
 // whole-object access conflicts with every chunk of that object. The
 // builder records tasks as they are added and derives every edge in
-// build(), in one pass in program order.
+// build(), in one pass in program order. That pass keeps its dependence
+// state per object, found with one hash lookup per access: the
+// whole-object stream plus the object's chunk streams in a short list
+// sorted by chunk, so a sparse or huge chunk index costs one entry.
 //
 // An iterative application re-instantiates the same graph every
 // iteration. A builder given the previous iteration's graph compares each
@@ -115,25 +118,11 @@ class GraphBuilder {
   }
 
  private:
-  struct UnitState {
-    std::optional<TaskId> last_writer;
-    std::vector<TaskId> readers_since_write;
-  };
-
   /// Stop comparing: the previous graph's first `matched_` tasks become
   /// the start of this graph's task list.
   void take_previous_tasks();
   /// Derive edges, predecessor counts and unit_groups_ for every task.
   void derive();
-  void add_edge(TaskId from, TaskId to);
-  /// Apply one access to the dependence state of `unit`.
-  void apply_access(const std::pair<hms::ObjectId, std::size_t>& unit,
-                    TaskId tid, bool writes);
-  /// Add the edges an access would get from `st` without registering in it.
-  /// Used to order chunk accesses against the whole-object stream: the
-  /// stream must stay kAllChunks-only, or accesses to sibling chunks would
-  /// pick each other up as spurious conflicts through it.
-  void consult_access(const UnitState& st, TaskId tid, bool writes);
 
   TaskGraph graph_;
   bool group_open_ = false;
@@ -141,9 +130,6 @@ class GraphBuilder {
   std::optional<TaskGraph> previous_;
   /// Tasks declared so far while previous_ is held (none stored).
   std::size_t matched_ = 0;
-  std::map<std::pair<hms::ObjectId, std::size_t>, UnitState> unit_state_;
-  /// Dedup edges from the same source to the same target.
-  std::vector<TaskId> last_target_of_;  // indexed by source task id
 };
 
 }  // namespace tahoe::task
