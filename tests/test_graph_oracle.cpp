@@ -3,10 +3,15 @@
 // oracle. The builder may dedup or transitively reduce edges, so the
 // contract is ordering, not edge identity: every conflicting task pair must
 // be ordered by a directed path, and every edge must be justified by a
-// direct conflict.
+// direct conflict. Edge order is observable too (it fixes the simulator's
+// ready order), so a last check compares every successor list, in order,
+// with the unit-keyed ordered-map derivation the builder's per-object
+// state replaced.
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <map>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -71,11 +76,17 @@ std::vector<std::vector<bool>> reachability(const task::TaskGraph& g) {
   return reach;
 }
 
-/// Random graph with chunked, whole-object, and mixed accesses.
+/// Random graph with chunked, whole-object, and mixed accesses. Every
+/// other graph also uses sparse and huge chunk indices, which a table
+/// indexed by chunk could not hold.
 task::TaskGraph random_graph(Rng& rng) {
   const std::size_t groups = 1 + rng.next_below(5);
   const std::size_t objects = 1 + rng.next_below(4);
-  const std::size_t chunks = 1 + rng.next_below(3);
+  std::vector<std::size_t> chunks(1 + rng.next_below(3));
+  for (std::size_t c = 0; c < chunks.size(); ++c) chunks[c] = c;
+  if (rng.next_below(2) == 0) {
+    chunks.insert(chunks.end(), {1'000'000'000, task::kAllChunks - 1});
+  }
   task::GraphBuilder gb;
   for (std::size_t g = 0; g < groups; ++g) {
     gb.begin_group("g" + std::to_string(g));
@@ -87,8 +98,9 @@ task::TaskGraph random_graph(Rng& rng) {
         task::DataAccess acc;
         acc.object = static_cast<hms::ObjectId>(rng.next_below(objects));
         // 1-in-4 accesses cover the whole object, the rest one chunk.
-        acc.chunk = rng.next_below(4) == 0 ? task::kAllChunks
-                                           : rng.next_below(chunks);
+        acc.chunk = rng.next_below(4) == 0
+                        ? task::kAllChunks
+                        : chunks[rng.next_below(chunks.size())];
         acc.mode = static_cast<task::AccessMode>(rng.next_below(3));
         acc.traffic.loads = 1 + rng.next_below(100);
         acc.traffic.footprint = 64 * (1 + rng.next_below(100));
@@ -98,6 +110,68 @@ task::TaskGraph random_graph(Rng& rng) {
     }
   }
   return gb.build();
+}
+
+/// Successor lists as the unit-keyed derivation makes them: one ordered
+/// map from (object, chunk) to that unit's last writer and readers since.
+/// A whole-object access applies every tracked chunk of the object in
+/// ascending chunk order, then the whole-object unit; a chunk access
+/// consults the whole-object unit without registering in it, then applies
+/// its own.
+std::vector<std::vector<task::TaskId>> unit_map_successors(
+    const task::TaskGraph& g) {
+  struct UnitState {
+    std::optional<task::TaskId> last_writer;
+    std::vector<task::TaskId> readers_since_write;
+  };
+  using Unit = std::pair<hms::ObjectId, std::size_t>;
+  std::map<Unit, UnitState> units;
+  std::vector<std::vector<task::TaskId>> succs(g.num_tasks());
+  std::vector<task::TaskId> last_target_of(g.num_tasks(),
+                                           static_cast<task::TaskId>(-1));
+  const auto add_edge = [&](task::TaskId from, task::TaskId to) {
+    if (from == to || last_target_of[from] == to) return;
+    last_target_of[from] = to;
+    succs[from].push_back(to);
+  };
+  const auto consult = [&](const UnitState& st, task::TaskId tid,
+                           bool writes) {
+    if (writes) {
+      for (const task::TaskId r : st.readers_since_write) add_edge(r, tid);
+      if (st.readers_since_write.empty() && st.last_writer) {
+        add_edge(*st.last_writer, tid);
+      }
+    } else if (st.last_writer) {
+      add_edge(*st.last_writer, tid);
+    }
+  };
+  const auto apply = [&](const Unit& unit, task::TaskId tid, bool writes) {
+    UnitState& st = units[unit];
+    consult(st, tid, writes);
+    if (writes) {
+      st.last_writer = tid;
+      st.readers_since_write.clear();
+    } else {
+      st.readers_since_write.push_back(tid);
+    }
+  };
+  for (const task::Task& t : g.tasks()) {
+    for (const task::DataAccess& a : t.accesses) {
+      if (a.chunk == task::kAllChunks) {
+        for (auto it = units.lower_bound(Unit{a.object, 0});
+             it != units.end() && it->first.first == a.object; ++it) {
+          if (it->first.second != task::kAllChunks) {
+            apply(it->first, t.id, a.writes());
+          }
+        }
+      } else if (const auto it = units.find(Unit{a.object, task::kAllChunks});
+                 it != units.end()) {
+        consult(it->second, t.id, a.writes());
+      }
+      apply(Unit{a.object, a.chunk}, t.id, a.writes());
+    }
+  }
+  return succs;
 }
 
 TEST(GraphOracle, ConflictingPairsAreAlwaysOrdered) {
@@ -161,6 +235,18 @@ TEST(GraphOracle, GroupReferenceIndexMatchesAccessSets) {
             << "trial " << trial << " unit (" << obj << ", " << chunk
             << ") group " << grp;
       }
+    }
+  }
+}
+
+TEST(GraphOracle, SuccessorListsMatchTheUnitMapDerivationInOrder) {
+  Rng rng(0x0dd5eed5);
+  for (int trial = 0; trial < 300; ++trial) {
+    const task::TaskGraph g = random_graph(rng);
+    const auto expected = unit_map_successors(g);
+    for (task::TaskId i = 0; i < g.num_tasks(); ++i) {
+      ASSERT_EQ(g.successors(i), expected[i])
+          << "trial " << trial << " task " << i;
     }
   }
 }

@@ -1,10 +1,13 @@
-// Zipfian key-popularity generator: analytic CDF sanity and cross-run
-// determinism (same seed => identical key stream).
+// Zipfian key-popularity generator: analytic CDF sanity, cross-run
+// determinism (same seed => identical key stream), and the guide-table
+// rank lookup against the binary search over the CDF it replaces.
 #include "serve/zipf.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -77,6 +80,52 @@ TEST(Zipf, SameSeedSameStreamDifferentSeedDiverges) {
     if (ka != z.sample(c)) diverged = true;
   }
   EXPECT_TRUE(diverged) << "different seeds produced identical streams";
+}
+
+/// The definition rank_of replaces: the first rank whose CDF value
+/// exceeds u, by binary search.
+std::size_t upper_bound_rank(const std::vector<double>& cdf, double u) {
+  const auto it = std::upper_bound(cdf.begin(), cdf.end(), u);
+  return it == cdf.end() ? cdf.size() - 1
+                         : static_cast<std::size_t>(it - cdf.begin());
+}
+
+TEST(Zipf, GuideTableRankEqualsUpperBoundOverTheCdf) {
+  for (const std::size_t n : {1u, 2u, 3u, 4096u, 10007u}) {
+    for (const double s : {0.0, 0.5, 1.1, 3.0}) {
+      const Zipf z(n, s);
+      std::vector<double> cdf(n);
+      for (std::size_t k = 0; k < n; ++k) cdf[k] = z.cdf(k);
+      // Every CDF value and its neighbours, where a lookup switches rank,
+      // and both ends of [0, 1).
+      std::vector<double> points{0.0, std::nextafter(1.0, 0.0)};
+      for (const double c : cdf) {
+        for (const double u : {std::nextafter(c, 0.0), c,
+                               std::nextafter(c, 2.0)}) {
+          if (u >= 0.0 && u < 1.0) points.push_back(u);
+        }
+      }
+      for (const double u : points) {
+        ASSERT_EQ(z.rank_of(u), upper_bound_rank(cdf, u))
+            << "n=" << n << " s=" << s << " u=" << u;
+      }
+      // Seeded draws, through sample() as the services call it.
+      Rng draws(1000 + n);
+      Rng replay = draws;
+      for (int i = 0; i < 100000; ++i) {
+        ASSERT_EQ(z.sample(draws), upper_bound_rank(cdf, replay.next_double()))
+            << "n=" << n << " s=" << s << " draw " << i;
+      }
+    }
+  }
+}
+
+TEST(Zipf, RankOfRejectsDrawsOutsideTheUnitInterval) {
+  const Zipf z(16, 1.1);
+  for (const double u : {-1e-300, -1.0, 1.0, 1.5,
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW((void)z.rank_of(u), ContractError) << "u=" << u;
+  }
 }
 
 }  // namespace
