@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "common/units.hpp"
@@ -52,13 +53,18 @@ void HeatApp::setup(hms::ObjectRegistry& registry,
   double* cf = grid(coeff_);
   const std::size_t nx = config_.nx;
   const std::size_t ny = config_.ny;
+  // The coefficient depends on i + j only: one sin per anti-diagonal.
+  std::vector<double> diagonal(nx + ny);
+  for (std::size_t d = 0; d < diagonal.size(); ++d) {
+    diagonal[d] = 0.8 + 0.2 * std::sin(0.01 * static_cast<double>(d));
+  }
   for (std::size_t i = 0; i < nx; ++i) {
     for (std::size_t j = 0; j < ny; ++j) {
       // Hot left edge, cold right edge, zero interior.
       const double v = (j == 0) ? 1.0 : (j == ny - 1 ? -1.0 : 0.0);
       u0[i * ny + j] = v;
       u1[i * ny + j] = v;
-      cf[i * ny + j] = 0.8 + 0.2 * std::sin(0.01 * static_cast<double>(i + j));
+      cf[i * ny + j] = diagonal[i + j];
     }
   }
 }
