@@ -57,6 +57,33 @@ TEST(Sweep, HealthyGridMergesEveryCell) {
   std::remove(out.c_str());
 }
 
+std::string read_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::stringstream buf;
+  buf << is.rdbuf();
+  return buf.str();
+}
+
+TEST(Sweep, DeterministicSweepsWriteByteIdenticalArtifacts) {
+  // Without --deterministic each cell's decision_seconds, and so its
+  // runtime_cost_fraction, is measured wall time and differs run to run.
+  std::string artifacts[2];
+  for (int k = 0; k < 2; ++k) {
+    const std::string out =
+        ::testing::TempDir() + "sweep_det" + std::to_string(k) + ".json";
+    ASSERT_EQ(run_sweep("--out " + out +
+                        " --workloads cg --policies tahoe,static-dram"
+                        " --nvm-specs bw:0.5 --scale test --jobs 2"
+                        " --deterministic"),
+              0);
+    artifacts[k] = read_bytes(out);
+    std::remove(out.c_str());
+  }
+  ASSERT_FALSE(artifacts[0].empty());
+  EXPECT_TRUE(artifacts[0] == artifacts[1])
+      << "two --deterministic sweeps wrote different sweep.json files";
+}
+
 TEST(Sweep, UnknownScaleIsRejectedBeforeAnyCellRuns) {
   const std::string out = ::testing::TempDir() + "sweep_scale.json";
   std::remove(out.c_str());

@@ -5,7 +5,8 @@
 //   tools/tahoe_sweep --out sweep.json [--workloads cg,mg]
 //       [--policies tahoe,static-dram,static-nvm] [--nvm-specs bw:0.5]
 //       [--scale test|bench] [--dram-mib 256] [--jobs 4] [--keep-cells]
-//       [--telemetry-interval 0.01] [--slo-rules "counter:...  < 5"]
+//       [--deterministic] [--telemetry-interval 0.01]
+//       [--slo-rules "counter:...  < 5"]
 //
 // Each cell forks a child that runs one (workload, policy, nvm) scenario
 // through the bench runners with latency histograms enabled, appending its
@@ -177,6 +178,9 @@ int main(int argc, char** argv) try {
   flags.define_int("jobs", 4, "max concurrent child processes");
   flags.define_bool("keep-cells", false,
                     "keep the per-cell intermediate files");
+  flags.define_bool("deterministic", false,
+                    "zero out every cell's wall-clock-measured planning cost "
+                    "so same-flag sweeps write byte-identical artifacts");
   flags.define_double("telemetry-interval", 0.0,
                       "per-cell telemetry cadence in virtual seconds "
                       "(0 = telemetry off)");
@@ -192,6 +196,7 @@ int main(int argc, char** argv) try {
   bench::BenchConfig base;
   base.dram_capacity = bench::dram_capacity_from_flags(flags);
   base.scale = workloads::parse_scale(flags.get_string("scale"));
+  base.deterministic = flags.get_bool("deterministic");
   // reap_one() cannot make room for a child when none is running.
   const std::uint64_t jobs = flags.get_uint("jobs");
   if (jobs < 1) {
