@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/units.hpp"
 #include "memsim/machine.hpp"
@@ -305,6 +307,152 @@ TEST(SimExecutor, RejectsMalformedSchedules) {
       ScheduledCopy{1, 0, 64, memsim::kDram, 3, 1}};  // trigger after needed
   SimExecutor::Options opts;
   EXPECT_THROW(ex.run(g, m, p, bad, opts), ContractError);
+}
+
+// ---- one executor over several runs --------------------------------------
+
+std::vector<std::uint64_t> bits(const std::vector<double>& xs) {
+  std::vector<std::uint64_t> out;
+  for (const double x : xs) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+/// Every field of two reports equal, doubles bit for bit.
+void expect_same_report(const SimReport& a, const SimReport& b) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.makespan),
+            std::bit_cast<std::uint64_t>(b.makespan));
+  EXPECT_EQ(bits(a.group_seconds), bits(b.group_seconds));
+  EXPECT_EQ(bits(a.group_start), bits(b.group_start));
+  EXPECT_EQ(bits(a.task_seconds), bits(b.task_seconds));
+  EXPECT_EQ(a.copies_done, b.copies_done);
+  EXPECT_EQ(a.bytes_copied, b.bytes_copied);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.copy_busy_seconds),
+            std::bit_cast<std::uint64_t>(b.copy_busy_seconds));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.stall_seconds),
+            std::bit_cast<std::uint64_t>(b.stall_seconds));
+  EXPECT_EQ(bits(a.device_busy_seconds), bits(b.device_busy_seconds));
+  EXPECT_EQ(a.tier_pair_bytes, b.tier_pair_bytes);
+  ASSERT_EQ(a.access_tallies.size(), b.access_tallies.size());
+  for (std::size_t i = 0; i < a.access_tallies.size(); ++i) {
+    const AccessTally& x = a.access_tallies[i];
+    const AccessTally& y = b.access_tallies[i];
+    EXPECT_EQ(x.group, y.group);
+    EXPECT_EQ(x.object, y.object);
+    EXPECT_EQ(x.device, y.device);
+    EXPECT_EQ(x.loads, y.loads);
+    EXPECT_EQ(x.stores, y.stores);
+    EXPECT_EQ(x.tasks, y.tasks);
+  }
+  ASSERT_EQ(a.copy_tallies.size(), b.copy_tallies.size());
+  for (std::size_t i = 0; i < a.copy_tallies.size(); ++i) {
+    const CopyTally& x = a.copy_tallies[i];
+    const CopyTally& y = b.copy_tallies[i];
+    EXPECT_EQ(x.object, y.object);
+    EXPECT_EQ(x.src, y.src);
+    EXPECT_EQ(x.dst, y.dst);
+    EXPECT_EQ(x.copies, y.copies);
+    EXPECT_EQ(x.bytes, y.bytes);
+    EXPECT_EQ(x.hidden, y.hidden);
+  }
+}
+
+/// One simulated run: its graph, machine, start residency, schedule and
+/// options.
+struct Scenario {
+  TaskGraph graph;
+  memsim::Machine machine;
+  hms::PlacementMap start;
+  std::vector<ScheduledCopy> schedule;
+  SimExecutor::Options options;
+};
+
+/// Two tiers, three groups streaming a chunked object from NVM while a
+/// chain of read-writes runs through a second object, and a schedule that
+/// promotes two chunks and demotes one again after the last group.
+Scenario two_tier_with_copies() {
+  Scenario s;
+  s.machine = half_bw_machine();
+  GraphBuilder gb;
+  for (int g = 0; g < 3; ++g) {
+    gb.begin_group("g" + std::to_string(g));
+    for (std::size_t i = 0; i < 6; ++i) {
+      Task t;
+      t.compute_seconds = 1e-4;
+      DataAccess in = stream_access(1, 1 << 18);
+      in.chunk = i % 4;
+      t.accesses = {in, stream_access(2, 1 << 12, AccessMode::ReadWrite)};
+      gb.add_task(std::move(t));
+    }
+  }
+  s.graph = gb.build();
+  for (std::size_t c = 0; c < 4; ++c) s.start.set(1, c, memsim::kNvm);
+  s.start.set(2, 0, memsim::kNvm);
+  s.schedule = {ScheduledCopy{1, 0, 16 * kMiB, memsim::kDram, 0, 1},
+                ScheduledCopy{1, 1, 16 * kMiB, memsim::kDram, 1, 2},
+                ScheduledCopy{1, 0, 16 * kMiB, memsim::kNvm, 2, 3}};
+  s.options.workers = 4;
+  s.options.attribution = true;
+  s.options.unit_size = [](hms::ObjectId obj, std::size_t) {
+    return obj == 1 ? 16 * kMiB : kMiB;
+  };
+  return s;
+}
+
+/// Four tiers: one object per tier, and a copy from the last tier to the
+/// second while the first group runs.
+Scenario four_tier() {
+  Scenario s;
+  s.machine = memsim::machines::cxl_platform(8 * kMiB, 8 * kMiB, 8 * kMiB,
+                                             1 * kGiB);
+  GraphBuilder gb;
+  for (int g = 0; g < 2; ++g) {
+    gb.begin_group("g" + std::to_string(g));
+    for (hms::ObjectId obj = 0; obj < 4; ++obj) {
+      Task t;
+      t.compute_seconds = 1e-5;
+      t.accesses = {stream_access(obj, 1 << 16, AccessMode::ReadWrite)};
+      gb.add_task(std::move(t));
+    }
+  }
+  s.graph = gb.build();
+  for (hms::ObjectId obj = 0; obj < 4; ++obj) {
+    s.start.set(obj, 0, static_cast<memsim::DeviceId>(obj));
+  }
+  s.schedule = {ScheduledCopy{3, 0, 512 * 1024, 1, 0, 1}};
+  s.options.workers = 2;
+  return s;
+}
+
+/// One group of 100 independent tasks on 128 workers: more flows at once
+/// than the scan core's threshold, so the indexed engine takes over.
+Scenario wide_group() {
+  Scenario s;
+  s.machine = half_bw_machine();
+  s.graph = one_group_graph(100, 1, 1 << 14);
+  s.start.set(1, 0, memsim::kNvm);
+  s.options.workers = 128;
+  return s;
+}
+
+TEST(SimExecutor, ReusedExecutorMatchesAFreshOne) {
+  std::vector<Scenario> runs;
+  runs.push_back(two_tier_with_copies());
+  runs.push_back(four_tier());
+  runs.push_back(wide_group());
+  runs.push_back(two_tier_with_copies());
+  SimExecutor reused;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    SCOPED_TRACE("run " + std::to_string(i));
+    const Scenario& s = runs[i];
+    hms::PlacementMap fresh_end = s.start;
+    const SimReport fresh = SimExecutor{}.run(s.graph, s.machine, fresh_end,
+                                              s.schedule, s.options);
+    hms::PlacementMap reused_end = s.start;
+    const SimReport again =
+        reused.run(s.graph, s.machine, reused_end, s.schedule, s.options);
+    expect_same_report(again, fresh);
+    EXPECT_EQ(reused_end, fresh_end);
+  }
 }
 
 }  // namespace
