@@ -31,38 +31,53 @@ void validate_spec(const FlowSpec& spec, std::size_t num_devices) {
 
 namespace detail {
 
-ScanFluidCore::ScanFluidCore(std::size_t num_devices)
-    : active_on_device_(num_devices, 0), busy_seconds_(num_devices, 0.0) {
+ScanFluidCore::ScanFluidCore(std::size_t num_devices) { reset(num_devices); }
+
+void ScanFluidCore::reset(std::size_t num_devices) {
   TAHOE_REQUIRE(num_devices > 0, "fluid sim needs at least one device");
+  now_ = 0.0;
+  flows_.clear();
+  device_left_.clear();
+  active_on_device_.assign(num_devices, 0);
+  busy_seconds_.assign(num_devices, 0.0);
+  rate_.assign(num_devices, 0.0);
+  ready_.clear();
+  ready_head_ = 0;
+  active_count_ = 0;
 }
 
-FlowId ScanFluidCore::start_flow(FlowSpec spec, FlowId id) {
+FlowId ScanFluidCore::start_flow(const FlowSpec& spec, FlowId id) {
+  const std::size_t num_dev = active_on_device_.size();
   Flow f;
   f.serial_left = spec.serial_seconds;
-  f.device_left.assign(active_on_device_.size(), 0.0);
-  for (std::size_t d = 0; d < spec.device_seconds.size(); ++d) {
-    f.device_left[d] = spec.device_seconds[d];
-  }
   f.tag = spec.tag;
   f.start_time = now_;
-  for (std::size_t d = 0; d < f.device_left.size(); ++d) {
-    if (f.device_left[d] > kEps) ++active_on_device_[d];
+  device_left_.resize(device_left_.size() + num_dev, 0.0);
+  double* const left = device_left_.data() + device_left_.size() - num_dev;
+  for (std::size_t d = 0; d < spec.device_seconds.size(); ++d) {
+    left[d] = spec.device_seconds[d];
   }
-  flows_.emplace_back(id, std::move(f));
+  for (std::size_t d = 0; d < num_dev; ++d) {
+    if (left[d] > kEps) ++active_on_device_[d];
+  }
+  flows_.emplace_back(id, f);
   ++active_count_;
   harvest_completions();
   return id;
 }
 
 double ScanFluidCore::next_component_dt() const {
+  const std::size_t num_dev = active_on_device_.size();
   double dt = std::numeric_limits<double>::infinity();
-  for (const auto& [id, f] : flows_) {
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    const Flow& f = flows_[i].second;
+    const double* const left = device_left(i);
     if (f.serial_left > kEps) dt = std::min(dt, f.serial_left);
-    for (std::size_t d = 0; d < f.device_left.size(); ++d) {
-      if (f.device_left[d] > kEps) {
+    for (std::size_t d = 0; d < num_dev; ++d) {
+      if (left[d] > kEps) {
         // Equal processor sharing: rate = 1 / (#flows active on device).
         const double rate = 1.0 / static_cast<double>(active_on_device_[d]);
-        dt = std::min(dt, f.device_left[d] / rate);
+        dt = std::min(dt, left[d] / rate);
       }
     }
   }
@@ -72,24 +87,26 @@ double ScanFluidCore::next_component_dt() const {
 void ScanFluidCore::drain(double dt) {
   if (dt <= 0.0) return;
   // Rates are fixed during the interval; compute shares first, then drain.
-  std::vector<double> rate(active_on_device_.size(), 0.0);
-  for (std::size_t d = 0; d < rate.size(); ++d) {
-    if (active_on_device_[d] > 0) {
-      rate[d] = 1.0 / static_cast<double>(active_on_device_[d]);
-    }
+  const std::size_t num_dev = active_on_device_.size();
+  for (std::size_t d = 0; d < num_dev; ++d) {
+    rate_[d] = active_on_device_[d] > 0
+                   ? 1.0 / static_cast<double>(active_on_device_[d])
+                   : 0.0;
   }
-  for (auto& [id, f] : flows_) {
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    Flow& f = flows_[i].second;
+    double* const left = device_left(i);
     if (f.serial_left > kEps) {
       f.serial_left = std::max(0.0, f.serial_left - dt);
     }
-    for (std::size_t d = 0; d < f.device_left.size(); ++d) {
-      if (f.device_left[d] > kEps) {
-        const double served = dt * rate[d];
-        const double applied = std::min(f.device_left[d], served);
+    for (std::size_t d = 0; d < num_dev; ++d) {
+      if (left[d] > kEps) {
+        const double served = dt * rate_[d];
+        const double applied = std::min(left[d], served);
         busy_seconds_[d] += applied;
-        f.device_left[d] -= applied;
-        if (f.device_left[d] <= kEps) {
-          f.device_left[d] = 0.0;
+        left[d] -= applied;
+        if (left[d] <= kEps) {
+          left[d] = 0.0;
           TAHOE_ASSERT(active_on_device_[d] > 0, "device active underflow");
           --active_on_device_[d];
         }
@@ -100,15 +117,18 @@ void ScanFluidCore::drain(double dt) {
 }
 
 void ScanFluidCore::harvest_completions() {
-  // Compact the active list, emitting completions in flow-id order for
-  // determinism (the list is kept sorted by insertion, i.e. by id).
+  // Compact the active list and its residue rows, emitting completions in
+  // flow-id order for determinism (the list is kept sorted by insertion,
+  // i.e. by id).
+  const std::size_t num_dev = active_on_device_.size();
   std::size_t keep = 0;
   for (std::size_t i = 0; i < flows_.size(); ++i) {
-    auto& [id, f] = flows_[i];
+    const auto& [id, f] = flows_[i];
+    const double* const left = device_left(i);
     bool drained = f.serial_left <= kEps;
     if (drained) {
-      for (double d : f.device_left) {
-        if (d > kEps) {
+      for (std::size_t d = 0; d < num_dev; ++d) {
+        if (left[d] > kEps) {
           drained = false;
           break;
         }
@@ -119,11 +139,15 @@ void ScanFluidCore::harvest_completions() {
       --active_count_;
       ready_.push_back(FlowCompletion{id, f.tag, now_, f.start_time});
     } else {
-      if (keep != i) flows_[keep] = std::move(flows_[i]);
+      if (keep != i) {
+        flows_[keep] = flows_[i];
+        std::copy(left, left + num_dev, device_left(keep));
+      }
       ++keep;
     }
   }
   flows_.resize(keep);
+  device_left_.resize(keep * num_dev);
 }
 
 std::optional<FlowCompletion> ScanFluidCore::step() {
@@ -154,7 +178,27 @@ FluidSim::FluidSim(std::size_t num_devices) : FluidSim(num_devices, Tuning{}) {}
 FluidSim::FluidSim(std::size_t num_devices, Tuning tuning)
     : tuning_(tuning), core_(num_devices) {}
 
-FlowId FluidSim::start_flow(FlowSpec spec) {
+void FluidSim::reset(std::size_t num_devices, Tuning tuning) {
+  tuning_ = tuning;
+  core_.reset(num_devices);
+  lazy_ = false;
+  now_ = 0.0;
+  active_count_ = 0;
+  busy_seconds_lazy_.clear();
+  active_on_device_.clear();
+  rate_.clear();
+  virtual_.clear();
+  for (std::vector<HeapEntry>& heap : device_heap_) heap.clear();
+  serial_heap_.clear();
+  slots_.clear();
+  free_slots_.clear();
+  ready_.clear();
+  ready_head_ = 0;
+  finished_this_event_.clear();
+  next_id_ = 0;
+}
+
+FlowId FluidSim::start_flow(const FlowSpec& spec) {
   const std::size_t num_dev = core_.active_on_device_.size();
   validate_spec(spec, num_dev);
 
@@ -180,7 +224,7 @@ FlowId FluidSim::start_flow(FlowSpec spec) {
   }
 
   if (!lazy_) {
-    const FlowId id = core_.start_flow(std::move(spec), next_id_++);
+    const FlowId id = core_.start_flow(spec, next_id_++);
     if (core_.active_count_ > tuning_.lazy_threshold) switch_to_lazy();
     return id;
   }
@@ -210,18 +254,21 @@ void FluidSim::switch_to_lazy() {
       rate_[d] = 1.0 / static_cast<double>(active_on_device_[d]);
     }
   }
-  device_heap_.assign(num_dev, {});
+  device_heap_.resize(num_dev);
+  for (std::vector<HeapEntry>& heap : device_heap_) heap.clear();
   serial_heap_.clear();
   slots_.clear();
   free_slots_.clear();
-  ready_ = std::move(core_.ready_);
+  ready_.assign(core_.ready_.begin(), core_.ready_.end());
   ready_head_ = core_.ready_head_;
 
   // Seed the indexed engine from the scan core's residual demands: every
   // virtual clock starts at zero, so each component's finish key is simply
   // its remaining channel-seconds.
   slots_.reserve(core_.flows_.size());
-  for (const auto& [id, f] : core_.flows_) {
+  for (std::size_t i = 0; i < core_.flows_.size(); ++i) {
+    const auto& [id, f] = core_.flows_[i];
+    const double* const left = core_.device_left(i);
     LazyFlow lf;
     lf.id = id;
     lf.tag = f.tag;
@@ -231,10 +278,10 @@ void FluidSim::switch_to_lazy() {
       ++lf.components_left;
       serial_heap_.push_back(HeapEntry{now_ + f.serial_left, slot});
     }
-    for (std::size_t d = 0; d < f.device_left.size(); ++d) {
-      if (f.device_left[d] > kEps) {
+    for (std::size_t d = 0; d < num_dev; ++d) {
+      if (left[d] > kEps) {
         ++lf.components_left;
-        device_heap_[d].push_back(HeapEntry{f.device_left[d], slot});
+        device_heap_[d].push_back(HeapEntry{left[d], slot});
       }
     }
     TAHOE_ASSERT(lf.components_left > 0, "undrained flow with no components");
@@ -249,7 +296,7 @@ void FluidSim::switch_to_lazy() {
   }
 
   core_.flows_.clear();
-  core_.flows_.shrink_to_fit();
+  core_.device_left_.clear();
   core_.ready_.clear();
   core_.ready_head_ = 0;
   core_.active_count_ = 0;

@@ -24,9 +24,12 @@
 //
 //   * detail::ScanFluidCore — the original O(active flows × devices)
 //     per-event scan. Its floating-point arithmetic is pinned byte-for-byte
-//     by the golden report JSON in tests/golden/, so it is kept verbatim.
-//     The differential equivalence suite wraps it as its oracle
-//     (tests/reference_fluid.hpp).
+//     by the golden report JSON in tests/golden/, so every operation is
+//     kept, in the same order; its allocations are not. The flows' device
+//     residues sit in one flat array (a row per flow, compacted with the
+//     flows) and drain()'s rates in a member, so once warm it allocates
+//     nothing per flow or per event. The differential equivalence suite
+//     wraps it as its oracle (tests/reference_fluid.hpp).
 //
 //   * The indexed engine inside FluidSim — per-device active-flow counts
 //     with incrementally maintained processor-sharing rates, a min-heap of
@@ -41,6 +44,10 @@
 // scan within 1e-9 (bounded by the oracle suite). The scan is not faster
 // at any flow count; it stays only so the golden reports and
 // bench/perf/reference.json keep their bit-pinned values.
+//
+// reset() starts a FluidSim over, as a new one would, but keeps the
+// storage of both engines: an owner that simulates run after run (the
+// SimExecutor) allocates only while a run outgrows every earlier one.
 #pragma once
 
 #include <cstdint>
@@ -76,15 +83,26 @@ namespace detail {
 struct ScanFluidCore {
   struct Flow {
     double serial_left = 0.0;
-    std::vector<double> device_left;
     std::uint64_t tag = 0;
     double start_time = 0.0;
   };
 
   explicit ScanFluidCore(std::size_t num_devices);
 
-  FlowId start_flow(FlowSpec spec, FlowId id);
+  /// Drop every flow and restart at time 0 on `num_devices` devices,
+  /// keeping the storage.
+  void reset(std::size_t num_devices);
+
+  FlowId start_flow(const FlowSpec& spec, FlowId id);
   std::optional<FlowCompletion> step();
+
+  /// The device residues of flows_[i], one per device.
+  double* device_left(std::size_t i) {
+    return device_left_.data() + i * active_on_device_.size();
+  }
+  const double* device_left(std::size_t i) const {
+    return device_left_.data() + i * active_on_device_.size();
+  }
 
   /// Drain all components by `dt` at current rates; updates active counts.
   void drain(double dt);
@@ -97,8 +115,12 @@ struct ScanFluidCore {
   double now_ = 0.0;
   /// Active flows only, ordered by id; completed flows are compacted away.
   std::vector<std::pair<FlowId, Flow>> flows_;
+  /// The flows' device residues, a row per flow in flows_ order.
+  std::vector<double> device_left_;
   std::vector<std::uint32_t> active_on_device_;
   std::vector<double> busy_seconds_;
+  /// drain()'s per-device sharing rates.
+  std::vector<double> rate_;
   std::vector<FlowCompletion> ready_;  // FIFO of pending completions
   std::size_t ready_head_ = 0;
   std::size_t active_count_ = 0;
@@ -120,13 +142,17 @@ class FluidSim {
   explicit FluidSim(std::size_t num_devices);
   FluidSim(std::size_t num_devices, Tuning tuning);
 
+  /// Start over as FluidSim(num_devices, tuning) would, keeping the
+  /// storage of both engines.
+  void reset(std::size_t num_devices, Tuning tuning);
+
   double now() const noexcept { return lazy_ ? now_ : core_.now_; }
   std::size_t num_devices() const noexcept { return busy_seconds().size(); }
 
   /// Start a flow at the current simulated time. A spec whose components
   /// are all below the drain epsilon completes immediately at now():
   /// device active counts (and thus sharing rates) are never touched.
-  FlowId start_flow(FlowSpec spec);
+  FlowId start_flow(const FlowSpec& spec);
 
   /// Number of flows not yet completed.
   std::size_t active_flows() const noexcept {

@@ -10,17 +10,16 @@ MemTraffic Machine::filtered(const ObjectTraffic& t,
   return llc.filter(t, task_total_footprint);
 }
 
-FlowSpec Machine::task_flow(
+void Machine::task_flow(
     double compute_seconds,
     const std::vector<std::pair<ObjectTraffic, DeviceId>>& accesses,
-    std::uint64_t tag) const {
+    std::uint64_t tag, FlowSpec& spec) const {
   TAHOE_REQUIRE(compute_seconds >= 0.0, "negative compute time");
   std::uint64_t total_footprint = 0;
   for (const auto& [traffic, dev] : accesses) {
     (void)dev;
     total_footprint += traffic.footprint;
   }
-  FlowSpec spec;
   spec.tag = tag;
   spec.serial_seconds = compute_seconds;
   spec.device_seconds.assign(devices.size(), 0.0);
@@ -30,7 +29,6 @@ FlowSpec Machine::task_flow(
     spec.device_seconds[dev] += devices[dev].channel_seconds(mm);
     spec.serial_seconds += devices[dev].latency_seconds(mm, mlp);
   }
-  return spec;
 }
 
 double Machine::copy_bw_for(TierId src, TierId dst) const noexcept {
@@ -40,20 +38,18 @@ double Machine::copy_bw_for(TierId src, TierId dst) const noexcept {
   return copy_engine_bw;
 }
 
-FlowSpec Machine::copy_flow(std::uint64_t bytes, DeviceId src, DeviceId dst,
-                            std::uint64_t tag) const {
+void Machine::copy_flow(std::uint64_t bytes, DeviceId src, DeviceId dst,
+                        std::uint64_t tag, FlowSpec& spec) const {
   TAHOE_REQUIRE(src < devices.size() && dst < devices.size(),
                 "copy device out of range");
   TAHOE_REQUIRE(src != dst, "copy within one device");
   const double b = static_cast<double>(bytes);
-  FlowSpec spec;
   spec.tag = tag;
   spec.device_seconds.assign(devices.size(), 0.0);
   spec.device_seconds[src] = b / devices[src].read_bw;
   spec.device_seconds[dst] = b / devices[dst].write_bw;
   const double copy_bw = copy_bw_for(src, dst);
   spec.serial_seconds = copy_bw > 0.0 ? b / copy_bw : 0.0;
-  return spec;
 }
 
 namespace machines {

@@ -65,19 +65,20 @@ struct Machine {
   MemTraffic filtered(const ObjectTraffic& t,
                       std::uint64_t task_total_footprint) const;
 
-  /// Build the fluid-flow specification for a task: `compute_seconds` of
-  /// pure compute plus the listed (traffic, device) pairs.
-  FlowSpec task_flow(
+  /// Write into `spec` the fluid-flow specification for a task:
+  /// `compute_seconds` of pure compute plus the listed (traffic, device)
+  /// pairs. Every field is overwritten; `spec`'s storage is reused.
+  void task_flow(
       double compute_seconds,
       const std::vector<std::pair<ObjectTraffic, DeviceId>>& accesses,
-      std::uint64_t tag) const;
+      std::uint64_t tag, FlowSpec& spec) const;
 
-  /// Build the flow for an asynchronous migration copy of `bytes` from
-  /// device `src` to device `dst`. The copy reads the source channel and
-  /// writes the destination channel; its serial floor is set by the copy
-  /// engine (one memcpy stream cannot exceed copy_engine_bw).
-  FlowSpec copy_flow(std::uint64_t bytes, DeviceId src, DeviceId dst,
-                     std::uint64_t tag) const;
+  /// Write into `spec` the flow for an asynchronous migration copy of
+  /// `bytes` from device `src` to device `dst`. The copy reads the source
+  /// channel and writes the destination channel; its serial floor is set
+  /// by the copy engine (one memcpy stream cannot exceed copy_engine_bw).
+  void copy_flow(std::uint64_t bytes, DeviceId src, DeviceId dst,
+                 std::uint64_t tag, FlowSpec& spec) const;
 };
 
 namespace machines {

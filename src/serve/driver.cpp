@@ -133,13 +133,25 @@ ServeResult run_serve(TenantManager& manager, const ServeOptions& options) {
                                                      : machine.workers);
   }
   task::SimExecutor executor;
+  // Per-epoch storage, kept from one epoch to the next: the arrivals
+  // drained, one batch slot per tenant (the first num_batches in use), the
+  // (batch, position) of each request tag, and each request's service time.
+  struct Batch {
+    std::size_t tenant = 0;
+    std::size_t group = 0;
+    std::vector<Request> requests;
+  };
+  std::vector<Request> arrivals;
+  std::vector<Batch> batches(manager.size());
+  std::vector<std::pair<std::size_t, std::size_t>> tag_slot;
+  std::vector<double> service_of;
   std::uint64_t next_tag = 0;
   double clock = 0.0;
   while (clock < options.duration_seconds) {
     for (auto& st : states) {
-      for (Request& r : st->source->drain_until(clock)) {
-        st->queue.push_back(r);
-      }
+      arrivals.clear();
+      st->source->drain_until(clock, arrivals);
+      st->queue.insert(st->queue.end(), arrivals.begin(), arrivals.end());
       if (st->queue_depth != nullptr) {
         st->queue_depth->set(static_cast<std::uint64_t>(st->queue.size()));
       }
@@ -151,31 +163,27 @@ ServeResult run_serve(TenantManager& manager, const ServeOptions& options) {
 
     // Batch this epoch: one group per tenant with queued work, highest
     // priority dispatched first.
-    struct Batch {
-      std::size_t tenant = 0;
-      std::size_t group = 0;
-      std::vector<Request> requests;
-    };
-    std::vector<Batch> batches;
+    std::size_t num_batches = 0;
     task::GraphBuilder builder;
-    std::vector<std::pair<std::size_t, std::size_t>> tag_slot;  // batch, pos
+    tag_slot.clear();
     for (const std::size_t i : order) {
       TenantState& st = *states[i];
       if (st.queue.empty()) continue;
-      Batch b;
+      Batch& b = batches[num_batches];
       b.tenant = i;
       b.group = builder.begin_group(manager.tenant(i).name);
+      b.requests.clear();
       while (!st.queue.empty() && b.requests.size() < kMaxBatch) {
         Request r = st.queue.front();
         st.queue.pop_front();
         manager.tenant(i).service->append_request(builder, next_tag++,
                                                   *st.work_rng);
-        tag_slot.emplace_back(batches.size(), b.requests.size());
+        tag_slot.emplace_back(num_batches, b.requests.size());
         b.requests.push_back(r);
       }
-      batches.push_back(std::move(b));
+      ++num_batches;
     }
-    if (batches.empty()) {
+    if (num_batches == 0) {
       clock += options.epoch_seconds;
       continue;
     }
@@ -193,7 +201,7 @@ ServeResult run_serve(TenantManager& manager, const ServeOptions& options) {
 
     // Per-request service time via the request tags the services stamped.
     const std::uint64_t epoch_base = next_tag - tag_slot.size();
-    std::vector<double> service_of(tag_slot.size(), 0.0);
+    service_of.assign(tag_slot.size(), 0.0);
     for (const task::Task& t : graph.tasks()) {
       if (t.request == task::kNoRequest) continue;
       TAHOE_ASSERT(t.request >= epoch_base &&
@@ -227,9 +235,9 @@ ServeResult run_serve(TenantManager& manager, const ServeOptions& options) {
   // Whatever arrived before the horizon but never got served counts as
   // dropped (still queued at shutdown).
   for (auto& st : states) {
-    for (Request& r : st->source->drain_until(options.duration_seconds)) {
-      st->queue.push_back(r);
-    }
+    arrivals.clear();
+    st->source->drain_until(options.duration_seconds, arrivals);
+    st->queue.insert(st->queue.end(), arrivals.begin(), arrivals.end());
   }
 
   const hms::ObjectRegistry& registry = manager.registry();

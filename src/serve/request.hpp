@@ -33,16 +33,15 @@ class OpenLoopSource {
                   "arrival rate must be finite and positive");
   }
 
-  /// Every request with arrival < `t`, in arrival order. The stream is
-  /// unbounded; successive calls continue where the previous one stopped.
-  std::vector<Request> drain_until(double t) {
-    std::vector<Request> out;
+  /// Append to `out` every request with arrival < `t`, in arrival order.
+  /// The stream is unbounded; successive calls continue where the
+  /// previous one stopped.
+  void drain_until(double t, std::vector<Request>& out) {
     if (!has_pending_) draw_next();
     while (pending_.arrival < t) {
       out.push_back(pending_);
       draw_next();
     }
-    return out;
   }
 
  private:

@@ -1,6 +1,7 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -27,10 +28,21 @@ memsim::ObjectTraffic traffic(std::uint64_t loads, std::uint64_t stores,
 class KvService final : public Service {
  public:
   explicit KvService(KvConfig cfg)
-      : cfg_(std::move(cfg)), zipf_(cfg_.keys, cfg_.zipf_s) {
+      : cfg_(std::move(cfg)),
+        zipf_(cfg_.keys, cfg_.zipf_s),
+        label_(cfg_.prefix + ".get") {
     TAHOE_REQUIRE(cfg_.shards > 0 && cfg_.chunks_per_shard > 0,
                   "kv: empty shard layout");
     TAHOE_REQUIRE(cfg_.value_bytes < space(), "kv: value larger than store");
+    // A value of V > 0 bytes overlaps at most (V + C - 2) / C + 1 chunks
+    // of C bytes, so a request touches at most ops times that many.
+    const std::uint64_t per_value =
+        cfg_.value_bytes == 0
+            ? 0
+            : (cfg_.value_bytes + cfg_.chunk_bytes - 2) / cfg_.chunk_bytes + 1;
+    max_touched_ = static_cast<std::size_t>(
+        std::min<std::uint64_t>(cfg_.ops_per_request * per_value,
+                                cfg_.shards * cfg_.chunks_per_shard));
   }
 
   std::string kind() const override { return "kv"; }
@@ -93,6 +105,7 @@ class KvService final : public Service {
       std::uint64_t write_bytes = 0;
     };
     std::vector<Touched> touched;
+    touched.reserve(max_touched_);
     for (std::size_t op = 0; op < cfg_.ops_per_request; ++op) {
       const std::size_t key = zipf_.sample(rng);
       const bool write = rng.next_double() < cfg_.write_frac;
@@ -115,7 +128,7 @@ class KvService final : public Service {
       }
     }
     task::Task t;
-    t.label = cfg_.prefix + ".get";
+    t.label = label_;
     t.compute_seconds = cfg_.compute_seconds;
     t.request = request_tag;
     t.accesses.reserve(touched.size());
@@ -148,6 +161,9 @@ class KvService final : public Service {
 
   KvConfig cfg_;
   Zipf zipf_;
+  std::string label_;
+  /// The most chunks one request can touch.
+  std::size_t max_touched_ = 0;
   std::vector<hms::ObjectId> objects_;
 };
 
@@ -155,7 +171,8 @@ class KvService final : public Service {
 
 class GraphService final : public Service {
  public:
-  explicit GraphService(GraphConfig cfg) : cfg_(std::move(cfg)) {
+  explicit GraphService(GraphConfig cfg)
+      : cfg_(std::move(cfg)), label_(cfg_.prefix + ".expand") {
     TAHOE_REQUIRE(cfg_.vertex_chunks > 0 && cfg_.adj_chunks > 0,
                   "graph: empty layout");
     TAHOE_REQUIRE(cfg_.frontier_chunks <= cfg_.adj_chunks,
@@ -199,9 +216,10 @@ class GraphService final : public Service {
   void append_request(task::GraphBuilder& builder, std::uint64_t request_tag,
                       Rng& rng) const override {
     task::Task t;
-    t.label = cfg_.prefix + ".expand";
+    t.label = label_;
     t.compute_seconds = cfg_.compute_seconds;
     t.request = request_tag;
+    t.accesses.reserve(cfg_.vertex_chunks + cfg_.frontier_chunks);
     // Hot vertex state: every chunk, partially touched, read-mostly with
     // scattered updates.
     const std::uint64_t vchunk = cfg_.vertex_bytes / cfg_.vertex_chunks;
@@ -220,6 +238,7 @@ class GraphService final : public Service {
     const auto abytes =
         static_cast<std::uint64_t>(kAdjTouchFrac * static_cast<double>(achunk));
     std::vector<std::size_t> frontier;
+    frontier.reserve(cfg_.frontier_chunks);
     while (frontier.size() < cfg_.frontier_chunks) {
       const auto c = static_cast<std::size_t>(rng.next_below(cfg_.adj_chunks));
       if (std::find(frontier.begin(), frontier.end(), c) == frontier.end()) {
@@ -242,6 +261,7 @@ class GraphService final : public Service {
   static constexpr double kAdjTouchFrac = 0.25;
 
   GraphConfig cfg_;
+  std::string label_;
   std::vector<hms::ObjectId> objects_;
 };
 
@@ -251,6 +271,9 @@ class TensorService final : public Service {
  public:
   explicit TensorService(TensorConfig cfg) : cfg_(std::move(cfg)) {
     TAHOE_REQUIRE(cfg_.layers > 0, "tensor: no layers");
+    for (std::size_t l = 0; l < cfg_.layers; ++l) {
+      layer_labels_.push_back(cfg_.prefix + ".layer" + std::to_string(l));
+    }
   }
 
   std::string kind() const override { return "tensor"; }
@@ -297,9 +320,10 @@ class TensorService final : public Service {
         static_cast<std::size_t>(request_tag % kActivationSlots);
     for (std::size_t l = 0; l < cfg_.layers; ++l) {
       task::Task t;
-      t.label = cfg_.prefix + ".layer" + std::to_string(l);
+      t.label = layer_labels_[l];
       t.compute_seconds = cfg_.compute_per_layer;
       t.request = request_tag;
+      t.accesses.reserve(2);
       task::DataAccess w;
       w.object = objects_[0];
       w.chunk = l;
@@ -324,6 +348,7 @@ class TensorService final : public Service {
   static constexpr std::size_t kActivationSlots = 8;
 
   TensorConfig cfg_;
+  std::vector<std::string> layer_labels_;
   std::vector<hms::ObjectId> objects_;
 };
 

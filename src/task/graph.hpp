@@ -14,10 +14,18 @@
 // write-after-read, and write-after-write conflicts create edges. A
 // whole-object access conflicts with every chunk of that object. The
 // builder records tasks as they are added and derives every edge in
-// build(), in one pass in program order. That pass keeps its dependence
-// state per object, found with one hash lookup per access: the
-// whole-object stream plus the object's chunk streams in a short list
-// sorted by chunk, so a sparse or huge chunk index costs one entry.
+// build(), in one pass in program order. That pass keeps one dependence
+// stream per unit accessed, found by hashing (object, chunk), so a sparse
+// or huge chunk index costs one entry; an object's whole-object stream
+// also links the object's chunk streams.
+//
+// A built graph is flat: every task's successors sit in one array, in the
+// order derive() found them, with per-task offsets into it, and the
+// unit -> groups index is one array of (object, chunk, group) references
+// sorted in that order. derive()'s stream state lives in a workspace, one
+// per thread, that keeps its capacity from one build to the next, so a
+// build allocates the graph's own arrays and, once the workspace has seen
+// a graph as large, nothing per task or per access.
 //
 // An iterative application re-instantiates the same graph every
 // iteration. A builder given the previous iteration's graph compares each
@@ -27,8 +35,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,8 +63,11 @@ class TaskGraph {
   const Group& group(GroupId g) const { return groups_.at(g); }
   std::size_t num_groups() const noexcept { return groups_.size(); }
 
-  const std::vector<TaskId>& successors(TaskId id) const {
-    return succs_.at(id);
+  /// The tasks that depend on `id`, ascending (the order derive() found
+  /// them in, program order).
+  std::span<const TaskId> successors(TaskId id) const {
+    const std::size_t begin = succ_begin_.at(id);
+    return std::span(succ_).subspan(begin, succ_begin_.at(id + 1) - begin);
   }
   std::uint32_t num_predecessors(TaskId id) const { return pred_count_.at(id); }
 
@@ -72,16 +83,26 @@ class TaskGraph {
                                                std::size_t chunk,
                                                GroupId g) const;
 
+  /// One group's reference to one unit (chunk kAllChunks: the whole
+  /// object), an entry of the graph's unit index.
+  struct UnitRef {
+    hms::ObjectId object = hms::kInvalidObject;
+    std::size_t chunk = 0;
+    GroupId group = 0;
+    auto operator<=>(const UnitRef&) const = default;
+  };
+
  private:
   friend class GraphBuilder;
 
   std::vector<Task> tasks_;
   std::vector<Group> groups_;
-  std::vector<std::vector<TaskId>> succs_;
+  /// Task id's successors are succ_[succ_begin_[id], succ_begin_[id + 1]).
+  std::vector<TaskId> succ_;
+  std::vector<std::size_t> succ_begin_;
   std::vector<std::uint32_t> pred_count_;
-  /// unit -> ascending group ids referencing it (deduplicated).
-  std::map<std::pair<hms::ObjectId, std::size_t>, std::vector<GroupId>>
-      unit_groups_;
+  /// Every (unit, group) reference once, sorted by object, chunk, group.
+  std::vector<UnitRef> unit_refs_;
 };
 
 class GraphBuilder {
@@ -110,7 +131,8 @@ class GraphBuilder {
 
   /// Finalize: derive the dependences, or return the previous graph as it
   /// is when the declaration repeats it. The builder must not be reused
-  /// afterwards.
+  /// afterwards. Deriving reuses this thread's derive workspace, so a warm
+  /// build allocates only the graph's arrays.
   TaskGraph build();
 
   std::size_t num_tasks() const noexcept {
@@ -121,7 +143,7 @@ class GraphBuilder {
   /// Stop comparing: the previous graph's first `matched_` tasks become
   /// the start of this graph's task list.
   void take_previous_tasks();
-  /// Derive edges, predecessor counts and unit_groups_ for every task.
+  /// Derive edges, predecessor counts and unit_refs_ for every task.
   void derive();
 
   TaskGraph graph_;

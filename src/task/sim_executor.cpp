@@ -1,12 +1,10 @@
 #include "task/sim_executor.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <tuple>
 
 #include "common/assert.hpp"
-#include "memsim/fluid.hpp"
 #include "trace/counters.hpp"
 #include "trace/telemetry.hpp"
 
@@ -29,11 +27,29 @@ trace::Counter& pair_bytes_counter(std::size_t src, std::size_t dst) {
                                       "_t" + std::to_string(dst));
 }
 
-struct CopyState {
-  bool fired = false;
-  bool done = false;
-  memsim::DeviceId src = memsim::kDram;  ///< captured at start for tracing
-};
+/// Index the schedule by group: on return, index[begin[g], begin[g + 1])
+/// lists in schedule order the copies whose `group_of` is g, for every
+/// g < num_groups (copies at num_groups or past it are left out).
+template <typename GroupOf>
+void index_by_group(const std::vector<ScheduledCopy>& schedule,
+                    std::size_t num_groups, GroupOf group_of,
+                    std::vector<std::size_t>& begin,
+                    std::vector<std::size_t>& index) {
+  begin.assign(num_groups + 1, 0);
+  for (const ScheduledCopy& c : schedule) {
+    if (group_of(c) < num_groups) ++begin[group_of(c) + 1];
+  }
+  for (std::size_t g = 0; g < num_groups; ++g) begin[g + 1] += begin[g];
+  index.resize(begin[num_groups]);
+  // Fill with begin[g] as group g's cursor, then shift the cursors (each
+  // now the next group's start) back into place.
+  for (std::size_t i = 0; i < schedule.size(); ++i) {
+    const std::size_t g = group_of(schedule[i]);
+    if (g < num_groups) index[begin[g]++] = i;
+  }
+  for (std::size_t g = num_groups; g > 0; --g) begin[g] = begin[g - 1];
+  begin[0] = 0;
+}
 
 }  // namespace
 
@@ -75,7 +91,8 @@ SimReport SimExecutor::run(const TaskGraph& graph,
     sim_tuning.lazy_threshold = options.sim_lazy_threshold;
   }
   const std::size_t num_tiers = machine.devices.size();
-  memsim::FluidSim sim(num_tiers, sim_tuning);
+  memsim::FluidSim& sim = sim_;
+  sim.reset(num_tiers, sim_tuning);
   SimReport report;
   report.group_seconds.assign(graph.num_groups(), 0.0);
   report.group_start.assign(graph.num_groups(), 0.0);
@@ -83,33 +100,32 @@ SimReport SimExecutor::run(const TaskGraph& graph,
   report.tier_pair_bytes.assign(num_tiers * num_tiers, 0);
   // migrate.bytes.t<src>_t<dst> per tier pair, looked up at the pair's
   // first copy (a pair never copied across stays unregistered).
-  std::vector<trace::Counter*> pair_counters(num_tiers * num_tiers, nullptr);
+  pair_counters_.assign(num_tiers * num_tiers, nullptr);
 
   // Dependence counters.
-  std::vector<std::uint32_t> pending(graph.num_tasks());
+  pending_.resize(graph.num_tasks());
   for (TaskId id = 0; id < graph.num_tasks(); ++id) {
-    pending[id] = graph.num_predecessors(id);
+    pending_[id] = graph.num_predecessors(id);
   }
 
   // Copy machinery: FIFO of fired copies, single copy in flight.
-  std::vector<CopyState> copy_state(schedule.size());
-  std::deque<std::size_t> copy_fifo;
+  copy_state_.assign(schedule.size(), CopyState{});
+  copy_fifo_.clear();
+  copy_fifo_head_ = 0;
   std::size_t in_flight_copy = schedule.size();  // sentinel: none
 
   // Group-indexed views of the schedule so entering a group touches only
   // its own copies instead of rescanning the whole schedule (which made
   // large sweep scenarios quadratic in the schedule length). Order within
   // a group is schedule order, preserving the firing FIFO semantics.
-  std::vector<std::vector<std::size_t>> fired_at(graph.num_groups());
-  std::vector<std::vector<std::size_t>> needed_at(graph.num_groups());
-  for (std::size_t i = 0; i < schedule.size(); ++i) {
-    if (schedule[i].trigger_group < graph.num_groups()) {
-      fired_at[schedule[i].trigger_group].push_back(i);
-    }
-    if (schedule[i].needed_group < graph.num_groups()) {
-      needed_at[schedule[i].needed_group].push_back(i);
-    }
-  }
+  index_by_group(
+      schedule, graph.num_groups(),
+      [](const ScheduledCopy& c) { return std::size_t{c.trigger_group}; },
+      fired_begin_, fired_);
+  index_by_group(
+      schedule, graph.num_groups(),
+      [](const ScheduledCopy& c) { return std::size_t{c.needed_group}; },
+      needed_begin_, needed_);
 
   // Attribution tables (std::map keeps the dump order deterministic).
   std::map<std::tuple<GroupId, hms::ObjectId, memsim::DeviceId>, AccessTally>
@@ -142,24 +158,25 @@ SimReport SimExecutor::run(const TaskGraph& graph,
   // Start queued copies until one is in flight (copies whose source
   // already equals the destination — e.g. residency left over from a
   // previous iteration — complete immediately and cost nothing).
+  const auto queued_copies = [&]() {
+    return copy_fifo_.size() - copy_fifo_head_;
+  };
   auto start_next = [&]() {
-    while (in_flight_copy == schedule.size() && !copy_fifo.empty()) {
-      const std::size_t idx = copy_fifo.front();
-      copy_fifo.pop_front();
+    while (in_flight_copy == schedule.size() && queued_copies() > 0) {
+      const std::size_t idx = copy_fifo_[copy_fifo_head_++];
       const ScheduledCopy& c = schedule[idx];
       const memsim::DeviceId src = placement.device_of(c.object, c.chunk);
       if (src == c.dst) {
-        copy_state[idx].done = true;
+        copy_state_[idx].done = true;
         continue;  // nothing to move; try the next queued copy
       }
-      const memsim::FlowSpec spec =
-          machine.copy_flow(c.bytes, src, c.dst, kCopyBit | idx);
-      (void)sim.start_flow(spec);
-      copy_state[idx].src = src;
+      machine.copy_flow(c.bytes, src, c.dst, kCopyBit | idx, flow_);
+      (void)sim.start_flow(flow_);
+      copy_state_[idx].src = src;
       in_flight_copy = idx;
       if (tracer != nullptr) {
         tracer->counter(trace::kMigrationTrack, "copy_queue_depth",
-                        t0 + sim.now(), copy_fifo.size() + 1);
+                        t0 + sim.now(), queued_copies() + 1);
         trace_inflight(c.dst, c.bytes);
       }
     }
@@ -177,23 +194,23 @@ SimReport SimExecutor::run(const TaskGraph& graph,
       ev.ts = t0 + sim.now() - duration;
       ev.dur = duration;
       const std::string label =
-          "migrate " + machine.devices[copy_state[idx].src].name + "->" +
+          "migrate " + machine.devices[copy_state_[idx].src].name + "->" +
           machine.devices[c.dst].name;
       ev.set_name(label.c_str());
       ev.add_arg("bytes", c.bytes);
-      ev.add_arg("src_tier", copy_state[idx].src);
+      ev.add_arg("src_tier", copy_state_[idx].src);
       ev.add_arg("dst_tier", c.dst);
       ev.add_arg("object", c.object);
       tracer->emit(ev);
     }
     // Metrics registry: bytes moved per (src, dst) tier pair.
-    const std::size_t pair = copy_state[idx].src * num_tiers + c.dst;
-    if (pair_counters[pair] == nullptr) {
-      pair_counters[pair] = &pair_bytes_counter(copy_state[idx].src, c.dst);
+    const std::size_t pair = copy_state_[idx].src * num_tiers + c.dst;
+    if (pair_counters_[pair] == nullptr) {
+      pair_counters_[pair] = &pair_bytes_counter(copy_state_[idx].src, c.dst);
     }
-    pair_counters[pair]->add(c.bytes);
+    pair_counters_[pair]->add(c.bytes);
     report.tier_pair_bytes[pair] += c.bytes;
-    copy_state[idx].done = true;
+    copy_state_[idx].done = true;
     placement.set(c.object, c.chunk, c.dst);
     ++report.copies_done;
     report.bytes_copied += c.bytes;
@@ -204,9 +221,9 @@ SimReport SimExecutor::run(const TaskGraph& graph,
       copy_seconds.record_seconds(duration);
     }
     if (options.attribution) {
-      CopyTally& tally = cp_tally[{c.object, copy_state[idx].src, c.dst}];
+      CopyTally& tally = cp_tally[{c.object, copy_state_[idx].src, c.dst}];
       tally.object = c.object;
-      tally.src = copy_state[idx].src;
+      tally.src = copy_state_[idx].src;
       tally.dst = c.dst;
       ++tally.copies;
       tally.bytes += c.bytes;
@@ -216,13 +233,13 @@ SimReport SimExecutor::run(const TaskGraph& graph,
     in_flight_copy = schedule.size();
     if (tracer != nullptr) {
       tracer->counter(trace::kMigrationTrack, "copy_queue_depth",
-                      t0 + sim.now(), copy_fifo.size());
+                      t0 + sim.now(), queued_copies());
       trace_inflight(c.dst, 0);
     }
     if (track_occupancy) {
       if (c.dst == memsim::kDram) {
         tier0_bytes += c.bytes;
-      } else if (copy_state[idx].src == memsim::kDram) {
+      } else if (copy_state_[idx].src == memsim::kDram) {
         tier0_bytes = tier0_bytes >= c.bytes ? tier0_bytes - c.bytes : 0;
       }
       tracer->counter(trace::kRuntimeTrack, "t0_occupancy_bytes",
@@ -243,25 +260,23 @@ SimReport SimExecutor::run(const TaskGraph& graph,
   // identity, so each running task borrows a free lane (0..workers-1) and
   // its span lands on that lane's track — giving the familiar one-row-per-
   // worker timeline.
-  std::vector<std::uint32_t> task_lane;
-  std::vector<std::uint32_t> free_lanes;
+  task_lane_.clear();
+  free_lanes_.clear();
   if (tracer != nullptr) {
-    task_lane.assign(graph.num_tasks(), 0);
-    free_lanes.reserve(workers);
-    for (std::uint32_t w = workers; w > 0; --w) free_lanes.push_back(w - 1);
+    task_lane_.assign(graph.num_tasks(), 0);
+    for (std::uint32_t w = workers; w > 0; --w) free_lanes_.push_back(w - 1);
   }
 
   // Build the flow for one task under the current placement.
   auto start_task = [&](TaskId id) {
     const Task& t = graph.task(id);
-    std::vector<std::pair<memsim::ObjectTraffic, memsim::DeviceId>> acc;
-    acc.reserve(t.accesses.size());
+    accesses_.clear();
     for (const DataAccess& a : t.accesses) {
       const std::size_t chunk = (a.chunk == kAllChunks) ? 0 : a.chunk;
       // Whole-object accesses to chunked objects are charged per chunk by
       // the workload layer; kAllChunks here refers to unit 0's placement.
       const memsim::DeviceId dev = placement.device_of(a.object, chunk);
-      acc.emplace_back(a.traffic, dev);
+      accesses_.emplace_back(a.traffic, dev);
       if (options.attribution) {
         AccessTally& tally = acc_tally[{t.group, a.object, dev}];
         tally.group = t.group;
@@ -272,13 +287,12 @@ SimReport SimExecutor::run(const TaskGraph& graph,
         ++tally.tasks;
       }
     }
-    const memsim::FlowSpec spec =
-        machine.task_flow(t.compute_seconds, acc, t.id);
-    (void)sim.start_flow(spec);
+    machine.task_flow(t.compute_seconds, accesses_, t.id, flow_);
+    (void)sim.start_flow(flow_);
     if (tracer != nullptr) {
-      TAHOE_ASSERT(!free_lanes.empty(), "more running tasks than workers");
-      task_lane[id] = free_lanes.back();
-      free_lanes.pop_back();
+      TAHOE_ASSERT(!free_lanes_.empty(), "more running tasks than workers");
+      task_lane_[id] = free_lanes_.back();
+      free_lanes_.pop_back();
     }
   };
 
@@ -287,18 +301,20 @@ SimReport SimExecutor::run(const TaskGraph& graph,
     const Group& grp = graph.group(g);
 
     // Fire copies triggered at this group's entry, in schedule order.
-    for (const std::size_t i : fired_at[g]) {
-      if (!copy_state[i].fired) {
-        copy_state[i].fired = true;
-        copy_fifo.push_back(i);
+    for (std::size_t k = fired_begin_[g]; k < fired_begin_[g + 1]; ++k) {
+      const std::size_t i = fired_[k];
+      if (!copy_state_[i].fired) {
+        copy_state_[i].fired = true;
+        copy_fifo_.push_back(i);
       }
     }
     start_next();
 
     // Wait for the copies this group needs (stall = exposed move cost).
     auto needed_pending = [&]() {
-      for (const std::size_t i : needed_at[g]) {
-        if (copy_state[i].fired && !copy_state[i].done) return true;
+      for (std::size_t k = needed_begin_[g]; k < needed_begin_[g + 1]; ++k) {
+        const std::size_t i = needed_[k];
+        if (copy_state_[i].fired && !copy_state_[i].done) return true;
       }
       return false;
     };
@@ -324,16 +340,16 @@ SimReport SimExecutor::run(const TaskGraph& graph,
 
     // Run the group's tasks.
     report.group_start[g] = sim.now();
-    std::vector<TaskId> ready;
+    ready_.clear();
     for (TaskId id = grp.first_task; id < grp.last_task; ++id) {
-      if (pending[id] == 0) ready.push_back(id);
+      if (pending_[id] == 0) ready_.push_back(id);
     }
     std::size_t running = 0;
     std::size_t remaining = grp.size();
     std::size_t next_ready = 0;
     while (remaining > 0) {
-      while (running < workers && next_ready < ready.size()) {
-        start_task(ready[next_ready++]);
+      while (running < workers && next_ready < ready_.size()) {
+        start_task(ready_[next_ready++]);
         ++running;
       }
       const auto completion = sim.step();
@@ -352,19 +368,19 @@ SimReport SimExecutor::run(const TaskGraph& graph,
       }
       if (tracer != nullptr) {
         const Task& t = graph.task(tid);
-        tracer->complete(task_lane[tid],
+        tracer->complete(task_lane_[tid],
                          t.label.empty() ? "task" : t.label.c_str(),
                          t0 + completion->start_time,
                          completion->time - completion->start_time, "task",
                          tid, "group", g);
-        free_lanes.push_back(task_lane[tid]);
+        free_lanes_.push_back(task_lane_[tid]);
       }
       --running;
       --remaining;
       for (TaskId succ : graph.successors(tid)) {
-        TAHOE_ASSERT(pending[succ] > 0, "pred counter underflow");
-        if (--pending[succ] == 0 && graph.task(succ).group == g) {
-          ready.push_back(succ);
+        TAHOE_ASSERT(pending_[succ] > 0, "pred counter underflow");
+        if (--pending_[succ] == 0 && graph.task(succ).group == g) {
+          ready_.push_back(succ);
         }
       }
     }
@@ -382,7 +398,7 @@ SimReport SimExecutor::run(const TaskGraph& graph,
 
   // Drain any trailing copies (they do not extend the makespan, but their
   // busy time and placement effects are accounted for).
-  while (in_flight_copy != schedule.size() || !copy_fifo.empty()) {
+  while (in_flight_copy != schedule.size() || queued_copies() > 0) {
     start_next();
     if (in_flight_copy == schedule.size()) break;  // all remaining were no-ops
     const auto completion = sim.step();

@@ -14,13 +14,24 @@
 // placement map at its completion. Entering a group blocks until every copy
 // that the group *needs* has completed; the blocked time is recorded as
 // migration stall (the non-overlapped part of the data-movement cost).
+//
+// An executor owns its run storage: the pending-predecessor counts, the
+// ready list, the copy bookkeeping, the per-task access list and flow spec,
+// and the FluidSim. Every run resets all of it and keeps its capacity, so
+// an executor that runs graph after graph (one serving epoch after
+// another) allocates only the report and, while a run outgrows every
+// earlier one, the growth; nothing per task, per access or per event.
+// Hence one executor serves one thread at a time: two threads running
+// graphs at once need an executor each.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "hms/placement.hpp"
+#include "memsim/fluid.hpp"
 #include "memsim/machine.hpp"
 #include "task/graph.hpp"
 #include "trace/counters.hpp"
@@ -118,7 +129,8 @@ class SimExecutor {
 
   /// Execute and return the timing report. `placement` is consumed as the
   /// initial state and left in its final state on return (so callers can
-  /// carry residency across iterations).
+  /// carry residency across iterations). Nothing of an earlier run is
+  /// carried over but the storage.
   SimReport run(const TaskGraph& graph, const memsim::Machine& machine,
                 hms::PlacementMap& placement,
                 const std::vector<ScheduledCopy>& schedule,
@@ -129,6 +141,36 @@ class SimExecutor {
                 const std::vector<ScheduledCopy>& schedule) {
     return run(graph, machine, placement, schedule, Options{});
   }
+
+ private:
+  struct CopyState {
+    bool fired = false;
+    bool done = false;
+    memsim::DeviceId src = memsim::kDram;  ///< captured at start for tracing
+  };
+
+  // Run storage (see the file comment); run() resets every field.
+  memsim::FluidSim sim_{1};
+  std::vector<std::uint32_t> pending_;  ///< unfinished predecessors per task
+  std::vector<TaskId> ready_;           ///< the current group's ready tasks
+  std::vector<CopyState> copy_state_;   ///< per schedule entry
+  /// Fired copies waiting for the helper thread, from copy_fifo_head_ on.
+  std::vector<std::size_t> copy_fifo_;
+  std::size_t copy_fifo_head_ = 0;
+  /// Schedule indices fired at (needed by) group g, in schedule order:
+  /// fired_[fired_begin_[g], fired_begin_[g + 1]), likewise needed_.
+  std::vector<std::size_t> fired_;
+  std::vector<std::size_t> fired_begin_;
+  std::vector<std::size_t> needed_;
+  std::vector<std::size_t> needed_begin_;
+  /// migrate.bytes counter per tier pair, looked up at the pair's first
+  /// copy of the run.
+  std::vector<trace::Counter*> pair_counters_;
+  std::vector<std::uint32_t> task_lane_;   ///< traced runs only
+  std::vector<std::uint32_t> free_lanes_;  ///< traced runs only
+  /// The starting task's (traffic, device) pairs and its flow.
+  std::vector<std::pair<memsim::ObjectTraffic, memsim::DeviceId>> accesses_;
+  memsim::FlowSpec flow_;
 };
 
 /// The last simulated run, kept so that an exact repeat takes its outcome

@@ -6,12 +6,19 @@
 #include <algorithm>
 #include <cstddef>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "task/graph.hpp"
 
 namespace tahoe::task {
+
+/// A task's successors as a vector, for comparisons.
+inline std::vector<TaskId> successor_list(const TaskGraph& g, TaskId id) {
+  const std::span<const TaskId> succs = g.successors(id);
+  return {succs.begin(), succs.end()};
+}
 
 /// Number of dependence edges (deduplicated per source).
 inline std::size_t num_edges(const TaskGraph& g) {

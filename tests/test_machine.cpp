@@ -19,11 +19,26 @@ Machine test_machine() {
       256 * kMiB);
 }
 
+FlowSpec task_flow(
+    const Machine& m, double compute_seconds,
+    const std::vector<std::pair<ObjectTraffic, DeviceId>>& accesses) {
+  FlowSpec spec;
+  m.task_flow(compute_seconds, accesses, 0, spec);
+  return spec;
+}
+
+FlowSpec copy_flow(const Machine& m, std::uint64_t bytes, DeviceId src,
+                   DeviceId dst) {
+  FlowSpec spec;
+  m.copy_flow(bytes, src, dst, 1, spec);
+  return spec;
+}
+
 /// Duration of the task flow when running alone (no contention).
 double uncontended_task_seconds(
     const Machine& m, double compute_seconds,
     const std::vector<std::pair<ObjectTraffic, DeviceId>>& accesses) {
-  const FlowSpec spec = m.task_flow(compute_seconds, accesses, 0);
+  const FlowSpec spec = task_flow(m, compute_seconds, accesses);
   double channel = 0.0;
   for (double d : spec.device_seconds) channel = std::max(channel, d);
   return std::max(spec.serial_seconds, channel);
@@ -41,8 +56,8 @@ ObjectTraffic stream(std::uint64_t elems) {
 
 TEST(Machine, TaskFlowChargesTheRightDevice) {
   const Machine m = test_machine();
-  const FlowSpec on_dram = m.task_flow(0.0, {{stream(1 << 20), kDram}}, 0);
-  const FlowSpec on_nvm = m.task_flow(0.0, {{stream(1 << 20), kNvm}}, 0);
+  const FlowSpec on_dram = task_flow(m, 0.0, {{stream(1 << 20), kDram}});
+  const FlowSpec on_nvm = task_flow(m, 0.0, {{stream(1 << 20), kNvm}});
   EXPECT_GT(on_dram.device_seconds[kDram], 0.0);
   EXPECT_DOUBLE_EQ(on_dram.device_seconds[kNvm], 0.0);
   EXPECT_GT(on_nvm.device_seconds[kNvm], 0.0);
@@ -54,7 +69,7 @@ TEST(Machine, TaskFlowChargesTheRightDevice) {
 
 TEST(Machine, ComputeAddsToSerial) {
   const Machine m = test_machine();
-  const FlowSpec f = m.task_flow(0.25, {{stream(1024), kDram}}, 0);
+  const FlowSpec f = task_flow(m, 0.25, {{stream(1024), kDram}});
   EXPECT_GE(f.serial_seconds, 0.25);
 }
 
@@ -63,7 +78,7 @@ TEST(Machine, UncontendedSecondsIsRooflineMax) {
   // Bandwidth-bound stream: duration == channel time.
   const double t_bw =
       uncontended_task_seconds(m, 0.0, {{stream(64 << 20), kNvm}});
-  const FlowSpec f = m.task_flow(0.0, {{stream(64 << 20), kNvm}}, 0);
+  const FlowSpec f = task_flow(m, 0.0, {{stream(64 << 20), kNvm}});
   EXPECT_NEAR(t_bw, f.device_seconds[kNvm], t_bw * 1e-9);
 
   // Compute-bound task: duration == compute.
@@ -96,11 +111,11 @@ TEST(Machine, LatencyBoundChainIsBandwidthInsensitive) {
 
 TEST(Machine, CopyFlowTouchesBothDevices) {
   const Machine m = test_machine();
-  const FlowSpec c = m.copy_flow(64 * kMiB, kNvm, kDram, 1);
+  const FlowSpec c = copy_flow(m, 64 * kMiB, kNvm, kDram);
   EXPECT_GT(c.device_seconds[kNvm], 0.0);   // read source
   EXPECT_GT(c.device_seconds[kDram], 0.0);  // write destination
   EXPECT_GT(c.serial_seconds, 0.0);         // copy-engine ceiling
-  EXPECT_THROW(m.copy_flow(64, kDram, kDram, 1), ContractError);
+  EXPECT_THROW(copy_flow(m, 64, kDram, kDram), ContractError);
 }
 
 TEST(Machine, PlatformPresetsAreSane) {

@@ -468,7 +468,9 @@ TEST(OpenLoopSource, RejectsNonFiniteOrNonPositiveRates) {
     EXPECT_THROW(OpenLoopSource(0, rate, 1), ContractError) << rate;
   }
   OpenLoopSource ok(0, 100.0, 1);
-  EXPECT_FALSE(ok.drain_until(1.0).empty());
+  std::vector<Request> arrivals;
+  ok.drain_until(1.0, arrivals);
+  EXPECT_FALSE(arrivals.empty());
 }
 
 TEST(ServeDriver, RejectsNonFiniteOrNonPositiveDurationAndEpoch) {
