@@ -9,9 +9,15 @@
 // above u. Each draw gets the rank a binary search over the CDF would give
 // it, in expected O(1). The analytic CDF is exposed so tests can compare
 // the empirical distribution against it directly.
+//
+// The CDF and guide table are immutable once built, so a process builds
+// each (n, s) table once and every Zipf of that exact n and exponent
+// shares it: a serving tenant made for every run of a rate ladder costs
+// no table but the first.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -35,15 +41,23 @@ class Zipf {
   /// Analytic PMF: P[X = k]. Requires k < size().
   double pmf(std::size_t k) const;
 
-  std::size_t size() const noexcept { return cdf_.size(); }
+  std::size_t size() const noexcept { return table_->cdf.size(); }
   double exponent() const noexcept { return s_; }
 
  private:
   static constexpr std::size_t kGuideEntries = 4096;
 
-  std::vector<double> cdf_;  ///< cdf_[k] = P[X <= k]; back() == 1.0
-  /// guide_[j] = rank_of(j / kGuideEntries).
-  std::vector<std::size_t> guide_;
+  struct Table {
+    std::vector<double> cdf;  ///< cdf[k] = P[X <= k]; back() == 1.0
+    /// guide[j] = rank_of(j / kGuideEntries).
+    std::vector<std::size_t> guide;
+  };
+
+  /// The process's table for exactly (n, s), built on first use.
+  static std::shared_ptr<const Table> shared_table(std::size_t n, double s);
+  static Table build_table(std::size_t n, double s);
+
+  std::shared_ptr<const Table> table_;
   double s_ = 0.0;
 };
 
