@@ -8,6 +8,12 @@
 // trace timeline (counter tracks) and the machine-readable run export
 // (report.hpp).
 //
+// Interval sampling. Each cell also keeps the value the last
+// take_interval() saw, so the telemetry sampler gets an interval's deltas
+// from one walk under the mutex. Those values belong to the registry's one
+// sampler: telemetry() for the global registry, in every process (each
+// tahoe_sweep child arms its own).
+//
 // Counters vs gauges. A counter is monotonic (add/increment): its exported
 // value is a cumulative total and deltas between snapshots are meaningful.
 // A gauge is a last-write-wins level (set): queue depths, occupancy. The
@@ -50,6 +56,19 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
+/// One sampling interval's worth of registry change (take_interval).
+struct IntervalSample {
+  double t = 0.0;   ///< end-of-interval time, run-relative seconds
+  double dt = 0.0;  ///< interval length
+  /// Counter deltas since the previous sample (only nonzero ones).
+  std::vector<std::pair<std::string, std::uint64_t>> counter_deltas;
+  /// Gauge levels at the sample point (all gauges; levels, not deltas).
+  std::vector<std::pair<std::string, std::uint64_t>> gauges;
+  /// Histogram bucket-wise deltas since the previous sample (only those
+  /// with a nonzero interval count).
+  std::vector<std::pair<std::string, HistogramSnapshot>> hist_deltas;
+};
+
 class CounterRegistry {
  public:
   /// Find-or-create a monotonic counter; the reference stays valid until
@@ -81,7 +100,16 @@ class CounterRegistry {
   std::vector<std::pair<std::string, HistogramSnapshot>> snapshot_histograms()
       const;
 
+  /// The change since the previous call, each part sorted by name, from
+  /// one walk that records what it saw. A counter first seen contributes
+  /// its full value, and one that shrank (reset()) restarts from its new
+  /// value; gauges are levels. Histograms subtract bucket-wise and restart
+  /// when any bucket or the sum shrank; the delta keeps the cumulative
+  /// max, an upper bound that keeps percentile clamping safe.
+  IntervalSample take_interval(double t, double dt);
+
   /// Zero every registered metric (between benchmark configurations).
+  /// What take_interval() saw stays, so shrunken metrics restart.
   void reset();
 
   /// Number of scalar metrics (counters + gauges).
@@ -91,13 +119,18 @@ class CounterRegistry {
   struct Cell {
     Counter counter;
     bool is_gauge = false;
+    std::uint64_t sampled = 0;  ///< counter value at the last interval
+  };
+  struct HistogramCell {
+    Histogram histogram;
+    HistogramSnapshot sampled;  ///< snapshot at the last interval
   };
 
   Counter& get_cell(const std::string& name, bool gauge);
 
-  mutable std::mutex mutex_;
+  mutable std::mutex mutex_;  // guards the maps and every `sampled`
   std::map<std::string, std::unique_ptr<Cell>> counters_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::map<std::string, std::unique_ptr<HistogramCell>> histograms_;
 };
 
 /// Process-wide registry used by the runtime's instrumentation points.

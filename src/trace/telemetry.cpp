@@ -203,63 +203,6 @@ bool slo_observed(const SloRule& rule, const IntervalSample& sample,
   return false;
 }
 
-void DeltaTracker::reset(const CounterRegistry& registry) {
-  prev_counters_.clear();
-  prev_hists_.clear();
-  for (const auto& [name, value] : registry.snapshot_counters()) {
-    prev_counters_[name] = value;
-  }
-  for (const auto& [name, snap] : registry.snapshot_histograms()) {
-    prev_hists_[name] = snap;
-  }
-}
-
-IntervalSample DeltaTracker::advance(const CounterRegistry& registry,
-                                     double t, double dt) {
-  IntervalSample sample;
-  sample.t = t;
-  sample.dt = dt;
-  for (const auto& [name, value] : registry.snapshot_counters()) {
-    const auto it = prev_counters_.find(name);
-    const std::uint64_t prev =
-        it == prev_counters_.end() ? 0 : it->second;
-    // A shrunken counter means the registry was reset: restart from the
-    // new value instead of underflowing.
-    const std::uint64_t delta = value >= prev ? value - prev : value;
-    prev_counters_[name] = value;
-    if (delta != 0) sample.counter_deltas.emplace_back(name, delta);
-  }
-  sample.gauges = registry.snapshot_gauges();
-  for (const auto& [name, snap] : registry.snapshot_histograms()) {
-    const auto it = prev_hists_.find(name);
-    HistogramSnapshot delta;
-    if (it == prev_hists_.end()) {
-      delta = snap;
-    } else {
-      const HistogramSnapshot& prev = it->second;
-      bool reset = snap.sum < prev.sum;
-      for (std::size_t b = 0; !reset && b < HistogramSnapshot::kBuckets;
-           ++b) {
-        reset = snap.buckets[b] < prev.buckets[b];
-      }
-      if (reset) {
-        delta = snap;
-      } else {
-        for (std::size_t b = 0; b < HistogramSnapshot::kBuckets; ++b) {
-          delta.buckets[b] = snap.buckets[b] - prev.buckets[b];
-        }
-        delta.sum = snap.sum - prev.sum;
-        // The cumulative max is only an upper bound for this interval,
-        // but percentile() clamps against it, which is the safe side.
-        delta.max = snap.max;
-      }
-    }
-    prev_hists_[name] = snap;
-    if (delta.count() != 0) sample.hist_deltas.emplace_back(name, delta);
-  }
-  return sample;
-}
-
 namespace {
 
 std::string serialize_interval(std::uint64_t seq,
@@ -355,7 +298,8 @@ void TelemetrySampler::configure(const TelemetryConfig& config) {
   emitted_ = 0;
   progress_seen_ = false;
   zero_progress_ = 0;
-  tracker_.reset(global_counters());
+  // Start the first interval from the current values.
+  (void)global_counters().take_interval(0.0, 0.0);
   prev_faults_ = fault::global().total_injected();
   // Anything to do? A stream, watchdog rules, a stall detector, or an
   // armed flight recorder (which needs the per-interval drain/poll even
@@ -445,14 +389,16 @@ std::uint64_t TelemetrySampler::intervals_emitted() const {
 
 void TelemetrySampler::emit_interval(double t, double dt) {
   sync_dropped_events_counter();
-  const IntervalSample sample = tracker_.advance(global_counters(), t, dt);
+  const IntervalSample sample = global_counters().take_interval(t, dt);
   const std::uint64_t seq = seq_++;
+  // Lines are built only for a reader: the stream or the flight ring.
+  const bool flight_armed = flight().armed();
+  const bool has_reader = out_open_ || flight_armed;
   const auto write_line = [this](const std::string& line) {
     if (out_open_) out_ << line << '\n';
     flight().record_line(line);
   };
-  write_line(serialize_interval(seq, sample));
-  const bool flight_armed = flight().armed();
+  if (has_reader) write_line(serialize_interval(seq, sample));
   if (flight_armed) flight().record_events(global().drain());
 
   // Declarative watchdog rules.
@@ -461,7 +407,7 @@ void TelemetrySampler::emit_interval(double t, double dt) {
     double observed = 0.0;
     if (!slo_observed(rule, sample, &observed)) continue;
     if (rule.holds(observed)) continue;
-    write_line(serialize_breach(seq, t, rule, observed));
+    if (has_reader) write_line(serialize_breach(seq, t, rule, observed));
     global_counters().get("slo.breaches").increment();
     breached = true;
   }
@@ -481,7 +427,7 @@ void TelemetrySampler::emit_interval(double t, double dt) {
       zero_progress_ = 0;
     } else if (progress_seen_ &&
                ++zero_progress_ >= config_.stall_intervals) {
-      write_line(serialize_stall(seq, t, zero_progress_));
+      if (has_reader) write_line(serialize_stall(seq, t, zero_progress_));
       global_counters().get("slo.breaches").increment();
       progress_seen_ = false;
       zero_progress_ = 0;

@@ -3,14 +3,20 @@
 //
 // Post-mortem observability (one registry snapshot folded into the
 // RunReport at exit) says nothing about *when* a run went sideways. The
-// TelemetrySampler closes that gap: at a configurable cadence it snapshots
-// the global CounterRegistry and streams one JSONL line per interval to
+// TelemetrySampler closes that gap: at a configurable cadence it takes
+// one interval from the global CounterRegistry (take_interval, one walk
+// under its mutex) and streams one JSONL line per interval to
 // --telemetry-out, carrying interval *deltas* — counter deltas and rates,
 // gauge levels, histogram bucket-delta digests — never cumulative totals.
 // Deltas are what make the stream byte-reproducible: the process-global
 // registry accumulates across runs, but the difference between two
-// consecutive snapshots of a seeded simulated run is deterministic, so two
+// consecutive samples of a seeded simulated run is deterministic, so two
 // --deterministic invocations write byte-identical telemetry.
+//
+// The interval, breach and stall lines are built only when something
+// reads them: an open --telemetry-out stream or an armed flight recorder.
+// A sampler armed only for its rules or its stall detector evaluates them
+// on every interval and serializes nothing.
 //
 // Two clock modes, mirroring the tracer's two time bases:
 //  * Virtual (default): the simulated paths (SimExecutor, serve driver)
@@ -48,7 +54,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <fstream>
-#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -85,19 +90,6 @@ SloRule parse_slo_rule(const std::string& spec);
 /// Parse a comma-separated rule list ("" -> empty).
 std::vector<SloRule> parse_slo_rules(const std::string& csv);
 
-/// One sampling interval's worth of registry change.
-struct IntervalSample {
-  double t = 0.0;   ///< end-of-interval time, run-relative seconds
-  double dt = 0.0;  ///< interval length
-  /// Counter deltas since the previous sample (only nonzero ones).
-  std::vector<std::pair<std::string, std::uint64_t>> counter_deltas;
-  /// Gauge levels at the sample point (all gauges; levels, not deltas).
-  std::vector<std::pair<std::string, std::uint64_t>> gauges;
-  /// Histogram bucket-wise deltas since the previous sample (only those
-  /// with a nonzero interval count).
-  std::vector<std::pair<std::string, HistogramSnapshot>> hist_deltas;
-};
-
 /// Observed value of `rule` over `sample`. Counters absent from the sample
 /// evaluate with a zero delta (so throughput-floor rules catch quiet
 /// intervals); gauges and histograms absent from the sample return false
@@ -105,27 +97,6 @@ struct IntervalSample {
 /// interval).
 bool slo_observed(const SloRule& rule, const IntervalSample& sample,
                   double* observed);
-
-/// Computes registry deltas between consecutive snapshots. A counter first
-/// seen mid-run contributes its full value; a counter that shrank (registry
-/// reset between runs) restarts — its delta is the new value, never an
-/// underflow. Gauges pass through as levels, so a decreasing gauge is just
-/// a lower level. Histogram deltas subtract bucket-wise (clamped at zero);
-/// the delta's max is the cumulative max — an upper bound for the
-/// interval, which keeps percentile clamping safe.
-class DeltaTracker {
- public:
-  /// Seed the previous snapshot from the registry's current state, so the
-  /// first interval reports only what happened after arming.
-  void reset(const CounterRegistry& registry);
-
-  /// Snapshot the registry and return the change since the last call.
-  IntervalSample advance(const CounterRegistry& registry, double t, double dt);
-
- private:
-  std::map<std::string, std::uint64_t> prev_counters_;
-  std::map<std::string, HistogramSnapshot> prev_hists_;
-};
 
 struct TelemetryConfig {
   std::string out_path;           ///< JSONL stream ("" = no stream)
@@ -139,8 +110,8 @@ struct TelemetryConfig {
 
 class TelemetrySampler {
  public:
-  /// Arm with `config`: resets the interval sequence, seeds the delta
-  /// tracker from the registry's current state, (re)opens the output
+  /// Arm with `config`: resets the interval sequence, starts the first
+  /// interval from the registry's current values, (re)opens the output
   /// stream, and starts the background thread in wall-clock mode. A
   /// config with no output, no rules, no stall detector and a disarmed
   /// flight recorder disables the sampler.
@@ -179,7 +150,6 @@ class TelemetrySampler {
   TelemetryConfig config_;
   std::ofstream out_;
   bool out_open_ = false;
-  DeltaTracker tracker_;
   std::uint64_t seq_ = 0;
   std::uint64_t boundary_ = 0;  ///< intervals emitted in the current run
   std::uint64_t emitted_ = 0;
@@ -192,7 +162,8 @@ class TelemetrySampler {
   bool stop_ = false;
 };
 
-/// Process-wide sampler, like global() / global_counters().
+/// Process-wide sampler, like global() / global_counters(), and the one
+/// sampler of global_counters().
 TelemetrySampler& telemetry();
 
 /// Register the --telemetry-* / --slo-* / --flight-* flag set on a
