@@ -8,14 +8,13 @@
 namespace tahoe::core {
 
 PerfModel::PerfModel(ModelConstants constants, const memsim::Machine& machine)
-    : constants_(constants),
-      tiers_(machine.devices),
-      copy_bw_(machine.copy_engine_bw),
-      copy_paths_(machine.copy_paths),
-      interval_(machine.sample_interval) {
-  TAHOE_REQUIRE(tiers_.size() >= 2, "perf model needs at least two tiers");
-  TAHOE_REQUIRE(copy_bw_ > 0.0, "copy bandwidth must be positive");
-  TAHOE_REQUIRE(interval_ > 0, "sample interval must be positive");
+    : constants_(constants), machine_(machine) {
+  TAHOE_REQUIRE(machine_.num_tiers() >= 2,
+                "perf model needs at least two tiers");
+  TAHOE_REQUIRE(machine_.copy_engine_bw > 0.0,
+                "copy bandwidth must be positive");
+  TAHOE_REQUIRE(machine_.sample_interval > 0,
+                "sample interval must be positive");
   TAHOE_REQUIRE(constants_.t2 < constants_.t1, "thresholds must satisfy t2 < t1");
 }
 
@@ -24,8 +23,9 @@ double PerfModel::bandwidth_estimate(const memsim::SampledCounts& s,
   if (phase_seconds <= 0.0) return 0.0;
   const double active = s.active_fraction();
   if (active <= 0.0) return 0.0;
+  const std::uint64_t interval = machine_.sample_interval;
   const double accessed_bytes =
-      (s.est_loads(interval_) + s.est_stores(interval_)) *
+      (s.est_loads(interval) + s.est_stores(interval)) *
       static_cast<double>(kCacheLine);
   return accessed_bytes / (active * phase_seconds);
 }
@@ -42,11 +42,11 @@ Sensitivity PerfModel::classify(double bw_estimate) const {
 double PerfModel::benefit_bw(const memsim::SampledCounts& s,
                              bool distinguish_rw, memsim::TierId src,
                              memsim::TierId dst) const {
-  const memsim::DeviceModel& from = tiers_.at(src);
-  const memsim::DeviceModel& to = tiers_.at(dst);
+  const memsim::DeviceModel& from = machine_.tier(src);
+  const memsim::DeviceModel& to = machine_.tier(dst);
   const double line = static_cast<double>(kCacheLine);
-  const double loads = s.est_loads(interval_);
-  const double stores = s.est_stores(interval_);
+  const double loads = s.est_loads(machine_.sample_interval);
+  const double stores = s.est_stores(machine_.sample_interval);
   double src_time = 0.0;
   if (distinguish_rw) {
     // Eq. (4): reads and writes charged at the source read/write bandwidths.
@@ -62,10 +62,10 @@ double PerfModel::benefit_bw(const memsim::SampledCounts& s,
 double PerfModel::benefit_lat(const memsim::SampledCounts& s,
                               bool distinguish_rw, memsim::TierId src,
                               memsim::TierId dst) const {
-  const memsim::DeviceModel& from = tiers_.at(src);
-  const memsim::DeviceModel& to = tiers_.at(dst);
-  const double loads = s.est_loads(interval_);
-  const double stores = s.est_stores(interval_);
+  const memsim::DeviceModel& from = machine_.tier(src);
+  const memsim::DeviceModel& to = machine_.tier(dst);
+  const double loads = s.est_loads(machine_.sample_interval);
+  const double stores = s.est_stores(machine_.sample_interval);
   double src_time = 0.0;
   if (distinguish_rw) {
     // Eq. (5).
@@ -101,17 +101,10 @@ double PerfModel::movement_cost(std::uint64_t bytes, double overlap_window,
 
 double PerfModel::copy_seconds(std::uint64_t bytes, memsim::TierId src,
                                memsim::TierId dst) const {
-  const double bw = std::min({pair_copy_bw(src, dst), tiers_.at(src).read_bw,
-                              tiers_.at(dst).write_bw});
+  const double bw =
+      std::min({machine_.copy_bw_for(src, dst), machine_.tier(src).read_bw,
+                machine_.tier(dst).write_bw});
   return static_cast<double>(bytes) / bw;
-}
-
-double PerfModel::pair_copy_bw(memsim::TierId src,
-                               memsim::TierId dst) const noexcept {
-  for (const memsim::CopyPathLimit& p : copy_paths_) {
-    if (p.src == src && p.dst == dst) return p.bw;
-  }
-  return copy_bw_;
 }
 
 }  // namespace tahoe::core

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "memsim/device.hpp"
 #include "memsim/machine.hpp"
@@ -47,9 +46,9 @@ class PerfModel {
 
   const ModelConstants& constants() const noexcept { return constants_; }
 
-  std::size_t num_tiers() const noexcept { return tiers_.size(); }
+  std::size_t num_tiers() const noexcept { return machine_.num_tiers(); }
   const memsim::DeviceModel& tier(memsim::TierId t) const {
-    return tiers_.at(t);
+    return machine_.tier(t);
   }
 
   /// Eq. (1): estimated main-memory bandwidth consumption of a data unit
@@ -89,20 +88,15 @@ class PerfModel {
                        memsim::TierId src, memsim::TierId dst) const;
 
   /// Raw copy time: bytes over the pair's effective bandwidth — min(the
-  /// pair's copy-engine limit, source read bandwidth, destination write
-  /// bandwidth). Direction-aware: asymmetric NVM makes NVM-bound copies
-  /// slower.
+  /// pair's copy-engine limit (Machine::copy_bw_for), source read
+  /// bandwidth, destination write bandwidth). Direction-aware: asymmetric
+  /// NVM makes NVM-bound copies slower.
   double copy_seconds(std::uint64_t bytes, memsim::TierId src,
                       memsim::TierId dst) const;
 
  private:
-  double pair_copy_bw(memsim::TierId src, memsim::TierId dst) const noexcept;
-
   ModelConstants constants_;
-  std::vector<memsim::DeviceModel> tiers_;  ///< fastest first
-  double copy_bw_;
-  std::vector<memsim::CopyPathLimit> copy_paths_;
-  std::uint64_t interval_;
+  memsim::Machine machine_;
 };
 
 }  // namespace tahoe::core
