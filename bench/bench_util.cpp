@@ -106,6 +106,24 @@ core::RunReport run_static(const std::string& workload,
   return report;
 }
 
+namespace {
+
+/// Run one workload under `policy` on a runtime built from `rc`, and append
+/// its report and explain document to the config's artifact files.
+core::RunReport run_policy(const std::string& workload,
+                           const BenchConfig& config,
+                           const core::RuntimeConfig& rc,
+                           core::Policy& policy) {
+  core::Runtime rt(rc);
+  auto app = workloads::make_workload(workload, config.scale);
+  core::RunReport report = rt.run(*app, policy);
+  append_report_json(report, config.report_json);
+  append_explain_json(report, config.explain_out);
+  return report;
+}
+
+}  // namespace
+
 core::RunReport run_tahoe(const std::string& workload,
                           const BenchConfig& config,
                           const core::TahoeOptions& options,
@@ -114,36 +132,21 @@ core::RunReport run_tahoe(const std::string& workload,
   rc.initial_placement = tweaks.initial_placement;
   rc.chunking = tweaks.chunking;
   rc.adaptive = tweaks.adaptive;
-  core::Runtime rt(rc);
-  auto app = workloads::make_workload(workload, config.scale);
-  core::TahoePolicy policy(core::calibrate(rt.machine()).to_constants(),
+  core::TahoePolicy policy(core::calibrate(rc.machine).to_constants(),
                            options);
-  core::RunReport report = rt.run(*app, policy);
-  append_report_json(report, config.report_json);
-  append_explain_json(report, config.explain_out);
-  return report;
+  return run_policy(workload, config, rc, policy);
 }
 
 core::RunReport run_xmem(const std::string& workload,
                          const BenchConfig& config) {
-  core::Runtime rt(runtime_config(config));
-  auto app = workloads::make_workload(workload, config.scale);
   baselines::XMemPolicy policy;
-  core::RunReport report = rt.run(*app, policy);
-  append_report_json(report, config.report_json);
-  append_explain_json(report, config.explain_out);
-  return report;
+  return run_policy(workload, config, runtime_config(config), policy);
 }
 
 core::RunReport run_reactive(const std::string& workload,
                              const BenchConfig& config) {
-  core::Runtime rt(runtime_config(config));
-  auto app = workloads::make_workload(workload, config.scale);
   baselines::ReactiveLruPolicy policy;
-  core::RunReport report = rt.run(*app, policy);
-  append_report_json(report, config.report_json);
-  append_explain_json(report, config.explain_out);
-  return report;
+  return run_policy(workload, config, runtime_config(config), policy);
 }
 
 double normalized(const core::RunReport& run, const core::RunReport& dram) {
