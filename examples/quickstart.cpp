@@ -47,6 +47,7 @@ class QuickstartApp : public core::Application {
   void build_iteration(task::GraphBuilder& builder,
                        std::size_t iteration) override {
     (void)iteration;
+    if (builder.keep_previous()) return;
     builder.begin_group("build");
     for (int i = 0; i < 8; ++i) {
       task::Task t;

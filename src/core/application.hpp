@@ -6,11 +6,12 @@
 // rebuilds its per-iteration task graph on demand. The same builder
 // function runs every iteration; workloads with drift can vary the
 // declared traffic with the iteration number, which is what exercises the
-// adaptivity machinery. build_iteration runs every iteration even when the
-// declaration repeats the previous one exactly: the simulated runtime then
-// keeps the previous iteration's graph (and, from the same residency under
-// the same schedule, its outcome), so a kept graph carries the earlier
-// iteration's `work` kernels.
+// adaptivity machinery. On each iteration whose declaration would repeat
+// the previous one's, build_iteration opens with
+// `if (builder.keep_previous()) return;`: the simulated runtime then keeps
+// the previous graph, `work` kernels included (and, from the same
+// residency under the same schedule, its outcome). Nothing checks that
+// word. Real runs build without a previous graph and declare in full.
 #pragma once
 
 #include <cstdint>

@@ -182,10 +182,10 @@ hms::ObjectId first_unreservable(
 
 /// One simulated iteration: the step run() and run_fixed() share.
 /// Iterative applications re-instantiate the same task graph every
-/// iteration, so build() keeps the previous graph when the declaration
-/// repeats it exactly, and simulate() takes the previous outcome when the
-/// kept graph also starts from the same residency under the same schedule
-/// and nothing records from inside the run (task::RunMemo).
+/// iteration, so build() offers the application the previous graph to
+/// keep, and simulate() takes the previous outcome when the kept graph
+/// also starts from the same residency under the same schedule and
+/// nothing records from inside the run (task::RunMemo).
 class SimStep {
  public:
   SimStep(const memsim::Machine& machine, task::SimExecutor::Options options)

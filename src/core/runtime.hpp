@@ -13,8 +13,8 @@
 //   * run() and the fixed-placement baselines run_static()/run_pinned() —
 //     deterministic simulated timing (all reported numbers come from
 //     here). They share one per-iteration step, which keeps the previous
-//     iteration's graph and outcome when an iteration repeats them
-//     exactly and nothing records from inside the run;
+//     iteration's graph when the application repeats it, and its outcome
+//     when nothing records from inside the run;
 //   * run_real_report() — real threads, real kernels, real memcpy
 //     migrations, used by integration tests and examples to validate
 //     correctness of the data-management machinery.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <limits>
 #include <span>
 #include <utility>
@@ -11,35 +10,6 @@
 
 namespace tahoe::task {
 namespace {
-
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-bool same_traffic(const memsim::ObjectTraffic& a,
-                  const memsim::ObjectTraffic& b) {
-  return a.loads == b.loads && a.stores == b.stores &&
-         a.footprint == b.footprint && same_bits(a.dep_frac, b.dep_frac) &&
-         same_bits(a.locality, b.locality) && same_bits(a.spatial, b.spatial);
-}
-
-/// Equal as declared (id and group included); `work` is not compared.
-bool same_task(const Task& a, const Task& b) {
-  if (a.id != b.id || a.group != b.group || a.label != b.label ||
-      !same_bits(a.compute_seconds, b.compute_seconds) ||
-      a.request != b.request || a.accesses.size() != b.accesses.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.accesses.size(); ++i) {
-    const DataAccess& x = a.accesses[i];
-    const DataAccess& y = b.accesses[i];
-    if (x.object != y.object || x.chunk != y.chunk || x.mode != y.mode ||
-        !same_traffic(x.traffic, y.traffic)) {
-      return false;
-    }
-  }
-  return true;
-}
 
 constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
@@ -232,24 +202,34 @@ std::optional<GroupId> TaskGraph::last_reference_before(hms::ObjectId obj,
   return best;
 }
 
-GraphBuilder::GraphBuilder(TaskGraph previous) {
-  if (previous.num_groups() > 0) previous_ = std::move(previous);
+GraphBuilder::GraphBuilder(TaskGraph previous)
+    : previous_(std::move(previous)) {}
+
+bool GraphBuilder::keep_previous() {
+  TAHOE_REQUIRE(kept_ || graph_.groups_.empty(),
+                "keep_previous after begin_group");
+  if (!kept_ && previous_.num_groups() > 0) {
+    graph_ = std::move(previous_);
+    kept_ = true;
+  }
+  return kept_;
 }
 
 GroupId GraphBuilder::begin_group(std::string name) {
+  TAHOE_REQUIRE(!kept_, "begin_group after keep_previous");
   const auto g = static_cast<GroupId>(graph_.groups_.size());
   Group grp;
   grp.name = std::move(name);
-  grp.first_task = static_cast<TaskId>(num_tasks());
+  grp.first_task = static_cast<TaskId>(graph_.tasks_.size());
   grp.last_task = grp.first_task;
   graph_.groups_.push_back(std::move(grp));
-  group_open_ = true;
   return g;
 }
 
 TaskId GraphBuilder::add_task(Task t) {
-  TAHOE_REQUIRE(group_open_, "add_task outside of a group");
-  const auto tid = static_cast<TaskId>(num_tasks());
+  TAHOE_REQUIRE(!kept_ && !graph_.groups_.empty(),
+                "add_task outside of a declared group");
+  const auto tid = static_cast<TaskId>(graph_.tasks_.size());
   t.id = tid;
   t.group = static_cast<GroupId>(graph_.groups_.size() - 1);
   TAHOE_REQUIRE(t.compute_seconds >= 0.0, "negative compute time");
@@ -257,28 +237,8 @@ TaskId GraphBuilder::add_task(Task t) {
     TAHOE_REQUIRE(a.object != hms::kInvalidObject, "access to invalid object");
   }
   graph_.groups_.back().last_task = tid + 1;
-  if (previous_) {
-    if (tid < previous_->num_tasks() && same_task(t, previous_->task(tid))) {
-      ++matched_;
-      return tid;
-    }
-    take_previous_tasks();
-  }
   graph_.tasks_.push_back(std::move(t));
   return tid;
-}
-
-bool GraphBuilder::repeats_previous() const {
-  return previous_ && matched_ == previous_->num_tasks() &&
-         graph_.groups_ == previous_->groups_;
-}
-
-void GraphBuilder::take_previous_tasks() {
-  graph_.tasks_ = std::move(previous_->tasks_);
-  graph_.tasks_.erase(graph_.tasks_.begin() +
-                          static_cast<std::ptrdiff_t>(matched_),
-                      graph_.tasks_.end());
-  previous_.reset();
 }
 
 void GraphBuilder::derive() {
@@ -372,9 +332,7 @@ void GraphBuilder::derive() {
 
 TaskGraph GraphBuilder::build() {
   TAHOE_REQUIRE(!graph_.groups_.empty(), "graph has no groups");
-  if (repeats_previous()) return std::move(*previous_);
-  if (previous_) take_previous_tasks();
-  derive();
+  if (!kept_) derive();
   return std::move(graph_);
 }
 

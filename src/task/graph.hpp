@@ -28,10 +28,9 @@
 // a graph as large, nothing per task or per access.
 //
 // An iterative application re-instantiates the same graph every
-// iteration. A builder given the previous iteration's graph compares each
-// task against it as it arrives; when the whole declaration repeats it
-// exactly, build() hands the previous graph back without deriving it
-// again.
+// iteration. A builder given the previous iteration's graph hands it back
+// from build() when the application says, through keep_previous(), that
+// this iteration declares it again; nothing is declared or derived.
 #pragma once
 
 #include <cstdint>
@@ -108,12 +107,18 @@ class TaskGraph {
 class GraphBuilder {
  public:
   GraphBuilder() = default;
-  /// A builder that checks the declaration against `previous`, the graph
-  /// of the iteration before. While the tasks repeat it, they are compared
-  /// and counted but not stored; the first task that differs takes over
-  /// previous's task list up to that point. A graph with no groups is no
-  /// previous graph at all.
+  /// A builder that can keep `previous`, the graph of the iteration
+  /// before (see keep_previous). A graph with no groups is no previous
+  /// graph at all.
   explicit GraphBuilder(TaskGraph previous);
+
+  /// Take the previous graph as this iteration's declaration, on the
+  /// caller's word that the iteration would declare it exactly (its `work`
+  /// kernels included, which a kept graph carries over). Returns whether
+  /// there was a previous graph to take; on false, nothing is taken and
+  /// the caller declares in full. Must come before the first begin_group,
+  /// and once it returned true, begin_group and add_task are errors.
+  bool keep_previous();
 
   /// Open a new group; subsequent add_task calls attach to it.
   GroupId begin_group(std::string name);
@@ -122,36 +127,23 @@ class GraphBuilder {
   /// id and group fields are assigned by the builder. Returns the id.
   TaskId add_task(Task t);
 
-  /// Whether the declaration so far equals the previous graph exactly: the
-  /// same groups (name and boundaries) and as many tasks, each equal in
-  /// label, compute_seconds, request and every access's object, chunk,
-  /// mode and traffic. Doubles compare bit for bit, so 0.0 and -0.0
-  /// differ. `work` is not compared: a kept graph keeps previous's kernels.
-  bool repeats_previous() const;
+  /// Whether keep_previous() took the previous graph.
+  bool repeats_previous() const noexcept { return kept_; }
 
-  /// Finalize: derive the dependences, or return the previous graph as it
-  /// is when the declaration repeats it. The builder must not be reused
-  /// afterwards. Deriving reuses this thread's derive workspace, so a warm
-  /// build allocates only the graph's arrays.
+  /// Finalize: derive the dependences, or return the kept graph as it is.
+  /// The builder must not be reused afterwards. Deriving reuses this
+  /// thread's derive workspace, so a warm build allocates only the graph's
+  /// arrays.
   TaskGraph build();
 
-  std::size_t num_tasks() const noexcept {
-    return previous_ ? matched_ : graph_.tasks_.size();
-  }
-
  private:
-  /// Stop comparing: the previous graph's first `matched_` tasks become
-  /// the start of this graph's task list.
-  void take_previous_tasks();
   /// Derive edges, predecessor counts and unit_refs_ for every task.
   void derive();
 
   TaskGraph graph_;
-  bool group_open_ = false;
-  /// The graph being repeated, while every task so far equals its own.
-  std::optional<TaskGraph> previous_;
-  /// Tasks declared so far while previous_ is held (none stored).
-  std::size_t matched_ = 0;
+  /// The graph keep_previous() may take.
+  TaskGraph previous_;
+  bool kept_ = false;
 };
 
 }  // namespace tahoe::task

@@ -181,7 +181,7 @@ class RunMemo {
  public:
   /// Whether a run repeats the kept one: it runs the kept run's graph
   /// (`same_graph`, which the caller vouches for, e.g. through
-  /// GraphBuilder::repeats_previous) from the same residency under the
+  /// GraphBuilder::keep_previous) from the same residency under the
   /// same schedule, and nothing records from inside it: no enabled tracer
   /// in `options`, no telemetry sampler, no latency histograms. An
   /// observed run must run. The caller keeps the machine and the other

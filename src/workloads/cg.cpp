@@ -122,6 +122,7 @@ double* CgApp::scratch_slot(std::size_t block) const {
 void CgApp::build_iteration(task::GraphBuilder& builder,
                             std::size_t iteration) {
   (void)iteration;  // CG is perfectly stationary across iterations
+  if (builder.keep_previous()) return;
   const std::size_t n = config_.rows;
   const std::size_t nb = config_.blocks;
   const std::uint64_t nnz_blk = n / nb * config_.nnz_per_row;

@@ -75,6 +75,7 @@ const double* CholeskyApp::col0(std::size_t j) const {
 void CholeskyApp::build_iteration(task::GraphBuilder& builder,
                                   std::size_t iteration) {
   (void)iteration;
+  if (builder.keep_previous()) return;
   const std::size_t n = config_.n;
   const std::size_t bs = config_.block;
   const std::size_t k = nblocks();

@@ -128,6 +128,7 @@ void FtApp::twist_chunk(std::size_t c, double sign) const {
 void FtApp::build_iteration(task::GraphBuilder& builder,
                             std::size_t iteration) {
   (void)iteration;
+  if (builder.keep_previous()) return;
   const auto n_c = static_cast<std::uint64_t>(elems_per_chunk_);
   const std::uint64_t chunk_bytes = n_c * sizeof(Cplx);
   const auto logn = static_cast<std::uint64_t>(config_.log2_segment);

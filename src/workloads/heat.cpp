@@ -76,6 +76,7 @@ double* HeatApp::grid(hms::ObjectId id) const {
 void HeatApp::build_iteration(task::GraphBuilder& builder,
                               std::size_t iteration) {
   (void)iteration;
+  if (builder.keep_previous()) return;
   const std::size_t nx = config_.nx;
   const std::size_t ny = config_.ny;
   const std::size_t nb = config_.bands;

@@ -76,6 +76,7 @@ const double* LuApp::col0(std::size_t j) const {
 void LuApp::build_iteration(task::GraphBuilder& builder,
                             std::size_t iteration) {
   (void)iteration;
+  if (builder.keep_previous()) return;
   const std::size_t n = config_.n;
   const std::size_t bs = config_.block;
   const std::size_t k = nblocks();

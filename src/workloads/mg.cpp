@@ -78,6 +78,7 @@ void MgApp::smooth_band(std::size_t level, std::size_t lo,
 void MgApp::build_iteration(task::GraphBuilder& builder,
                             std::size_t iteration) {
   (void)iteration;
+  if (builder.keep_previous()) return;
   const std::size_t levels = config_.levels;
 
   auto bands_at = [this](std::size_t level) {

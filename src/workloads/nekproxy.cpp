@@ -88,6 +88,8 @@ double* NekProxyApp::field(hms::ObjectId id) const {
 
 void NekProxyApp::build_iteration(task::GraphBuilder& builder,
                                   std::size_t iteration) {
+  // The declaration changes only at the drift.
+  if (iteration != config_.drift_at && builder.keep_previous()) return;
   const std::size_t nb = config_.blocks;
   const std::uint64_t pts = config_.points / nb;
   const std::uint64_t fb = pts * 8;

@@ -129,6 +129,7 @@ void SpApp::solve_group(task::GraphBuilder& builder, const char* label) {
 void SpApp::build_iteration(task::GraphBuilder& builder,
                             std::size_t iteration) {
   (void)iteration;
+  if (builder.keep_previous()) return;
   const std::size_t n = config_.grid;
   const std::size_t nb = config_.blocks;
   const std::uint64_t cells_blk = cells_ / nb;

@@ -18,6 +18,7 @@ void StreamApp::setup(hms::ObjectRegistry& registry,
 void StreamApp::build_iteration(task::GraphBuilder& builder,
                                 std::size_t iter) {
   (void)iter;
+  if (builder.keep_previous()) return;
   const std::uint64_t elems = config_.bytes / 8 / config_.tasks;
   builder.begin_group("stream");
   for (std::size_t i = 0; i < config_.tasks; ++i) {
@@ -44,6 +45,7 @@ void ChaseApp::setup(hms::ObjectRegistry& registry,
 
 void ChaseApp::build_iteration(task::GraphBuilder& builder, std::size_t iter) {
   (void)iter;
+  if (builder.keep_previous()) return;
   const std::uint64_t hops = config_.bytes / kCacheLine;
   builder.begin_group("chase");
   task::Task t;
@@ -65,6 +67,8 @@ void DriftApp::setup(hms::ObjectRegistry& registry,
 }
 
 void DriftApp::build_iteration(task::GraphBuilder& builder, std::size_t iter) {
+  // The declaration changes only at the switch.
+  if (iter != config_.drift_at && builder.keep_previous()) return;
   const bool drifted = iter >= config_.drift_at;
   const hms::ObjectId hot = drifted ? b_ : a_;
   const hms::ObjectId cold = drifted ? a_ : b_;

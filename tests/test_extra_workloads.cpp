@@ -1,5 +1,7 @@
 // Cholesky and heat: the workloads outside the canonical seven, plus
-// structural checks shared by every registered workload.
+// structural checks shared by every registered workload, among them that
+// a build keeping the previous graph keeps the graph a full declaration
+// derives.
 #include "common/assert.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +13,8 @@
 #include "graph_queries.hpp"
 #include "workloads/cholesky.hpp"
 #include "workloads/common.hpp"
+#include "workloads/nekproxy.hpp"
+#include "workloads/synthetic.hpp"
 
 namespace tahoe {
 namespace {
@@ -70,6 +74,67 @@ TEST(Cholesky, TahoeBeatsNvmOnly) {
             nvm.steady_iteration_seconds() * 1.02);
 }
 
+/// The iterations whose build kept the previous graph, when every
+/// iteration of `app` is built as the simulated runtime builds it: each
+/// builder is given the graph the one before built. Each iteration's graph
+/// must be the graph a fresh builder derives from that iteration's full
+/// declaration.
+std::vector<std::size_t> kept_iterations(core::Application& app) {
+  hms::ObjectRegistry reg({64 * kMiB, 256 * kGiB}, hms::Backing::Virtual);
+  hms::ChunkingPolicy chunking;
+  chunking.dram_capacity = 64 * kMiB;
+  app.setup(reg, chunking);
+  std::vector<std::size_t> kept;
+  task::TaskGraph chained;
+  for (std::size_t iter = 0; iter < app.iterations(); ++iter) {
+    task::GraphBuilder next(std::move(chained));
+    app.build_iteration(next, iter);
+    if (next.repeats_previous()) kept.push_back(iter);
+    chained = next.build();
+    task::GraphBuilder fresh;
+    app.build_iteration(fresh, iter);
+    EXPECT_EQ(task::graph_difference(chained, fresh.build()), "")
+        << app.name() << " iteration " << iter;
+  }
+  return kept;
+}
+
+/// Iterations 1 to `iterations` - 1, less `drift_at` (0: no drift).
+std::vector<std::size_t> repeating_iterations(std::size_t iterations,
+                                              std::size_t drift_at = 0) {
+  std::vector<std::size_t> out;
+  for (std::size_t iter = 1; iter < iterations; ++iter) {
+    if (iter != drift_at) out.push_back(iter);
+  }
+  return out;
+}
+
+TEST(ChainedBuild, SyntheticAndDriftingAppsKeepExactlyWhatRepeats) {
+  // The drifting apps declare their drift iteration in full and keep
+  // every other one after the first.
+  std::vector<std::unique_ptr<core::Application>> apps;
+  apps.push_back(
+      std::make_unique<workloads::StreamApp>(workloads::StreamApp::Config{}));
+  apps.push_back(
+      std::make_unique<workloads::ChaseApp>(workloads::ChaseApp::Config{}));
+  workloads::DriftApp::Config drift;
+  drift.drift_at = 5;
+  apps.push_back(std::make_unique<workloads::DriftApp>(drift));
+  for (const workloads::Scale scale :
+       {workloads::Scale::Test, workloads::Scale::Bench}) {
+    workloads::NekProxyApp::Config nek =
+        workloads::NekProxyApp::config_for(scale);
+    nek.drift_at = 5;
+    apps.push_back(std::make_unique<workloads::NekProxyApp>(nek));
+  }
+  for (const std::unique_ptr<core::Application>& app : apps) {
+    const bool drifts = app->name() == "drift" || app->name() == "nekproxy";
+    EXPECT_EQ(kept_iterations(*app),
+              repeating_iterations(app->iterations(), drifts ? 5 : 0))
+        << app->name();
+  }
+}
+
 class RegisteredWorkload : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(RegisteredWorkload, GroupNamesStableAcrossIterations) {
@@ -98,22 +163,13 @@ TEST_P(RegisteredWorkload, GroupNamesStableAcrossIterations) {
 }
 
 TEST_P(RegisteredWorkload, IdenticalRebuildRepeatsThePreviousGraph) {
-  // Each iteration re-declares the same graph, so a builder given the
-  // previous iteration's graph keeps it and derives nothing.
-  auto app = workloads::make_workload(GetParam(), workloads::Scale::Test);
-  hms::ObjectRegistry reg({64 * kMiB, 4 * kGiB}, hms::Backing::Virtual);
-  hms::ChunkingPolicy chunking;
-  app->setup(reg, chunking);
-  task::GraphBuilder first;
-  app->build_iteration(first, 0);
-  task::TaskGraph g = first.build();
-  const std::size_t edges = task::num_edges(g);
-  for (std::size_t iter = 0; iter < 2; ++iter) {
-    task::GraphBuilder again(std::move(g));
-    app->build_iteration(again, iter);
-    EXPECT_TRUE(again.repeats_previous()) << "iteration " << iter;
-    g = again.build();
-    EXPECT_EQ(task::num_edges(g), edges);
+  // Each iteration re-declares the same graph, so every build after the
+  // first keeps the previous graph, which is the graph a full declaration
+  // derives, at both scales.
+  for (const workloads::Scale scale :
+       {workloads::Scale::Test, workloads::Scale::Bench}) {
+    auto app = workloads::make_workload(GetParam(), scale);
+    EXPECT_EQ(kept_iterations(*app), repeating_iterations(app->iterations()));
   }
 }
 

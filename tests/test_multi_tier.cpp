@@ -49,6 +49,7 @@ class RotatingHotApp : public core::Application {
   void build_iteration(task::GraphBuilder& builder,
                        std::size_t iteration) override {
     (void)iteration;
+    if (builder.keep_previous()) return;
     for (std::size_t i = 0; i < n_; ++i) {
       builder.begin_group("phase" + std::to_string(i));
       for (int k = 0; k < 4; ++k) {

@@ -38,6 +38,7 @@ class TwoPhaseApp : public core::Application {
   void build_iteration(task::GraphBuilder& builder,
                        std::size_t iteration) override {
     (void)iteration;
+    if (builder.keep_previous()) return;
     builder.begin_group("build");
     for (int i = 0; i < 6; ++i) {
       task::Task t;
