@@ -3,20 +3,24 @@
 // their per-run set-up (the graph's and the report's own arrays), never
 // per task, per access or per simulation event. So a 1,024-task graph
 // costs them as many heap allocations as a 16-task graph of the same
-// shape. This binary replaces the global operator new with a counting one
+// shape. An iteration that keeps the previous graph allocates nothing at
+// all. This binary replaces the global operator new with a counting one
 // and counts only inside the measured calls.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
 
 #include "common/units.hpp"
+#include "hms/registry.hpp"
 #include "memsim/machine.hpp"
 #include "task/graph.hpp"
 #include "task/sim_executor.hpp"
+#include "workloads/common.hpp"
 
 namespace {
 
@@ -161,6 +165,30 @@ TEST(AllocInvariant, IndexedEngineRunAllocatesNothingPerTaskOrEvent) {
   options.workers = kWidth;
   options.sim_lazy_threshold = 2;
   EXPECT_EQ(run_allocations(1024, options), run_allocations(16, options));
+}
+
+TEST(AllocInvariant, KeptIterationAllocatesNothing) {
+  // Two warm iterations built as the simulated runtime builds them, then a
+  // third, declared and built through a builder given the second's graph.
+  for (const char* name : {"cg", "lu", "mg", "nekproxy"}) {
+    const std::unique_ptr<core::Application> app =
+        workloads::make_workload(name, workloads::Scale::Bench);
+    hms::ObjectRegistry registry({256 * kMiB, 256 * kGiB},
+                                 hms::Backing::Virtual);
+    hms::ChunkingPolicy chunking;
+    chunking.dram_capacity = 256 * kMiB;
+    app->setup(registry, chunking);
+    TaskGraph g;
+    const auto build = [&](std::size_t iter) {
+      GraphBuilder builder(std::move(g));
+      app->build_iteration(builder, iter);
+      g = builder.build();
+    };
+    build(0);
+    build(1);
+    EXPECT_EQ(allocations_in([&] { build(2); }), 0u) << name;
+    EXPECT_GT(g.num_tasks(), 0u) << name;
+  }
 }
 
 }  // namespace
