@@ -73,6 +73,10 @@ class Flags {
   /// Render a usage string from the registered flags.
   std::string usage(const std::string& program) const;
 
+  /// Throw a FlagError carrying this set's usage unless `ok`: how code that
+  /// checks a parsed value rejects the command line.
+  void require_flag(bool ok, const std::string& what) const;
+
  private:
   enum class Kind { Int, Double, Bool, String };
   struct Entry {
@@ -83,8 +87,6 @@ class Flags {
   };
 
   const Entry& lookup(const std::string& name, Kind kind) const;
-  /// Throw a FlagError carrying this set's usage unless `ok`.
-  void require_flag(bool ok, const std::string& what) const;
 
   std::map<std::string, Entry> entries_;
   std::string program_ = "program";  ///< argv[0] of the last parse

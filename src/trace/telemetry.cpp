@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
@@ -495,11 +496,18 @@ TelemetryConfig telemetry_config_from_flags(const Flags& flags) {
   TelemetryConfig config;
   config.out_path = flags.get_string("telemetry-out");
   config.interval_seconds = flags.get_double("telemetry-interval");
+  flags.require_flag(
+      std::isfinite(config.interval_seconds) && config.interval_seconds > 0.0,
+      "--telemetry-interval must be a positive number of seconds");
   const std::string clock = flags.get_string("telemetry-clock");
-  TAHOE_REQUIRE(clock == "virtual" || clock == "wall",
-                "--telemetry-clock must be 'virtual' or 'wall'");
+  flags.require_flag(clock == "virtual" || clock == "wall",
+                     "--telemetry-clock must be 'virtual' or 'wall'");
   config.wall_clock = clock == "wall";
-  config.rules = parse_slo_rules(flags.get_string("slo-rules"));
+  try {
+    config.rules = parse_slo_rules(flags.get_string("slo-rules"));
+  } catch (const ContractError& e) {
+    flags.require_flag(false, std::string("--slo-rules: ") + e.what());
+  }
   config.stall_intervals = static_cast<int>(flags.get_uint(
       "slo-stall-intervals", std::numeric_limits<int>::max()));
   return config;
