@@ -251,6 +251,32 @@ std::vector<UnitWeight> group_weights(const PlanInputs& in,
   return weigh_group(in, model, g, walk, distinguish_rw);
 }
 
+std::vector<task::ScheduledCopy> restore_copies(const PlanInputs& in,
+                                                const Residency& steady_start,
+                                                const Residency& body_end,
+                                                task::GroupId last) {
+  TAHOE_REQUIRE(in.machine != nullptr, "restore copies need the machine");
+  const memsim::TierId cap_tier = in.machine->capacity_tier();
+  std::vector<task::ScheduledCopy> copies;
+  for (const auto& [u, t] : body_end) {
+    const auto it = steady_start.find(u);
+    if (it == steady_start.end() || it->second != t) {
+      copies.push_back(task::ScheduledCopy{
+          u.first, u.second, in.unit_bytes(u.first, u.second), cap_tier, last,
+          last});
+    }
+  }
+  for (const auto& [u, t] : steady_start) {
+    const auto it = body_end.find(u);
+    if (it == body_end.end() || it->second != t) {
+      copies.push_back(task::ScheduledCopy{
+          u.first, u.second, in.unit_bytes(u.first, u.second), t, last,
+          last});
+    }
+  }
+  return copies;
+}
+
 TahoePolicy::TahoePolicy(ModelConstants constants, TahoeOptions options)
     : constants_(constants), options_(options) {}
 
@@ -353,27 +379,13 @@ PlanDecision TahoePolicy::decide(const PlanInputs& in) {
   }
 
   // No fixed point (the pass orbits a longer cycle): splice explicit
-  // restore copies into the last group — evictions first, then fills, so
-  // same-trigger schedule order keeps every tier within capacity — turning
-  // the body into an exact cycle over steady_start.
+  // restore copies into the last group, turning the body into an exact
+  // cycle over steady_start.
   if (body_end != steady_start && num_groups > 0) {
-    const task::GroupId last = static_cast<task::GroupId>(num_groups - 1);
-    for (const auto& [u, t] : body_end) {
-      const auto it = steady_start.find(u);
-      if (it == steady_start.end() || it->second != t) {
-        local_body.push_back(task::ScheduledCopy{
-            u.first, u.second, in.unit_bytes(u.first, u.second), cap_tier,
-            last, last});
-      }
-    }
-    for (const auto& [u, t] : steady_start) {
-      const auto it = body_end.find(u);
-      if (it == body_end.end() || it->second != t) {
-        local_body.push_back(task::ScheduledCopy{
-            u.first, u.second, in.unit_bytes(u.first, u.second), t, last,
-            last});
-      }
-    }
+    const std::vector<task::ScheduledCopy> restore = restore_copies(
+        in, steady_start, body_end,
+        static_cast<task::GroupId>(num_groups - 1));
+    local_body.insert(local_body.end(), restore.begin(), restore.end());
   }
 
   std::vector<task::ScheduledCopy> local_schedule =

@@ -79,6 +79,15 @@ std::vector<UnitWeight> group_weights(const PlanInputs& in,
                                       const Residency& residents_before,
                                       bool distinguish_rw);
 
+/// Copies in group `last` that take a body ending at `body_end` back to
+/// `steady_start`: evictions of the units that end off their start tier,
+/// then fills, so that same-trigger order keeps every tier within
+/// capacity. Exposed for testing.
+std::vector<task::ScheduledCopy> restore_copies(const PlanInputs& in,
+                                                const Residency& steady_start,
+                                                const Residency& body_end,
+                                                task::GroupId last);
+
 // ---- Multi-tenant serving plan (per-tenant capacity rows). ----
 //
 // The serving subsystem (src/serve/) registers N concurrent applications

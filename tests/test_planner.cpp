@@ -2,8 +2,10 @@
 // schedule structure and capacity safety.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/units.hpp"
 #include "core/calibration.hpp"
@@ -352,6 +354,70 @@ TEST(CyclicPreamble, ForcesStartResidency) {
   }
   EXPECT_TRUE(evicts_1);
   EXPECT_TRUE(fills_2);
+}
+
+/// Replay `copies` in schedule order from `residency` through one
+/// SpaceManager per constrained tier, as the runtime's capacity check
+/// does: an eviction frees the unit on every tier, and a fill frees any
+/// other constrained tier the unit sat on, then must fit. The residency
+/// reached, or nullopt at the first fill that does not fit.
+std::optional<Residency> replay(const PlanInputs& in, Residency residency,
+                                const std::vector<task::ScheduledCopy>& copies) {
+  const memsim::TierId cap = in.machine->capacity_tier();
+  std::vector<hms::SpaceManager> spaces;
+  for (memsim::TierId t = 0; t < cap; ++t) {
+    spaces.emplace_back(in.machine->tier(t).capacity);
+  }
+  for (const auto& [u, t] : residency) {
+    if (!spaces[t].add(u.first, u.second, in.unit_bytes(u.first, u.second))) {
+      return std::nullopt;
+    }
+  }
+  for (const task::ScheduledCopy& c : copies) {
+    const std::pair<hms::ObjectId, std::size_t> u{c.object, c.chunk};
+    for (memsim::TierId t = 0; t < cap; ++t) {
+      if (t != c.dst) spaces[t].remove(c.object, c.chunk);
+    }
+    if (c.dst == cap) {
+      residency.erase(u);
+      continue;
+    }
+    if (!spaces[c.dst].resident(c.object, c.chunk) &&
+        !spaces[c.dst].add(c.object, c.chunk, c.bytes)) {
+      return std::nullopt;
+    }
+    residency[u] = c.dst;
+  }
+  return residency;
+}
+
+TEST(RestoreCopies, SwapBetweenFullTiersReturnsToTheStartWithinCapacity) {
+  // A body ends with units 1 and 2 swapped between two constrained tiers
+  // of a four-tier machine that each hold one of them, and unit 3 where
+  // it started. The restore copies must bring every unit back to its
+  // start tier without overfilling a tier on the way.
+  const memsim::Machine m =
+      memsim::machines::cxl_platform(8 * kMiB, 8 * kMiB, 8 * kMiB, 1 * kGiB);
+  PlanInputs in;
+  in.machine = &m;
+  for (hms::ObjectId id = 1; id <= 3; ++id) {
+    in.objects.push_back(
+        ObjectInfo{id, "o" + std::to_string(id), {8 * kMiB}, 0.0});
+  }
+  const Residency steady_start{{{1, 0}, 0}, {{2, 0}, 1}, {{3, 0}, 2}};
+  const Residency body_end{{{1, 0}, 1}, {{2, 0}, 0}, {{3, 0}, 2}};
+  const task::GroupId last = 4;
+  const std::vector<task::ScheduledCopy> copies =
+      restore_copies(in, steady_start, body_end, last);
+  ASSERT_EQ(copies.size(), 4u);  // two evictions, then two fills
+  for (const task::ScheduledCopy& c : copies) {
+    EXPECT_NE(c.object, 3u);
+    EXPECT_EQ(c.trigger_group, last);
+    EXPECT_EQ(c.needed_group, last);
+  }
+  const std::optional<Residency> end = replay(in, body_end, copies);
+  ASSERT_TRUE(end.has_value()) << "a restore copy overfilled its tier";
+  EXPECT_EQ(*end, steady_start);
 }
 
 }  // namespace
