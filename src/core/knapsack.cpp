@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "common/assert.hpp"
 
@@ -25,116 +26,35 @@ void finalize_multi(MultiTierResult& r, std::span<const MultiTierItem> items,
   }
 }
 
-/// The DP states using lo[t] .. lo[t] + ext[t] - 1 granules of every tier
-/// t, flattened with tier 0 fastest-varying.
-struct StateBox {
-  std::vector<std::size_t> lo, ext, stride;
-  std::size_t states = 0;
-
-  void assign(const std::size_t* low, const std::size_t* high,
-              std::size_t tiers) {
-    lo.assign(low, low + tiers);
-    ext.resize(tiers);
-    stride.resize(tiers);
-    states = 1;
-    for (std::size_t t = 0; t < tiers; ++t) {
-      ext[t] = high[t] - low[t] + 1;
-      stride[t] = states;
-      TAHOE_REQUIRE(!__builtin_mul_overflow(states, ext[t], &states),
-                    "multi-tier DP state count overflows");
-    }
-  }
-};
-
-/// Copies `src`, laid out over `from`, into `dst` over `to`: the same lower
-/// corner, at least as high on every tier, and a state above `from` takes
-/// the value of its clamp into `from`. Below the first tier m that grows
-/// the two boxes agree, so a row of `to` (tiers 0..m) is one contiguous
-/// copy followed by repeats of its last tier-m slab. `coord` is a reusable
-/// buffer of one entry per tier.
-void pad_box(const StateBox& from, const double* src, const StateBox& to,
-             double* dst, std::vector<std::size_t>& coord) {
-  const std::size_t T = to.ext.size();
-  std::size_t m = 0;
-  while (to.ext[m] == from.ext[m]) ++m;
-  const std::size_t slab = from.stride[m];
-  const std::size_t kept = slab * from.ext[m];
-  const std::size_t row = slab * to.ext[m];
-  std::fill(coord.begin(), coord.end(), 0);
-  std::size_t s = 0;  // the row's clamp into `from`
-  for (std::size_t d = 0; d < to.states; d += row) {
-    std::copy_n(src + s, kept, dst + d);
-    const double* last = src + s + kept - slab;
-    if (slab == 1) {
-      std::fill(dst + d + kept, dst + d + row, *last);
-    } else {
-      for (std::size_t j = kept; j < row; j += slab) {
-        std::copy_n(last, slab, dst + d + j);
-      }
-    }
-    for (std::size_t t = m + 1; t < T; ++t) {
-      if (++coord[t] < to.ext[t]) {
-        if (coord[t] < from.ext[t]) s += from.stride[t];
-        break;
-      }
-      s -= (from.ext[t] - 1) * from.stride[t];
-      coord[t] = 0;
-    }
-  }
+/// Multiplies `states` by `ext`, rejecting a count that overflows.
+void grow_count(std::size_t& states, std::size_t ext) {
+  TAHOE_REQUIRE(!__builtin_mul_overflow(states, ext, &states),
+                "multi-tier DP state count overflows");
 }
 
-/// One item's DP step over box `to`. Each state keeps prev (skip) unless
-/// taking a tier t the item fits, prev `need[t]` granules lower on t plus
-/// values[t], is strictly better; tiers are weighed in ascending order and
-/// `pick` records the winner. `prev` is laid out over `from`, which ends
-/// where `to` ends and starts low enough for every take. Below the item's
-/// first usable tier m it needs nothing, so `from` and `to` agree there and
-/// a row of `to` (tiers 0..m) is one contiguous run in both. `coord` is a
-/// reusable buffer of one entry per tier.
-void sweep_box(const StateBox& from, const double* prev, const StateBox& to,
-               double* next, std::uint8_t* pick, const std::size_t* need,
-               const std::vector<double>& values,
-               std::vector<std::size_t>& coord) {
-  const std::size_t T = to.ext.size();
-  std::size_t m = 0;
-  while (need[m] == 0) ++m;
-  const std::size_t run = to.stride[m] * to.ext[m];
-  // The first state of a row where the item fits on tier m.
-  const std::size_t first =
-      need[m] > to.lo[m] ? (need[m] - to.lo[m]) * to.stride[m] : 0;
-  const std::size_t back = need[m] * from.stride[m];
-  std::size_t src = 0;  // the row's first state in `from`
-  for (std::size_t t = m; t < T; ++t) {
-    src += (to.lo[t] - from.lo[t]) * from.stride[t];
+/// Calls f(row) for each row of the box `lo` .. `hi` of `table`, from the
+/// highest row down: one row per state of the tiers above m, `row` pointing
+/// at its state 0 on tier m. `c` holds the row's coordinates while f runs.
+template <typename F>
+void rows_down(double* table, const std::size_t* lo, const std::size_t* hi,
+               const std::vector<std::size_t>& stride, std::size_t m,
+               std::vector<std::size_t>& c, F&& f) {
+  const std::size_t T = stride.size();
+  std::size_t at = 0;
+  for (std::size_t t = m + 1; t < T; ++t) {
+    c[t] = hi[t];
+    at += hi[t] * stride[t];
   }
-  std::fill(coord.begin(), coord.end(), 0);
-  for (std::size_t dst = 0; dst < to.states; dst += run) {
-    const double* in = prev + src;
-    double* out = next + dst;
-    std::uint8_t* p = pick + dst;
-    std::copy_n(in, first, out);
-    for (std::size_t i = first; i < run; ++i) {
-      const double with = in[i - back] + values[m];
-      const bool better = with > in[i];
-      out[i] = better ? with : in[i];
-      p[i] = static_cast<std::uint8_t>(better ? m : T);
+  for (;;) {
+    f(table + at);
+    std::size_t t = m + 1;
+    for (; t < T && c[t] == lo[t]; ++t) {
+      c[t] = hi[t];
+      at += (hi[t] - lo[t]) * stride[t];
     }
-    for (std::size_t t = m + 1; t < T; ++t) {
-      if (need[t] == 0 || to.lo[t] + coord[t] < need[t]) continue;
-      const double* take = in - need[t] * from.stride[t];
-      for (std::size_t i = 0; i < run; ++i) {
-        const double with = take[i] + values[t];
-        const bool better = with > out[i];
-        out[i] = better ? with : out[i];
-        p[i] = better ? static_cast<std::uint8_t>(t) : p[i];
-      }
-    }
-    for (std::size_t t = m + 1; t < T; ++t) {
-      src += from.stride[t];
-      if (++coord[t] < to.ext[t]) break;
-      src -= to.ext[t] * from.stride[t];
-      coord[t] = 0;
-    }
+    if (t == T) return;
+    --c[t];
+    at -= stride[t];
   }
 }
 
@@ -217,43 +137,102 @@ MultiTierResult solve_multi(std::span<const MultiTierItem> items,
     }
   }
 
-  // Each item's choices fill its own box; offset[r] places item r's in one
-  // table. The sweep reads the previous item's values padded up to the new
-  // box's top, over `from`, and writes the new box, `to`.
-  StateBox from, to;
+  // Each item's choices fill its own box, tier 0 fastest-varying;
+  // offset[r] places item r's in one table.
   std::vector<std::size_t> offset(P + 1, 0);
-  std::size_t max_box = 1, max_padded = 1;
   for (std::size_t r = 0; r < P; ++r) {
-    to.assign(&lo[(r + 1) * T], &hi[(r + 1) * T], T);
-    from.assign(&lo[r * T], &hi[(r + 1) * T], T);
-    TAHOE_REQUIRE(!__builtin_add_overflow(offset[r], to.states,
-                                          &offset[r + 1]),
+    std::size_t states = 1;
+    for (std::size_t t = 0; t < T; ++t) {
+      grow_count(states, hi[(r + 1) * T + t] - lo[(r + 1) * T + t] + 1);
+    }
+    TAHOE_REQUIRE(!__builtin_add_overflow(offset[r], states, &offset[r + 1]),
                   "multi-tier DP state count overflows");
-    max_box = std::max(max_box, to.states);
-    max_padded = std::max(max_padded, from.states);
   }
 
-  // Forward DP over the placeable items; items without a usable tier leave
-  // every state as it is. Every choice starts as skip (T).
-  std::vector<double> cur(max_box, 0.0), next(max_box), padded(max_padded);
+  // One value table over the states 0 .. corner, tier 0 fastest-varying.
+  // Rows run along tier m, the first tier an item can reach: every tier
+  // below it holds one state, so a row is contiguous. Every state a sweep
+  // reads was written by a grow or an earlier sweep, so nothing is zeroed.
+  std::vector<std::size_t> stride(T);
+  std::size_t states = 1;
+  for (std::size_t t = 0; t < T; ++t) {
+    stride[t] = states;
+    grow_count(states, corner[t] + 1);
+  }
+  std::size_t m = 0;
+  while (corner[m] == 0) ++m;
+  const auto value = std::make_unique_for_overwrite<double[]>(states);
+  value[0] = 0.0;  // box 0, the empty state
+  // Every choice starts as skip (T).
   std::vector<std::uint8_t> choice(offset[P], static_cast<std::uint8_t>(T));
-  std::vector<std::size_t> coord(T);
-  StateBox wide;
-  from.assign(&lo[0], &hi[0], T);
+  std::vector<std::size_t> row_lo(T), row_hi(T), c(T);
   for (std::size_t r = 0; r < P; ++r) {
-    const std::size_t k = placeable[r];
-    const double* prev = cur.data();
-    wide.assign(from.lo.data(), &hi[(r + 1) * T], T);
-    if (wide.states != from.states) {
-      pad_box(from, cur.data(), wide, padded.data(), coord);
-      std::swap(from, wide);
-      prev = padded.data();
+    const std::size_t* blo = &lo[r * T];  // box r, the values so far
+    const std::size_t* bhi = &hi[r * T];
+    const std::size_t* nlo = &lo[(r + 1) * T];  // box r + 1, this item's
+    const std::size_t* nhi = &hi[(r + 1) * T];
+    // Grow box r up to nhi one tier at a time: a new state takes the value
+    // of its clamp into box r.
+    for (std::size_t t = m; t < T; ++t) {
+      if (nhi[t] == bhi[t]) continue;
+      for (std::size_t u = m + 1; u < T; ++u) {
+        row_lo[u] = u == t ? bhi[u] : blo[u];
+        row_hi[u] = u < t ? nhi[u] : bhi[u];
+      }
+      const std::size_t a = blo[m], b = bhi[m], e = nhi[m] + 1;
+      const std::size_t step = stride[t], copies = nhi[t] - bhi[t];
+      rows_down(value.get(), row_lo.data(), row_hi.data(), stride, m, c,
+                [&](double* row) {
+                  if (t == m) {
+                    std::fill(row + b + 1, row + e, row[b]);
+                    return;
+                  }
+                  for (std::size_t j = 1; j <= copies; ++j) {
+                    std::copy(row + a, row + e, row + j * step + a);
+                  }
+                });
     }
-    to.assign(&lo[(r + 1) * T], &hi[(r + 1) * T], T);
-    sweep_box(from, prev, to, next.data(), &choice[offset[r]], &need[k * T],
-              items[k].values, coord);
-    cur.swap(next);
-    std::swap(from, to);
+    // Sweep box r + 1 in place, from its highest row down and each row from
+    // its highest state down, so every take reads a state this item has
+    // not written yet. A state keeps skip unless taking a tier t the item
+    // fits, n[t] granules lower on t plus values[t], is strictly better;
+    // tiers are weighed in ascending order and `pick` records the winner.
+    const std::size_t k = placeable[r];
+    const std::size_t* n = &need[k * T];
+    const std::size_t a = nlo[m], run = nhi[m] - nlo[m] + 1;
+    std::uint8_t* pick = choice.data() + offset[r + 1];
+    rows_down(value.get(), nlo, nhi, stride, m, c, [&](double* row) {
+      pick -= run;
+      if (n[m] > 0) {
+        const std::size_t first = std::max(a, n[m]);
+        const double add = items[k].values[m];
+        const auto code = static_cast<std::uint8_t>(m);
+        const auto skip = static_cast<std::uint8_t>(T);
+        std::uint8_t* p = pick + (first - a);
+        double* out = row + first;
+        const double* in = row + (first - n[m]);
+        for (std::size_t i = nhi[m] + 1 - first; i-- > 0;) {
+          const double with = in[i] + add;
+          const bool better = with > out[i];
+          out[i] = better ? with : out[i];
+          p[i] = better ? code : skip;
+        }
+      }
+      for (std::size_t t = m + 1; t < T; ++t) {
+        if (n[t] == 0 || c[t] < n[t]) continue;
+        const double add = items[k].values[t];
+        const auto code = static_cast<std::uint8_t>(t);
+        std::uint8_t* p = pick;
+        double* out = row + a;
+        const double* in = out - n[t] * stride[t];
+        for (std::size_t i = 0; i < run; ++i) {
+          const double with = in[i] + add;
+          const bool better = with > out[i];
+          out[i] = better ? with : out[i];
+          p[i] = better ? code : p[i];
+        }
+      }
+    });
   }
 
   // Reconstruct from the corner, reading each item's choice at the walk's
@@ -261,13 +240,13 @@ MultiTierResult solve_multi(std::span<const MultiTierItem> items,
   std::vector<std::size_t> at(corner, corner + T);
   for (std::size_t r = P; r-- > 0;) {
     const std::size_t k = placeable[r];
-    to.assign(&lo[(r + 1) * T], &hi[(r + 1) * T], T);
-    std::size_t index = offset[r];
-    for (std::size_t t = 0; t < T; ++t) {
-      const std::size_t clamp = std::min(at[t], hi[(r + 1) * T + t]);
-      index += (clamp - to.lo[t]) * to.stride[t];
+    const std::size_t* blo = &lo[(r + 1) * T];
+    const std::size_t* bhi = &hi[(r + 1) * T];
+    std::size_t index = 0;
+    for (std::size_t t = T; t-- > 0;) {
+      index = index * (bhi[t] - blo[t] + 1) + std::min(at[t], bhi[t]) - blo[t];
     }
-    const std::uint8_t pick = choice[index];
+    const std::uint8_t pick = choice[offset[r] + index];
     if (pick < T) {
       result.assignment[k] = static_cast<int>(pick);
       at[pick] -= need[k * T + pick];
@@ -380,8 +359,9 @@ TenantKnapsackResult solve_tenant_rows(std::span<const TenantItem> items,
   // addition is monotone, so a grant g inside a flat run of dp[t] gives
   // best[C - g] + dp[t][g] <= best[C - g + 1] + dp[t][g - 1], a candidate
   // the strict `>` has already weighed. Every split and grant is the one
-  // trying all g <= min(C, quota) would find.
-  std::vector<double> best(cap_g + 1, 0.0), next(cap_g + 1, 0.0);
+  // trying all g <= min(C, quota) would find. A grant reads only splits of
+  // fewer granules, so best[] is updated in place from the top down.
+  std::vector<double> best(cap_g + 1, 0.0);
   std::vector<std::vector<std::uint32_t>> share(
       T, std::vector<std::uint32_t>(cap_g + 1, 0));
   std::vector<std::uint32_t> rises;
@@ -392,7 +372,7 @@ TenantKnapsackResult solve_tenant_rows(std::span<const TenantItem> items,
         rises.push_back(static_cast<std::uint32_t>(g));
       }
     }
-    for (std::size_t c = 0; c <= cap_g; ++c) {
+    for (std::size_t c = cap_g + 1; c-- > 0;) {
       double b = best[c];
       std::uint32_t pick = 0;
       for (const std::uint32_t g : rises) {
@@ -403,10 +383,9 @@ TenantKnapsackResult solve_tenant_rows(std::span<const TenantItem> items,
           pick = g;
         }
       }
-      next[c] = b;
+      best[c] = b;
       share[t][c] = pick;
     }
-    best.swap(next);
   }
 
   // Reconstruct: per-tenant granule grants, then items within each grant.

@@ -69,8 +69,11 @@ struct MultiTierResult {
 /// use, minus what the items after it can still take away. A state above
 /// the box has the value and choice of its clamp into the box, and no
 /// later item and no reconstruction reads one below it, so the result is
-/// the one the full grid would give, ties included. Choices with value
-/// <= 0 are never taken.
+/// the one the full grid would give, ties included. One value table over
+/// the states up to that corner serves every item: the item grows it to
+/// its box's top, a new state copying its clamp, then sweeps the box in
+/// place from the highest state down. Choices with value <= 0 are never
+/// taken.
 MultiTierResult solve_multi(std::span<const MultiTierItem> items,
                             std::span<const std::uint64_t> capacities,
                             std::size_t state_budget = 1 << 18);
