@@ -227,9 +227,10 @@ BenchConfig config_from_flags(const Flags& flags, const std::string& nvm_spec) {
 }
 
 std::uint64_t dram_capacity_from_flags(const Flags& flags) {
-  return flags.get_uint("dram-mib",
-                        std::numeric_limits<std::uint64_t>::max() / kMiB) *
-         kMiB;
+  const std::uint64_t mib = flags.get_uint(
+      "dram-mib", std::numeric_limits<std::uint64_t>::max() / kMiB);
+  flags.require_flag(mib > 0, "flag --dram-mib expects a positive capacity");
+  return mib * kMiB;
 }
 
 void emit(const std::string& title, const Table& table, bool csv) {

@@ -104,7 +104,8 @@ Flags standard_flags();
 /// latency histograms + attribution when any artifact output is requested.
 BenchConfig config_from_flags(const Flags& flags, const std::string& nvm_spec);
 
-/// --dram-mib in bytes; a value whose byte count overflows is rejected.
+/// --dram-mib in bytes; zero, or a value whose byte count overflows, is
+/// rejected.
 std::uint64_t dram_capacity_from_flags(const Flags& flags);
 
 /// Append `report` (with the current counter/gauge/histogram snapshots)
