@@ -41,6 +41,12 @@ double hist_stat(const HistogramSnapshot& h, const std::string& stat) {
   return static_cast<double>(h.max);
 }
 
+/// Rejects `spec` unless `ok`. The message names the rule and its defect
+/// alone: it reaches the command line as it is.
+void require_rule(bool ok, const std::string& spec, const std::string& defect) {
+  if (!ok) throw ContractError("SLO rule '" + spec + "' " + defect);
+}
+
 }  // namespace
 
 bool SloRule::holds(double observed) const noexcept {
@@ -62,8 +68,7 @@ SloRule parse_slo_rule(const std::string& spec) {
   rule.text = trim(spec);
   const std::string& s = rule.text;
   const std::size_t colon = s.find(':');
-  TAHOE_REQUIRE(colon != std::string::npos,
-                "SLO rule '" + spec + "' lacks a kind: prefix");
+  require_rule(colon != std::string::npos, spec, "lacks a kind: prefix");
   const std::string kind = s.substr(0, colon);
   if (kind == "counter") {
     rule.kind = SloRule::Kind::Counter;
@@ -72,8 +77,7 @@ SloRule parse_slo_rule(const std::string& spec) {
   } else if (kind == "hist") {
     rule.kind = SloRule::Kind::Hist;
   } else {
-    TAHOE_REQUIRE(false, "SLO rule '" + spec +
-                             "' kind must be counter, gauge or hist");
+    require_rule(false, spec, "kind must be counter, gauge or hist");
   }
 
   // Locate the comparison operator (two-char forms first).
@@ -86,8 +90,8 @@ SloRule parse_slo_rule(const std::string& spec) {
       break;
     }
   }
-  TAHOE_REQUIRE(op_pos != std::string::npos,
-                "SLO rule '" + spec + "' lacks a comparison (< <= > >=)");
+  require_rule(op_pos != std::string::npos, spec,
+               "lacks a comparison (< <= > >=)");
   const std::string op = s.substr(op_pos, op_len);
   rule.op = op == "<"    ? SloRule::Op::Lt
             : op == "<=" ? SloRule::Op::Le
@@ -97,7 +101,7 @@ SloRule parse_slo_rule(const std::string& spec) {
   // metric[.stat] — metric names contain dots, so only a known stat
   // suffix is split off; everything else stays part of the name.
   std::string lhs = trim(s.substr(colon + 1, op_pos - colon - 1));
-  TAHOE_REQUIRE(!lhs.empty(), "SLO rule '" + spec + "' lacks a metric");
+  require_rule(!lhs.empty(), spec, "lacks a metric");
   const std::size_t dot = lhs.rfind('.');
   std::string stat = dot == std::string::npos ? "" : lhs.substr(dot + 1);
   switch (rule.kind) {
@@ -123,16 +127,14 @@ SloRule parse_slo_rule(const std::string& spec) {
       break;
   }
   rule.metric = lhs;
-  TAHOE_REQUIRE(!rule.metric.empty(),
-                "SLO rule '" + spec + "' lacks a metric");
+  require_rule(!rule.metric.empty(), spec, "lacks a metric");
 
   // value[unit]: ns/us/ms/s scale to nanoseconds (the histogram unit).
   const std::string rhs = trim(s.substr(op_pos + op_len));
-  TAHOE_REQUIRE(!rhs.empty(), "SLO rule '" + spec + "' lacks a limit");
+  require_rule(!rhs.empty(), spec, "lacks a limit");
   char* end = nullptr;
   rule.limit = std::strtod(rhs.c_str(), &end);
-  TAHOE_REQUIRE(end != rhs.c_str(),
-                "SLO rule '" + spec + "' has a malformed limit");
+  require_rule(end != rhs.c_str(), spec, "has a malformed limit");
   const std::string unit = trim(std::string(end));
   if (unit == "ns" || unit.empty()) {
     // raw units
@@ -143,8 +145,7 @@ SloRule parse_slo_rule(const std::string& spec) {
   } else if (unit == "s") {
     rule.limit *= 1e9;
   } else {
-    TAHOE_REQUIRE(false,
-                  "SLO rule '" + spec + "' has unknown unit '" + unit + "'");
+    require_rule(false, spec, "has unknown unit '" + unit + "'");
   }
   return rule;
 }

@@ -84,7 +84,8 @@ struct SloRule {
   bool holds(double observed) const noexcept;
 };
 
-/// Parse one rule. Throws ContractError on malformed specs.
+/// Parse one rule. Throws ContractError on malformed specs; its message,
+/// "SLO rule '<spec>' <defect>", names no source location.
 SloRule parse_slo_rule(const std::string& spec);
 
 /// Parse a comma-separated rule list ("" -> empty).

@@ -112,6 +112,26 @@ TEST(SloRuleParse, MalformedSpecsThrow) {
   EXPECT_THROW(parse_slo_rule("counter:a < 1parsecs"), ContractError);
 }
 
+// A rejection reaches the command line as it is, so it names the rule and
+// its defect, never the check's expression or source file.
+TEST(SloRuleParse, RejectionsNameOnlyTheRule) {
+  for (const char* spec :
+       {"nokind", "widget:a < 1", "counter:a ? 1", "counter:a < ",
+        "counter:a < 1parsecs", "counter:", "counter: < 1",
+        "counter:.rate < 1", "counter:a < x"}) {
+    try {
+      parse_slo_rule(spec);
+      ADD_FAILURE() << spec << " parsed";
+    } catch (const ContractError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("SLO rule '" + std::string(spec) + "' ", 0), 0u)
+          << what;
+      EXPECT_EQ(what.find(".cpp"), std::string::npos) << what;
+      EXPECT_EQ(what.find("precondition"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(SloRule, HoldsImplementsAllOps) {
   EXPECT_TRUE(parse_slo_rule("gauge:g < 5").holds(4.0));
   EXPECT_FALSE(parse_slo_rule("gauge:g < 5").holds(5.0));
