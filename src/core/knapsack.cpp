@@ -1,9 +1,11 @@
 #include "core/knapsack.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <numeric>
 
 #include "common/assert.hpp"
 
@@ -31,6 +33,35 @@ void grow_count(std::size_t& states, std::size_t ext) {
   TAHOE_REQUIRE(!__builtin_mul_overflow(states, ext, &states),
                 "multi-tier DP state count overflows");
 }
+
+/// bits |= bits << n, the words of `bits` holding bit 0 lowest, for a set
+/// whose highest bit is below bit `end` - n.
+void shift_or(std::vector<std::uint64_t>& bits, std::size_t n,
+              std::size_t end) {
+  const std::size_t w = n / 64, b = n % 64;
+  for (std::size_t i = std::min(bits.size(), end / 64 + 1); i-- > w;) {
+    std::uint64_t x = bits[i - w] << b;
+    if (b > 0 && i > w) x |= bits[i - w - 1] >> (64 - b);
+    bits[i] |= x;
+  }
+}
+
+/// One tier's DP states. A dense tier has one state per usage, in
+/// granules, 0 .. corner; a sparse one has one per usage that some subset
+/// of the items' needs reaches up to the corner, ascending.
+struct TierStates {
+  bool dense = true;
+  std::vector<std::size_t> usage;  ///< sparse: usage[i], what state i uses
+  std::vector<std::size_t> index;  ///< sparse: index[u], see state_of(u)
+
+  std::size_t usage_of(std::size_t i) const { return dense ? i : usage[i]; }
+  /// The highest state whose usage is at most u.
+  std::size_t state_of(std::size_t u) const { return dense ? u : index[u]; }
+  /// The state a take of n <= usage_of(i) granules from state i reads.
+  std::size_t source(std::size_t i, std::size_t n) const {
+    return state_of(usage_of(i) - n);
+  }
+};
 
 /// Calls f(row) for each row of the box `lo` .. `hi` of `table`, from the
 /// highest row down: one row per state of the tiers above m, `row` pointing
@@ -112,28 +143,103 @@ MultiTierResult solve_multi(std::span<const MultiTierItem> items,
     return result;
   }
 
-  // Row r + 1 of lo/hi bounds the box placeable item r sweeps; row 0 is
-  // the single empty state before any item. hi is what items 0..r can use,
-  // capped at the tier, and the corner hi[P] is what every item can. lo is
-  // the corner minus what the items after r can still take away. A state
-  // of the full (cap_g + 1)^T grid above the box has the value and choice
-  // of its clamp into the box, and one below it is read neither by a later
-  // item nor by the reconstruction, so the boxes give the full grid's
-  // answer, ties included.
+  // Every subset's usage of tier t is a multiple of the gcd of its needs,
+  // so needs and granule count are divided by it (the count rounding
+  // down drops only usages no subset reaches). The corner is what every
+  // item can use, capped at the tier.
+  std::vector<std::size_t> corner(T, 0);
+  for (std::size_t t = 0; t < T; ++t) {
+    std::size_t g = 0;
+    for (std::size_t r = 0; r < P && g != 1; ++r) {
+      g = std::gcd(g, need[placeable[r] * T + t]);
+    }
+    if (g == 0) continue;  // no item can use tier t
+    std::size_t total = 0;
+    for (const std::size_t k : placeable) total += need[k * T + t] /= g;
+    corner[t] = std::min(cap_g[t] / g, total);
+  }
+
+  // Rows run along tier m, the first tier an item can reach: every tier
+  // below it holds one state, so a row is contiguous.
+  std::size_t m = 0;
+  while (corner[m] == 0) ++m;
+
+  // A tier's reachable usages are the subset sums of its needs up to the
+  // corner, built as a bitset. A sparse tier's states are those usages
+  // alone, and a take of n granules from state i reads the highest state
+  // at or below usage(i) - n. That is exact: the usages between two
+  // reachable ones admit the same subsets as the lower one, for every
+  // state and every take's source alike, so each state weighs the
+  // candidates the full grid's state weighs, in the same order, bit for
+  // bit. A sparse row tier reads its takes through a list of sources, so
+  // it is sparse only where at most half of 0 .. corner is reachable and
+  // otherwise keeps one state per usage and contiguous takes; a tier
+  // above it is sparse wherever a usage is unreachable, which costs a
+  // lookup per row.
+  std::vector<TierStates> tiers(T);
+  std::vector<std::uint64_t> bits;
+  for (std::size_t t = m; t < T; ++t) {
+    // Bits above the corner only ever shift further up, so masking them
+    // off before a count is enough. The items so far reach at most
+    // sum + 1 usages, so no count is taken before that could make the
+    // tier dense.
+    const std::size_t dense_at = t == m ? (corner[t] + 1) / 2 + 1
+                                        : corner[t] + 1;
+    const auto count = [&bits, last = corner[t] % 64] {
+      bits.back() &= ~std::uint64_t{0} >> (63 - last);
+      std::size_t set = 0;
+      for (const std::uint64_t w : bits) set += std::popcount(w);
+      return set;
+    };
+    bits.assign(corner[t] / 64 + 1, 0);
+    bits[0] = 1;
+    std::size_t sum = 0, reached = 1;
+    for (std::size_t r = 0; r < P && reached < dense_at; ++r) {
+      const std::size_t n = need[placeable[r] * T + t];
+      if (n == 0) continue;
+      sum += n;
+      shift_or(bits, n, sum + 1);
+      if (sum + 1 >= dense_at) reached = count();
+    }
+    TierStates& s = tiers[t];
+    s.dense = reached >= dense_at;
+    if (s.dense) continue;
+    s.usage.reserve(corner[t] + 1);
+    s.index.resize(corner[t] + 1);
+    for (std::size_t u = 0; u <= corner[t]; ++u) {
+      if ((bits[u / 64] >> (u % 64) & 1) != 0) s.usage.push_back(u);
+      s.index[u] = s.usage.size() - 1;
+    }
+  }
+
+  // Row r + 1 of lo/hi bounds, in states, the box placeable item r
+  // sweeps; row 0 is the single empty state before any item. hi is the
+  // state of what items 0..r can use, capped at the tier, and the corner
+  // hi[P] that of what every item can. lo is built from the last item
+  // down as the lowest state the next box reads, by a skip or a take. A
+  // state above the box has the value and choice of its clamp into the
+  // box, and one below it is read neither by a later item nor by the
+  // reconstruction, so the boxes give the full grid's answer, ties
+  // included.
   std::vector<std::size_t> lo((P + 1) * T, 0), hi((P + 1) * T, 0);
+  std::vector<std::size_t> used(T, 0);  // what items 0..r take
   for (std::size_t r = 0; r < P; ++r) {
     const std::size_t* n = &need[placeable[r] * T];
     for (std::size_t t = 0; t < T; ++t) {
-      hi[(r + 1) * T + t] = std::min(cap_g[t], hi[r * T + t] + n[t]);
+      used[t] += n[t];
+      hi[(r + 1) * T + t] = tiers[t].state_of(std::min(corner[t], used[t]));
     }
   }
-  const std::size_t* corner = &hi[P * T];
-  std::vector<std::size_t> rest(T, 0);  // what the items after row r take
-  for (std::size_t r = P; r > 0; --r) {
-    const std::size_t* n = &need[placeable[r - 1] * T];
+  const std::size_t* top = &hi[P * T];
+  std::copy(top, top + T, &lo[P * T]);
+  for (std::size_t r = P - 1; r > 0; --r) {
+    const std::size_t* n = &need[placeable[r] * T];
     for (std::size_t t = 0; t < T; ++t) {
-      lo[r * T + t] = corner[t] - std::min(corner[t], rest[t]);
-      rest[t] += n[t];
+      // Below usage n no take fits; the state of usage n reads state 0.
+      const std::size_t i = lo[(r + 1) * T + t];
+      lo[r * T + t] = n[t] == 0                      ? i
+                      : tiers[t].usage_of(i) < n[t] ? 0
+                                                    : tiers[t].source(i, n[t]);
     }
   }
 
@@ -149,23 +255,23 @@ MultiTierResult solve_multi(std::span<const MultiTierItem> items,
                   "multi-tier DP state count overflows");
   }
 
-  // One value table over the states 0 .. corner, tier 0 fastest-varying.
-  // Rows run along tier m, the first tier an item can reach: every tier
-  // below it holds one state, so a row is contiguous. Every state a sweep
-  // reads was written by a grow or an earlier sweep, so nothing is zeroed.
+  // One value table over the states 0 .. top, tier 0 fastest-varying.
+  // Every state a sweep reads was written by a grow or an earlier sweep,
+  // so nothing is zeroed.
   std::vector<std::size_t> stride(T);
   std::size_t states = 1;
   for (std::size_t t = 0; t < T; ++t) {
     stride[t] = states;
-    grow_count(states, corner[t] + 1);
+    grow_count(states, top[t] + 1);
   }
-  std::size_t m = 0;
-  while (corner[m] == 0) ++m;
+  const TierStates& row_tier = tiers[m];
   const auto value = std::make_unique_for_overwrite<double[]>(states);
   value[0] = 0.0;  // box 0, the empty state
   // Every choice starts as skip (T).
   std::vector<std::uint8_t> choice(offset[P], static_cast<std::uint8_t>(T));
   std::vector<std::size_t> row_lo(T), row_hi(T), c(T);
+  // A sparse row's take sources, one per state.
+  std::vector<std::size_t> from(row_tier.dense ? 0 : top[m] + 1);
   for (std::size_t r = 0; r < P; ++r) {
     const std::size_t* blo = &lo[r * T];  // box r, the values so far
     const std::size_t* bhi = &hi[r * T];
@@ -195,36 +301,56 @@ MultiTierResult solve_multi(std::span<const MultiTierItem> items,
     // Sweep box r + 1 in place, from its highest row down and each row from
     // its highest state down, so every take reads a state this item has
     // not written yet. A state keeps skip unless taking a tier t the item
-    // fits, n[t] granules lower on t plus values[t], is strictly better;
-    // tiers are weighed in ascending order and `pick` records the winner.
+    // fits, the state n[t] granules lower on t plus values[t], is strictly
+    // better; tiers are weighed in ascending order and `pick` records the
+    // winner. A sparse row's take sources are listed once per item.
     const std::size_t k = placeable[r];
     const std::size_t* n = &need[k * T];
     const std::size_t a = nlo[m], run = nhi[m] - nlo[m] + 1;
+    // A take on tier m fits from the state of usage n[m] up.
+    const std::size_t first =
+        n[m] > 0 ? std::max(a, row_tier.state_of(n[m])) : 0;
+    if (n[m] > 0 && !row_tier.dense) {
+      for (std::size_t i = first; i <= nhi[m]; ++i) {
+        from[i - first] = row_tier.source(i, n[m]);
+      }
+    }
     std::uint8_t* pick = choice.data() + offset[r + 1];
     rows_down(value.get(), nlo, nhi, stride, m, c, [&](double* row) {
       pick -= run;
       if (n[m] > 0) {
-        const std::size_t first = std::max(a, n[m]);
         const double add = items[k].values[m];
         const auto code = static_cast<std::uint8_t>(m);
         const auto skip = static_cast<std::uint8_t>(T);
         std::uint8_t* p = pick + (first - a);
         double* out = row + first;
-        const double* in = row + (first - n[m]);
-        for (std::size_t i = nhi[m] + 1 - first; i-- > 0;) {
-          const double with = in[i] + add;
-          const bool better = with > out[i];
-          out[i] = better ? with : out[i];
-          p[i] = better ? code : skip;
+        const std::size_t len = nhi[m] + 1 - first;
+        if (row_tier.dense) {
+          const double* in = row + (first - n[m]);
+          for (std::size_t i = len; i-- > 0;) {
+            const double with = in[i] + add;
+            const bool better = with > out[i];
+            out[i] = better ? with : out[i];
+            p[i] = better ? code : skip;
+          }
+        } else {
+          const std::size_t* src = from.data();
+          for (std::size_t i = len; i-- > 0;) {
+            const double with = row[src[i]] + add;
+            const bool better = with > out[i];
+            out[i] = better ? with : out[i];
+            p[i] = better ? code : skip;
+          }
         }
       }
       for (std::size_t t = m + 1; t < T; ++t) {
-        if (n[t] == 0 || c[t] < n[t]) continue;
+        if (n[t] == 0 || tiers[t].usage_of(c[t]) < n[t]) continue;
         const double add = items[k].values[t];
         const auto code = static_cast<std::uint8_t>(t);
         std::uint8_t* p = pick;
         double* out = row + a;
-        const double* in = out - n[t] * stride[t];
+        const double* in =
+            out - (c[t] - tiers[t].source(c[t], n[t])) * stride[t];
         for (std::size_t i = 0; i < run; ++i) {
           const double with = in[i] + add;
           const bool better = with > out[i];
@@ -236,8 +362,8 @@ MultiTierResult solve_multi(std::span<const MultiTierItem> items,
   }
 
   // Reconstruct from the corner, reading each item's choice at the walk's
-  // clamp into its box.
-  std::vector<std::size_t> at(corner, corner + T);
+  // clamp into its box; a take moves the walk to the state it read.
+  std::vector<std::size_t> at(top, top + T);
   for (std::size_t r = P; r-- > 0;) {
     const std::size_t k = placeable[r];
     const std::size_t* blo = &lo[(r + 1) * T];
@@ -249,7 +375,7 @@ MultiTierResult solve_multi(std::span<const MultiTierItem> items,
     const std::uint8_t pick = choice[offset[r] + index];
     if (pick < T) {
       result.assignment[k] = static_cast<int>(pick);
-      at[pick] -= need[k * T + pick];
+      at[pick] = tiers[pick].source(at[pick], need[k * T + pick]);
     }
   }
   finalize_multi(result, items, T);

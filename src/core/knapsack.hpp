@@ -63,17 +63,28 @@ struct MultiTierResult {
 /// DP states allowed) sets the granule: each tier's capacity is split into
 /// about state_budget^(1/T) granules. Every tier keeps at least two
 /// states, so a budget below 2^T cannot bound the grid and throws
-/// ContractError. Each usable item sweeps only a box of states, bounded
-/// per tier from both sides: above by what it and the items before it can
-/// use, capped at the tier; below by the corner, what all the items can
-/// use, minus what the items after it can still take away. A state above
-/// the box has the value and choice of its clamp into the box, and no
-/// later item and no reconstruction reads one below it, so the result is
-/// the one the full grid would give, ties included. One value table over
-/// the states up to that corner serves every item: the item grows it to
-/// its box's top, a new state copying its clamp, then sweeps the box in
-/// place from the highest state down. Choices with value <= 0 are never
-/// taken.
+/// ContractError. The DP keeps states only for usages the items can
+/// reach. Each tier's needs and granule count are divided by the needs'
+/// gcd, and its reachable usages up to the corner, what all the items can
+/// use capped at the tier, are the subset sums of the needs. A sparse
+/// tier keeps one state per reachable usage, and a take of n granules
+/// from a state reads the highest state at or below its usage minus n.
+/// The DP runs along the first tier an item can use, which is sparse
+/// where at most half of its usages are reachable and otherwise keeps
+/// one state per usage and contiguous takes; a tier above it is sparse
+/// wherever a usage is unreachable. This is exact: an unreachable usage
+/// admits exactly the subsets the reachable one below it admits, for
+/// every state and every take's source.
+/// Each usable item sweeps only a box of states, bounded per tier from
+/// both sides: above by the state of what it and the items before it can
+/// use, capped at the tier; below by the lowest state the next item's box
+/// reads. A state above the box has the value and choice of its clamp
+/// into the box, and no later item and no reconstruction reads one below
+/// it, so the result is the one the full grid would give, ties included.
+/// One value table over the states up to the corner serves every item: the
+/// item grows it to its box's top, a new state copying its clamp, then
+/// sweeps the box in place from the highest state down. Choices with
+/// value <= 0 are never taken.
 MultiTierResult solve_multi(std::span<const MultiTierItem> items,
                             std::span<const std::uint64_t> capacities,
                             std::size_t state_budget = 1 << 18);
