@@ -481,6 +481,77 @@ TEST(MultiKnapsack, MatchesReferenceOnManySmallItems) {
   }
 }
 
+/// Shaped like the Bench-scale solves, whose objects are chunked into a
+/// few equal sizes: ft's 64 chunks of 16 MiB and one 512 KiB object,
+/// nekproxy's 32 and 4 MiB chunks, bt's 208, 41.6 and 2.4 MiB ones. One
+/// to three chunk sizes, each repeated with values of its own, and
+/// sometimes a lone odd-sized item, on the cxl4t preset's 64, 256 and
+/// 512 MiB tiers or on tight and loose ones. A few sizes reach few of a
+/// tier's usages, so corners are often usages no subset reaches, needs
+/// often share a divisor, and sparse tiers sit beside dense ones.
+DiffInstance make_chunked_instance(Rng& rng, std::size_t T) {
+  static constexpr std::uint64_t kChunks[] = {
+      16 * kMiB,  32 * kMiB,           4 * kMiB,
+      208 * kMiB, kMiB * 416 / 10 + 1, kMiB * 24 / 10};
+  DiffInstance d;
+  d.state_budget = rng.next_below(4) == 0 ? 4096 : 1 << 18;
+  // Three tiers' reference grids cost 63^3 states an item, one tier's 2049.
+  const std::size_t most = T == 1 ? 64 : 20;
+  std::uint64_t total = 0;
+  for (std::size_t s = 1 + rng.next_below(3); s-- > 0;) {
+    const std::uint64_t size =
+        rng.next_below(3) == 0 ? (1 + rng.next_below(40)) * kMiB
+                               : kChunks[rng.next_below(std::size(kChunks))];
+    for (std::size_t i = 1 + rng.next_below(most); i-- > 0;) {
+      d.items.push_back(MultiTierItem{size, draw_values(rng, T)});
+      total += size;
+    }
+  }
+  if (rng.next_below(2) == 0) {
+    const std::uint64_t odd =
+        rng.next_below(2) == 0 ? 512 * kKiB : 1 + rng.next_below(3 * kMiB);
+    d.items.push_back(MultiTierItem{odd, draw_values(rng, T)});
+    total += odd;
+  }
+  static constexpr std::uint64_t kCxl4t[] = {64 * kMiB, 256 * kMiB,
+                                             512 * kMiB};
+  const bool preset = rng.next_below(2) == 0;
+  for (std::size_t t = 0; t < T; ++t) {
+    if (preset) {
+      d.caps.push_back(kCxl4t[t]);
+    } else if (rng.next_below(2) == 0) {
+      d.caps.push_back(rng.next_below(total / 2 + 2));
+    } else {
+      d.caps.push_back(total + 1 + rng.next_below(total + 1));
+    }
+  }
+  return d;
+}
+
+// Chunked items reach few usages of a tier; solve_multi keeps states only
+// for those, and for one usage in each gcd of the needs.
+TEST(MultiKnapsack, MatchesReferenceOnChunkedItems) {
+  Rng rng(20261021);
+  for (int trial = 0; trial < 60; ++trial) {
+    const DiffInstance d = make_chunked_instance(rng, 1 + trial % 3);
+    ASSERT_NO_FATAL_FAILURE(expect_reference_answer(d, trial));
+  }
+  // ft's own shape on the cxl4t preset: tier 0 reaches 8 of its 63
+  // usages and tier 1 32, so both are sparse; tier 2 reaches all 63.
+  DiffInstance ft;
+  ft.state_budget = 1 << 18;
+  ft.caps = {64 * kMiB, 256 * kMiB, 512 * kMiB};
+  const auto worth = [&rng] {
+    const double v = 0.5 + rng.next_double();
+    return std::vector<double>{v, 0.7 * v, 0.4 * v};
+  };
+  for (int i = 0; i < 64; ++i) {
+    ft.items.push_back(MultiTierItem{16 * kMiB, worth()});
+  }
+  ft.items.push_back(MultiTierItem{512 * kKiB, worth()});
+  ASSERT_NO_FATAL_FAILURE(expect_reference_answer(ft, -1));
+}
+
 // Every tier keeps at least two states, no granule and one, so a budget
 // bounds the grid only up to log2(budget) tiers; past that the state count
 // grows without bound and, from 64 tiers on, wraps.
