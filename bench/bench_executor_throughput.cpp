@@ -51,8 +51,7 @@ namespace {
 
 using namespace tahoe;
 
-// volatile sink keeps the kernel loop from folding away without pulling
-// in google-benchmark for this harness.
+// A volatile sink keeps the kernel loop from folding away.
 volatile double g_sink = 0.0;
 void benchmark_sink(double v) { g_sink = v; }
 
@@ -268,7 +267,7 @@ int main(int argc, char** argv) try {
                     "gate: channel must reach check-min-ratio x chaselev "
                     "throughput on fib at check-workers workers");
   flags.define_int("check-workers", 16, "worker count the gate compares at");
-  flags.define_string("check-min-ratio", "1.0",
+  flags.define_double("check-min-ratio", 1.0,
                       "minimum channel/chaselev throughput ratio");
   bench::register_artifact_flags(flags);
   flags.parse(argc, argv);
@@ -286,10 +285,11 @@ int main(int argc, char** argv) try {
   const int queens_n =
       quick ? 8 : static_cast<int>(flags.get_uint("queens-n", kIntMax));
   const int reps = quick ? 2 : static_cast<int>(flags.get_uint("reps", kIntMax));
+  flags.require_flag(reps > 0, "--reps must be at least 1");
   const bool check = flags.get_bool("check");
   const auto check_workers = static_cast<unsigned>(flags.get_uint(
       "check-workers", std::numeric_limits<unsigned>::max()));
-  const double check_min_ratio = std::stod(flags.get_string("check-min-ratio"));
+  const double check_min_ratio = flags.get_double("check-min-ratio");
 
   std::vector<task::ExecutorBackend> backends;
   const std::string backend_flag = flags.get_string("backend");
@@ -299,13 +299,11 @@ int main(int argc, char** argv) try {
   } else if (const auto b = task::parse_executor_backend(backend_flag)) {
     backends = {*b};
   } else {
-    std::cerr << "unknown backend: " << backend_flag << "\n";
-    return 2;
+    flags.require_flag(false, "unknown backend '" + backend_flag +
+                                  "' in --backend");
   }
-  if (check && backends.size() != 2) {
-    std::cerr << "--check needs --backend both\n";
-    return 2;
-  }
+  flags.require_flag(!check || backends.size() == 2,
+                     "--check needs --backend both");
 
   std::vector<unsigned> workers = {1, 2, 4, 8, 16, 32, 64};
   if (quick) workers = {1, 4, 16};
@@ -329,14 +327,15 @@ int main(int argc, char** argv) try {
     } else if (m == "nqueens") {
       modes.emplace_back(m, make_queens(queens_n));
     } else {
-      std::cerr << "unknown mode: " << m << "\n";
-      return 2;
+      flags.require_flag(false, "unknown mode '" + m + "' in --modes");
     }
   }
-  if (modes.empty()) {
-    std::cerr << "empty mode list\n";
-    return 2;
-  }
+  flags.require_flag(!modes.empty(), "--modes names no mode");
+  flags.require_flag(!check || std::any_of(modes.begin(), modes.end(),
+                                           [](const auto& mode) {
+                                             return mode.first == "fib";
+                                           }),
+                     "--check needs the fib mode in --modes");
 
   // best Mtasks/s per (mode, backend, workers) for the gate.
   std::map<std::string, double> best_rate;
@@ -409,10 +408,6 @@ int main(int argc, char** argv) try {
                            check_workers)];
     const double channel = best_rate[cell_key(
         "fib", task::ExecutorBackend::kChannel, check_workers)];
-    if (chaselev <= 0.0 || channel <= 0.0) {
-      std::cerr << "--check needs the fib mode in --modes\n";
-      return 2;
-    }
     const double ratio = channel / chaselev;
     std::cout << "check: fib @" << check_workers << "w channel/chaselev = "
               << ratio << " (min " << check_min_ratio << ")\n";

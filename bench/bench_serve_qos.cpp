@@ -19,6 +19,7 @@
 // latency improves strictly. --check asserts that ordering (CI smoke), and
 // --deterministic zeroes the wall-clock planning fields so same-seed runs
 // emit byte-identical reports, with their per-tenant "tenants" sections.
+#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <limits>
@@ -102,6 +103,14 @@ int main(int argc, char** argv) try {
       "workers", std::numeric_limits<std::uint32_t>::max()));
   if (workers != 0) machine.workers = workers;
 
+  // The serving loop ends only when a finite clock passes a finite
+  // horizon, and every arrival rate must be finite and positive.
+  for (const char* name : {"duration", "epoch", "rate-scale"}) {
+    const double value = flags.get_double(name);
+    flags.require_flag(std::isfinite(value) && value > 0.0,
+                       std::string("--") + name +
+                           " must be a positive finite number");
+  }
   serve::ServeOptions opts;
   opts.duration_seconds = flags.get_double("duration");
   opts.epoch_seconds = flags.get_double("epoch");
@@ -112,20 +121,14 @@ int main(int argc, char** argv) try {
   // streams, so the only difference is the placement plan.
   const double rate_scale = flags.get_double("rate-scale");
   std::vector<serve::ServeResult> results;
-  try {
-    for (const bool qos : {true, false}) {
-      trace::global_counters().reset();
-      serve::TenantManager tm(machine);
-      add_tenants(tm, rate_scale);
-      opts.enforce_quotas = qos;
-      serve::ServeResult r = serve::run_serve(tm, opts);
-      bench::append_report_json(r.report, artifacts.report_json);
-      results.push_back(std::move(r));
-    }
-  } catch (const ContractError& e) {
-    // Non-finite or non-positive --duration, --epoch or --rate-scale.
-    std::cerr << e.what() << '\n';
-    return 2;
+  for (const bool qos : {true, false}) {
+    trace::global_counters().reset();
+    serve::TenantManager tm(machine);
+    add_tenants(tm, rate_scale);
+    opts.enforce_quotas = qos;
+    serve::ServeResult r = serve::run_serve(tm, opts);
+    bench::append_report_json(r.report, artifacts.report_json);
+    results.push_back(std::move(r));
   }
   const core::RunReport& qos_report = results[0].report;
   const core::RunReport& free_report = results[1].report;

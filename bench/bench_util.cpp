@@ -1,5 +1,6 @@
 #include "bench_util.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -27,26 +28,26 @@ memsim::Machine make_machine(const BenchConfig& config) {
       om.devices.back().capacity = config.nvm_capacity;
       return om;
     }
+    // "<kind>:<number>", the number taking the rest of the spec; the
+    // device presets check its range.
     const auto colon = config.nvm_spec.find(':');
-    TAHOE_REQUIRE(colon != std::string::npos,
-                  "nvm spec must be bw:<f>, lat:<m> or optane");
     const std::string kind = config.nvm_spec.substr(0, colon);
-    const double value =
-        std::strtod(config.nvm_spec.c_str() + colon + 1, nullptr);
+    const std::string number =
+        colon == std::string::npos ? "" : config.nvm_spec.substr(colon + 1);
+    char* end = nullptr;
+    const double value = std::strtod(number.c_str(), &end);
+    TAHOE_REQUIRE((kind == "bw" || kind == "lat") && !number.empty() &&
+                      *end == '\0' && std::isfinite(value),
+                  "nvm spec must be bw:<f>, lat:<m> or optane, not '" +
+                      config.nvm_spec + "'");
     const memsim::DeviceModel dram =
         memsim::devices::dram(config.dram_capacity);
-    if (kind == "bw") {
-      return memsim::machines::platform_a(
-          memsim::devices::nvm_bw_fraction(dram, value, config.nvm_capacity),
-          config.dram_capacity);
-    }
-    if (kind == "lat") {
-      return memsim::machines::platform_a(
-          memsim::devices::nvm_lat_multiple(dram, value, config.nvm_capacity),
-          config.dram_capacity);
-    }
-    TAHOE_REQUIRE(false, "unknown nvm spec kind '" + kind + "'");
-    return memsim::Machine{};
+    return memsim::machines::platform_a(
+        kind == "bw" ? memsim::devices::nvm_bw_fraction(dram, value,
+                                                        config.nvm_capacity)
+                     : memsim::devices::nvm_lat_multiple(dram, value,
+                                                         config.nvm_capacity),
+        config.dram_capacity);
   }();
   if (config.workers != 0) m.workers = config.workers;
   return m;

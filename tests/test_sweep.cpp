@@ -1,11 +1,14 @@
 // End-to-end checks of the tahoe_sweep fork/merge driver, including the
 // child-failure contract: a cell whose child exits non-zero must surface
 // as an explicit failed run entry in the merged artifact (and a non-zero
-// sweep exit), never as a silently merged partial result.
+// sweep exit), never as a silently merged partial result; and a grid no
+// cell could run must be rejected as a bad command line before any child
+// forks.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -17,24 +20,32 @@ namespace {
 
 #ifdef TAHOE_SWEEP_BIN
 
-/// Exit status of the sweep. No argument may hang it: a sweep still
-/// running after 60 s is killed by coreutils timeout, whose exit status
-/// 124 fails the test.
-int run_sweep(const std::string& args) {
+std::string read_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::stringstream buf;
+  buf << is.rdbuf();
+  return buf.str();
+}
+
+/// Exit status of the sweep; its stderr lands in `err` when given. No
+/// argument may hang it: a sweep still running after 60 s is killed by
+/// coreutils timeout, whose exit status 124 fails the test.
+int run_sweep(const std::string& args, std::string* err = nullptr) {
+  const std::string err_path = ::testing::TempDir() + "sweep_stderr.txt";
   const std::string cmd = "timeout 60 " + std::string(TAHOE_SWEEP_BIN) + " " +
-                          args + " > /dev/null 2>&1";
+                          args + " > /dev/null 2>" +
+                          (err != nullptr ? err_path : "&1");
   const int status = std::system(cmd.c_str());
   const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   EXPECT_NE(code, 124) << "tahoe_sweep " << args << " hung";
+  if (err != nullptr) *err = read_bytes(err_path);
   return code;
 }
 
 trace::JsonValue read_artifact(const std::string& path) {
   std::ifstream is(path);
   EXPECT_TRUE(is) << "sweep wrote no artifact at " << path;
-  std::stringstream buf;
-  buf << is.rdbuf();
-  return trace::parse_json(buf.str());
+  return trace::parse_json(read_bytes(path));
 }
 
 TEST(Sweep, HealthyGridMergesEveryCell) {
@@ -55,13 +66,6 @@ TEST(Sweep, HealthyGridMergesEveryCell) {
   EXPECT_EQ(v.at("comparison").array.size(), 1u);
   EXPECT_EQ(v.at("comparison").array[0].at("rows").array.size(), 2u);
   std::remove(out.c_str());
-}
-
-std::string read_bytes(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  std::stringstream buf;
-  buf << is.rdbuf();
-  return buf.str();
 }
 
 TEST(Sweep, DeterministicSweepsWriteByteIdenticalArtifacts) {
@@ -109,15 +113,58 @@ TEST(Sweep, NonPositiveJobsIsRejectedBeforeAnyCellRuns) {
   }
 }
 
+TEST(Sweep, BadGridIsRejectedBeforeAnyCellRuns) {
+  // Each of these names a cell no child could run: the parent rejects it
+  // with exit 2, the error and the usage, forks nothing and writes nothing.
+  const std::string out = ::testing::TempDir() + "sweep_grid.json";
+  for (const char* grid :
+       {"--workloads nosuch", "--workloads ,", "--policies nosuch",
+        "--policies ,", "--nvm-specs bogus", "--nvm-specs bw:abc",
+        "--nvm-specs bw:2", "--nvm-specs lat:0.5", "--nvm-specs bw:0.5x",
+        "--nvm-specs ,", "--slo-rules counter:"}) {
+    std::remove(out.c_str());
+    std::string err;
+    EXPECT_EQ(run_sweep("--out " + out +
+                            " --workloads cg --policies static-dram"
+                            " --nvm-specs bw:0.5 --scale test --jobs 1 " +
+                            grid,
+                        &err),
+              2)
+        << grid;
+    EXPECT_EQ(err.rfind("tahoe_sweep: ", 0), 0u) << grid << ": " << err;
+    EXPECT_NE(err.find("usage: "), std::string::npos) << grid << ": " << err;
+    EXPECT_EQ(err.find("cell failed"), std::string::npos) << grid << ": "
+                                                          << err;
+    EXPECT_FALSE(std::ifstream(out).good()) << grid << ": sweep wrote " << out;
+  }
+}
+
+TEST(Sweep, EveryWorkloadTheFactoryBuildsIsAccepted) {
+  // heat and cholesky are not among workloads::workload_names().
+  const std::string out = ::testing::TempDir() + "sweep_apps.json";
+  ASSERT_EQ(run_sweep("--out " + out +
+                      " --workloads heat,cholesky --policies static-nvm"
+                      " --nvm-specs bw:0.5,lat:4,optane --scale test"
+                      " --jobs 2"),
+            0);
+  EXPECT_EQ(read_artifact(out).at("failed_cells").number, 0.0);
+  std::remove(out.c_str());
+}
+
 TEST(Sweep, FailedCellIsMarkedNotSilentlyMerged) {
-  // "bogus" is not a policy: its child exits non-zero before producing a
-  // report. The sweep must still write the artifact, mark the cell failed,
-  // keep the healthy cell's run intact, and exit non-zero itself.
+  // Cell 1 (static-nvm) cannot write its histogram file, which a directory
+  // holds, so its child exits non-zero after appending its report. The
+  // sweep must still write the artifact, mark the cell failed without its
+  // partial report, keep the healthy cell's run intact, and exit non-zero
+  // itself.
   const std::string out = ::testing::TempDir() + "sweep_fail.json";
+  const std::string blocked = out + ".cell1.hist.json";
+  std::filesystem::create_directories(blocked);
   ASSERT_NE(run_sweep("--out " + out +
-                      " --workloads cg --policies static-dram,bogus"
+                      " --workloads cg --policies static-dram,static-nvm"
                       " --nvm-specs bw:0.5 --scale test --jobs 2"),
             0);
+  std::filesystem::remove_all(blocked);
   const trace::JsonValue v = read_artifact(out);
   EXPECT_EQ(v.at("cells").number, 2.0);
   EXPECT_EQ(v.at("failed_cells").number, 1.0);
@@ -128,7 +175,7 @@ TEST(Sweep, FailedCellIsMarkedNotSilentlyMerged) {
     if (run.object.count("failed")) {
       ++failed_entries;
       EXPECT_TRUE(run.at("failed").boolean);
-      EXPECT_EQ(run.at("policy").string, "bogus");
+      EXPECT_EQ(run.at("policy").string, "static-nvm");
       EXPECT_EQ(run.at("workload").string, "cg");
       // No partial results may ride along on a failed entry.
       EXPECT_FALSE(run.object.count("steady_iteration_seconds"));

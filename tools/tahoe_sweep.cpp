@@ -8,6 +8,8 @@
 //       [--deterministic] [--telemetry-interval 0.01]
 //       [--slo-rules "counter:...  < 5"]
 //
+// The parent checks every workload, policy and NVM spec with the code a
+// cell hands it to, and rejects a bad grid before it forks any child.
 // Each cell forks a child that runs one (workload, policy, nvm) scenario
 // through the bench runners with latency histograms enabled, appending its
 // RunReport JSON line (the same layout every bench emits) to a
@@ -63,9 +65,46 @@ struct Cell {
 /// Per-cell telemetry settings forwarded into the children.
 struct SweepTelemetry {
   double interval = 0.0;  ///< sampling cadence in seconds; 0 disables
-  std::string rules;      ///< --slo-rules pass-through
+  std::vector<trace::SloRule> rules;  ///< --slo-rules, parsed by the parent
   bool enabled() const { return interval > 0.0; }
 };
+
+/// How a cell runs its workload under one policy.
+using PolicyRunner = core::RunReport (*)(const std::string& workload,
+                                         const bench::BenchConfig& config);
+
+/// The runner for a --policies entry, or nullptr for an unknown policy.
+PolicyRunner policy_runner(const std::string& policy) {
+  if (policy == "tahoe") {
+    return [](const std::string& w, const bench::BenchConfig& c) {
+      return bench::run_tahoe(w, c);
+    };
+  }
+  if (policy == "static-dram") {
+    return [](const std::string& w, const bench::BenchConfig& c) {
+      return bench::run_static(w, c, bench::fastest_tier(c));
+    };
+  }
+  if (policy == "static-nvm") {
+    return [](const std::string& w, const bench::BenchConfig& c) {
+      return bench::run_static(w, c, bench::capacity_tier(c));
+    };
+  }
+  if (policy == "xmem") return &bench::run_xmem;
+  if (policy == "reactive") return &bench::run_reactive;
+  return nullptr;
+}
+
+/// True when `consume()` returns without a contract error.
+template <typename Consume>
+bool consumes(Consume consume) {
+  try {
+    consume();
+    return true;
+  } catch (const ContractError&) {
+    return false;
+  }
+}
 
 std::vector<std::string> split_csv(const std::string& csv) {
   std::vector<std::string> out;
@@ -75,6 +114,21 @@ std::vector<std::string> split_csv(const std::string& csv) {
     if (!item.empty()) out.push_back(item);
   }
   return out;
+}
+
+/// The entries of the comma-separated grid flag `name`. A flag that names
+/// none, or an entry that `accepts` refuses, is a bad command line.
+template <typename Accepts>
+std::vector<std::string> grid_axis(const Flags& flags, const std::string& name,
+                                   const std::string& entry_kind,
+                                   Accepts accepts) {
+  std::vector<std::string> entries = split_csv(flags.get_string(name));
+  flags.require_flag(!entries.empty(), "--" + name + " names no entry");
+  for (const std::string& entry : entries) {
+    flags.require_flag(accepts(entry), entry_kind + " '" + entry + "' in --" +
+                                           name);
+  }
+  return entries;
 }
 
 /// Child body: run one scenario, write the cell's artifacts, never return.
@@ -88,7 +142,7 @@ std::vector<std::string> split_csv(const std::string& csv) {
     trace::TelemetryConfig tc;
     tc.out_path = cell.telemetry_path;
     tc.interval_seconds = tele.interval;
-    tc.rules = trace::parse_slo_rules(tele.rules);
+    tc.rules = tele.rules;
     trace::telemetry().configure(tc);
   }
   bench::BenchConfig config = base;
@@ -96,22 +150,8 @@ std::vector<std::string> split_csv(const std::string& csv) {
   config.report_json = cell.report_path;
   config.attribution = true;
 
-  core::RunReport report;
-  if (cell.policy == "tahoe") {
-    report = bench::run_tahoe(cell.workload, config);
-  } else if (cell.policy == "static-dram") {
-    report = bench::run_static(cell.workload, config, fastest_tier(config));
-  } else if (cell.policy == "static-nvm") {
-    report = bench::run_static(cell.workload, config, capacity_tier(config));
-  } else if (cell.policy == "xmem") {
-    report = bench::run_xmem(cell.workload, config);
-  } else if (cell.policy == "reactive") {
-    report = bench::run_reactive(cell.workload, config);
-  } else {
-    std::cerr << "unknown policy: " << cell.policy << "\n";
-    std::_Exit(2);
-  }
-  (void)report;  // the runner already appended it to report_path
+  // The runner appends the cell's report to report_path itself.
+  (void)policy_runner(cell.policy)(cell.workload, config);
   // _Exit skips destructors: flush the telemetry stream by hand.
   trace::telemetry().shutdown();
 
@@ -172,7 +212,8 @@ int main(int argc, char** argv) try {
                       "comma-separated policies (tahoe, static-dram, "
                       "static-nvm, xmem, reactive)");
   flags.define_string("nvm-specs", "bw:0.5",
-                      "comma-separated NVM specs (bw:<f>, lat:<m>, optane)");
+                      "comma-separated NVM specs (bw:<f> with 0 < f <= 1, "
+                      "lat:<m> with m >= 1, or optane)");
   flags.define_string("scale", "test", "problem size: test or bench");
   flags.define_int("dram-mib", 256, "DRAM capacity in MiB");
   flags.define_int("jobs", 4, "max concurrent child processes");
@@ -192,7 +233,11 @@ int main(int argc, char** argv) try {
   const std::string out = flags.get_string("out");
   SweepTelemetry tele;
   tele.interval = flags.get_double("telemetry-interval");
-  tele.rules = flags.get_string("slo-rules");
+  try {
+    tele.rules = trace::parse_slo_rules(flags.get_string("slo-rules"));
+  } catch (const ContractError& e) {
+    flags.require_flag(false, std::string("--slo-rules: ") + e.what());
+  }
   bench::BenchConfig base;
   base.dram_capacity = bench::dram_capacity_from_flags(flags);
   base.scale = workloads::parse_scale(flags.get_string("scale"));
@@ -203,10 +248,29 @@ int main(int argc, char** argv) try {
     throw FlagError("flag --jobs must be at least 1", flags.usage(argv[0]));
   }
 
+  const std::vector<std::string> apps =
+      grid_axis(flags, "workloads", "unknown workload",
+                [&](const std::string& w) {
+                  return consumes(
+                      [&] { (void)workloads::make_workload(w, base.scale); });
+                });
+  const std::vector<std::string> policies =
+      grid_axis(flags, "policies", "unknown policy",
+                [](const std::string& p) {
+                  return policy_runner(p) != nullptr;
+                });
+  const std::vector<std::string> nvm_specs =
+      grid_axis(flags, "nvm-specs", "invalid NVM spec",
+                [&](const std::string& spec) {
+                  bench::BenchConfig config = base;
+                  config.nvm_spec = spec;
+                  return consumes([&] { (void)bench::make_machine(config); });
+                });
+
   std::vector<Cell> cells;
-  for (const std::string& nvm : split_csv(flags.get_string("nvm-specs"))) {
-    for (const std::string& w : split_csv(flags.get_string("workloads"))) {
-      for (const std::string& p : split_csv(flags.get_string("policies"))) {
+  for (const std::string& nvm : nvm_specs) {
+    for (const std::string& w : apps) {
+      for (const std::string& p : policies) {
         Cell cell;
         cell.workload = w;
         cell.policy = p;
@@ -222,11 +286,6 @@ int main(int argc, char** argv) try {
       }
     }
   }
-  if (cells.empty()) {
-    std::cerr << "empty scenario grid\n";
-    return 1;
-  }
-
   // Fan out, at most --jobs children in flight.
   std::map<pid_t, std::size_t> running;
   std::vector<bool> cell_failed(cells.size(), false);
