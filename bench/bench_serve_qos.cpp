@@ -19,6 +19,9 @@
 // latency improves strictly. --check asserts that ordering (CI smoke), and
 // --deterministic zeroes the wall-clock planning fields so same-seed runs
 // emit byte-identical reports, with their per-tenant "tenants" sections.
+// A --rate-scale and --duration that let one tenant expect more than
+// kMaxExpectedArrivals requests are a bad command line: the open-loop
+// sources draw every arrival before the horizon, served or not.
 #include <cmath>
 #include <cstdint>
 #include <iostream>
@@ -34,11 +37,18 @@ namespace {
 
 using namespace tahoe;
 
+/// Each tenant's arrival rate at --rate-scale=1, in requests per second.
+constexpr double kProdHz = 400.0;
+constexpr double kBatchHz = 40.0;
+constexpr double kBgHz = 30.0;
+/// The most requests one tenant may expect over the horizon.
+constexpr double kMaxExpectedArrivals = 1e6;
+
 void add_tenants(serve::TenantManager& tm, double rate_scale) {
   serve::TenantConfig prod;
   prod.name = "prod";
   prod.priority = 6.0;
-  prod.arrival_hz = 400.0 * rate_scale;
+  prod.arrival_hz = kProdHz * rate_scale;
   prod.seed = 101;
   serve::KvConfig kv;
   kv.prefix = "prod";
@@ -55,7 +65,7 @@ void add_tenants(serve::TenantManager& tm, double rate_scale) {
   serve::TenantConfig batch;
   batch.name = "batch";
   batch.priority = 2.0;
-  batch.arrival_hz = 40.0 * rate_scale;
+  batch.arrival_hz = kBatchHz * rate_scale;
   batch.seed = 202;
   serve::TensorConfig tensor;
   tensor.prefix = "batch";
@@ -68,7 +78,7 @@ void add_tenants(serve::TenantManager& tm, double rate_scale) {
   serve::TenantConfig bg;
   bg.name = "bg";
   bg.priority = 1.0;
-  bg.arrival_hz = 30.0 * rate_scale;
+  bg.arrival_hz = kBgHz * rate_scale;
   bg.seed = 303;
   serve::GraphConfig graph;
   graph.prefix = "bg";
@@ -84,7 +94,10 @@ int main(int argc, char** argv) try {
   Flags flags;
   flags.define_double("duration", 1.0, "virtual seconds of offered traffic");
   flags.define_double("epoch", 0.005, "batching epoch in virtual seconds");
-  flags.define_double("rate-scale", 1.0, "multiply every arrival rate");
+  flags.define_double("rate-scale", 1.0,
+                      "multiply every arrival rate (prod 400/s, batch 40/s, "
+                      "bg 30/s); a tenant may expect at most 1e6 requests "
+                      "over --duration");
   flags.define_int("dram-mib", 64, "DRAM tier capacity in MiB");
   flags.define_int("workers", 0, "worker override (0 = machine default)");
   flags.define_bool("deterministic", false,
@@ -111,6 +124,16 @@ int main(int argc, char** argv) try {
                        std::string("--") + name +
                            " must be a positive finite number");
   }
+  // A huge finite scale overflows a tenant's rate to inf, or leaves it
+  // finite but with more arrivals to draw than memory or time allow.
+  const double rate_scale = flags.get_double("rate-scale");
+  for (const double hz : {kProdHz, kBatchHz, kBgHz}) {
+    const double expected = hz * rate_scale * flags.get_double("duration");
+    flags.require_flag(
+        std::isfinite(expected) && expected <= kMaxExpectedArrivals,
+        "--rate-scale times --duration gives a tenant more than 1e6 "
+        "expected requests");
+  }
   serve::ServeOptions opts;
   opts.duration_seconds = flags.get_double("duration");
   opts.epoch_seconds = flags.get_double("epoch");
@@ -119,7 +142,6 @@ int main(int argc, char** argv) try {
 
   // Same seeds + virtual time: both modes see the identical request
   // streams, so the only difference is the placement plan.
-  const double rate_scale = flags.get_double("rate-scale");
   std::vector<serve::ServeResult> results;
   for (const bool qos : {true, false}) {
     trace::global_counters().reset();

@@ -45,7 +45,7 @@ MicroResult run_micro(const memsim::Machine& machine, memsim::DeviceId tier,
 
   task::SimExecutor exec;
   task::SimExecutor::Options opts;
-  const task::SimReport report =
+  const task::SimReport& report =
       exec.run(graph, machine, placement, {}, opts);
 
   memsim::Sampler sampler(machine.sample_interval, machine.cpu_hz,

@@ -439,37 +439,56 @@ TenantKnapsackResult solve_tenant_rows(std::span<const TenantItem> items,
   if (capacity == 0 || items.empty()) return result;
 
   const std::uint64_t granule = std::max<std::uint64_t>(1, capacity / grid);
-  const auto cap_g = static_cast<std::size_t>(capacity / granule);
   const std::size_t T = rows.size();
 
-  // Stage 1: per-tenant 0/1 DP within min(quota, capacity), on the shared
-  // granule so the cross-tenant split composes without rounding drift.
-  // Quotas round *down* to whole granules: a plan can only under-use a row.
+  // Candidates: the items that fit their row, on the shared granule so the
+  // cross-tenant split composes without rounding drift. Quotas round
+  // *down* to whole granules: a plan can only under-use a row.
+  std::vector<std::size_t> quota_g(T);
+  for (std::size_t t = 0; t < T; ++t) {
+    quota_g[t] =
+        static_cast<std::size_t>(std::min(rows[t].quota, capacity) / granule);
+  }
   std::vector<std::vector<std::size_t>> cand(T);
+  std::vector<std::size_t> need(items.size(), 0);
+  std::size_t unit = 0;  // gcd of the candidates' needs
   for (std::size_t i = 0; i < items.size(); ++i) {
     const TenantItem& it = items[i];
-    const std::uint64_t row_cap = std::min(rows[it.tenant].quota, capacity);
-    if (it.value > 0.0 && it.size > 0 && it.size <= row_cap) {
-      cand[it.tenant].push_back(i);
-    }
+    if (!(it.value > 0.0) || it.size == 0) continue;
+    need[i] = static_cast<std::size_t>(granules_for(it.size, granule));
+    if (need[i] > quota_g[it.tenant]) continue;
+    cand[it.tenant].push_back(i);
+    unit = std::gcd(unit, need[i]);
   }
-  std::vector<std::size_t> quota_g(T);
+  if (unit == 0) {  // nothing fits
+    finalize_tenant(result, items, rows);
+    return result;
+  }
+
+  // Every subset's need is a multiple of `unit`, so the needs, the quota
+  // rows and the capacity are divided by it, rounding down. That is
+  // exact: a grant or capacity between two multiples admits exactly the
+  // subsets the multiple below it admits, so each curve and the split are
+  // constant between multiples, rise only at multiples, and the divided
+  // DPs compute the values, rises, splits and picks at the multiples in
+  // the same order, bit for bit.
+  const auto cap_g = static_cast<std::size_t>(capacity / granule) / unit;
+  for (std::size_t& q : quota_g) q /= unit;
+  for (std::size_t& n : need) n /= unit;
+
+  // Stage 1: per-tenant 0/1 DP within its row.
   std::vector<std::vector<double>> dp(T);
   std::vector<std::vector<std::vector<bool>>> take(T);
   for (std::size_t t = 0; t < T; ++t) {
-    quota_g[t] = std::min(
-        cap_g, static_cast<std::size_t>(std::min(rows[t].quota, capacity) /
-                                        granule));
     dp[t].assign(quota_g[t] + 1, 0.0);
     take[t].assign(cand[t].size(),
                    std::vector<bool>(quota_g[t] + 1, false));
     for (std::size_t k = 0; k < cand[t].size(); ++k) {
       const TenantItem& it = items[cand[t][k]];
-      const std::uint64_t need = granules_for(it.size, granule);
-      if (need > quota_g[t]) continue;
+      const std::size_t n = need[cand[t][k]];
       const double weighted = it.value * rows[t].priority;
-      for (std::size_t c = quota_g[t] + 1; c-- > need;) {
-        const double with = dp[t][c - need] + weighted;
+      for (std::size_t c = quota_g[t] + 1; c-- > n;) {
+        const double with = dp[t][c - n] + weighted;
         if (with > dp[t][c]) {
           dp[t][c] = with;
           take[t][k][c] = true;
@@ -524,10 +543,9 @@ TenantKnapsackResult solve_tenant_rows(std::span<const TenantItem> items,
   for (std::size_t t = 0; t < T; ++t) {
     std::size_t g = grant[t];
     for (std::size_t k = cand[t].size(); k-- > 0;) {
-      if (g < take[t][k].size() && take[t][k][g]) {
+      if (take[t][k][g]) {
         result.chosen.push_back(cand[t][k]);
-        g -= static_cast<std::size_t>(
-            granules_for(items[cand[t][k]].size, granule));
+        g -= need[cand[t][k]];
       }
     }
   }

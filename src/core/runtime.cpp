@@ -212,11 +212,10 @@ class SimStep {
       return memo_.replay(placement, graph_.num_tasks());
     }
     hms::PlacementMap start = placement;
-    task::SimReport report =
+    const task::SimReport& report =
         executor_.run(graph_, machine_, placement, schedule, options_);
     memo_has_graph_ = true;
-    return memo_.keep(std::move(start), schedule, std::move(report),
-                      placement);
+    return memo_.keep(std::move(start), schedule, report, placement);
   }
 
  private:

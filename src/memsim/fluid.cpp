@@ -62,7 +62,6 @@ FlowId ScanFluidCore::start_flow(const FlowSpec& spec, FlowId id) {
   }
   flows_.emplace_back(id, f);
   ++active_count_;
-  harvest_completions();
   return id;
 }
 

@@ -77,9 +77,8 @@ struct FlowCompletion {
 namespace detail {
 
 /// The original per-event full-scan engine (see file comment). All members
-/// are open: the tests' reference simulator wraps it unchanged, and
-/// FluidSim drains it into the indexed engine when crossing the lazy
-/// threshold.
+/// are open: the tests' reference simulator wraps it, and FluidSim drains
+/// it into the indexed engine when crossing the lazy threshold.
 struct ScanFluidCore {
   struct Flow {
     double serial_left = 0.0;
@@ -93,6 +92,9 @@ struct ScanFluidCore {
   /// keeping the storage.
   void reset(std::size_t num_devices);
 
+  /// Add a flow at now_. It completes only through a later step(), so a
+  /// caller that may start a flow with no component above the drain
+  /// epsilon harvests it right after (FluidSim never starts one).
   FlowId start_flow(const FlowSpec& spec, FlowId id);
   std::optional<FlowCompletion> step();
 

@@ -133,9 +133,16 @@ ServeResult run_serve(TenantManager& manager, const ServeOptions& options) {
                                                      : machine.workers);
   }
   task::SimExecutor executor;
+  task::SimExecutor::Options sim_opts;
+  sim_opts.workers = options.workers;
+  sim_opts.unit_size = [&manager](hms::ObjectId id, std::size_t chunk) {
+    return manager.unit_bytes(id, chunk);
+  };
+  sim_opts.tracer = tracer;
   // Per-epoch storage, kept from one epoch to the next: the arrivals
   // drained, one batch slot per tenant (the first num_batches in use), the
-  // (batch, position) of each request tag, and each request's service time.
+  // (batch, position) of each request tag, each request's service time,
+  // and the last epoch's graph, whose arrays the next declaration reuses.
   struct Batch {
     std::size_t tenant = 0;
     std::size_t group = 0;
@@ -145,13 +152,16 @@ ServeResult run_serve(TenantManager& manager, const ServeOptions& options) {
   std::vector<Batch> batches(manager.size());
   std::vector<std::pair<std::size_t, std::size_t>> tag_slot;
   std::vector<double> service_of;
+  task::TaskGraph graph;
   std::uint64_t next_tag = 0;
   double clock = 0.0;
   while (clock < options.duration_seconds) {
     for (auto& st : states) {
       arrivals.clear();
       st->source->drain_until(clock, arrivals);
-      st->queue.insert(st->queue.end(), arrivals.begin(), arrivals.end());
+      // One at a time: a range insert into an empty deque allocates a
+      // block at its front every time, which is most epochs.
+      for (const Request& r : arrivals) st->queue.push_back(r);
       if (st->queue_depth != nullptr) {
         st->queue_depth->set(static_cast<std::uint64_t>(st->queue.size()));
       }
@@ -161,10 +171,17 @@ ServeResult run_serve(TenantManager& manager, const ServeOptions& options) {
     // empty-batch epochs would otherwise leave gaps in the series.
     if (sampler != nullptr) sampler->advance_virtual(clock);
 
+    // An epoch with nothing queued only moves the clock.
+    if (std::all_of(states.begin(), states.end(),
+                    [](const auto& st) { return st->queue.empty(); })) {
+      clock += options.epoch_seconds;
+      continue;
+    }
+
     // Batch this epoch: one group per tenant with queued work, highest
     // priority dispatched first.
     std::size_t num_batches = 0;
-    task::GraphBuilder builder;
+    task::GraphBuilder builder(std::move(graph));
     tag_slot.clear();
     for (const std::size_t i : order) {
       TenantState& st = *states[i];
@@ -183,20 +200,10 @@ ServeResult run_serve(TenantManager& manager, const ServeOptions& options) {
       }
       ++num_batches;
     }
-    if (num_batches == 0) {
-      clock += options.epoch_seconds;
-      continue;
-    }
 
-    const task::TaskGraph graph = builder.build();
-    task::SimExecutor::Options sim_opts;
-    sim_opts.workers = options.workers;
-    sim_opts.unit_size = [&manager](hms::ObjectId id, std::size_t chunk) {
-      return manager.unit_bytes(id, chunk);
-    };
-    sim_opts.tracer = tracer;
+    graph = builder.build();
     sim_opts.trace_time_offset = clock;
-    const task::SimReport sim =
+    const task::SimReport& sim =
         executor.run(graph, machine, placement, {}, sim_opts);
 
     // Per-request service time via the request tags the services stamped.

@@ -1,7 +1,10 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <map>
+#include <mutex>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -25,6 +28,55 @@ memsim::ObjectTraffic traffic(std::uint64_t loads, std::uint64_t stores,
 
 // ---- KvService --------------------------------------------------------
 
+/// Where one key's value lies in the store: the shard-major index of its
+/// first chunk and the value's bytes in that chunk. The rest of the value
+/// fills the chunks that follow, each up to its end.
+struct KeySpan {
+  std::uint64_t first_chunk = 0;
+  std::uint64_t first_bytes = 0;
+};
+
+/// Every key's span in a store of `chunks` chunks of `chunk_bytes` bytes.
+/// A key's value starts at a pure hash of the key, modulo the store's
+/// bytes less the value's, so it may straddle chunks but never runs past
+/// the end.
+std::vector<KeySpan> build_key_table(std::size_t keys,
+                                     std::uint64_t chunk_bytes,
+                                     std::uint64_t chunks,
+                                     std::uint64_t value_bytes) {
+  const std::uint64_t space = chunk_bytes * chunks;
+  std::vector<KeySpan> table(keys);
+  for (std::size_t k = 0; k < keys; ++k) {
+    SplitMix64 h(0x5e12f00d ^ static_cast<std::uint64_t>(k));
+    const std::uint64_t off = h.next() % (space - value_bytes);
+    table[k].first_chunk = off / chunk_bytes;
+    table[k].first_bytes =
+        std::min(value_bytes, chunk_bytes - off % chunk_bytes);
+  }
+  return table;
+}
+
+/// The process's key table for exactly this layout, built on first use.
+/// It is immutable, so every KV service of one layout (one per run of a
+/// rate ladder) shares it, as Zipf shares its CDF tables.
+std::shared_ptr<const std::vector<KeySpan>> shared_key_table(
+    std::size_t keys, std::uint64_t chunk_bytes, std::uint64_t chunks,
+    std::uint64_t value_bytes) {
+  static std::mutex mutex;
+  static std::map<std::tuple<std::size_t, std::uint64_t, std::uint64_t,
+                             std::uint64_t>,
+                  std::shared_ptr<const std::vector<KeySpan>>>
+      tables;
+  const std::lock_guard<std::mutex> lock(mutex);
+  std::shared_ptr<const std::vector<KeySpan>>& table =
+      tables[{keys, chunk_bytes, chunks, value_bytes}];
+  if (table == nullptr) {
+    table = std::make_shared<const std::vector<KeySpan>>(
+        build_key_table(keys, chunk_bytes, chunks, value_bytes));
+  }
+  return table;
+}
+
 class KvService final : public Service {
  public:
   explicit KvService(KvConfig cfg)
@@ -33,16 +85,10 @@ class KvService final : public Service {
         label_(cfg_.prefix + ".get") {
     TAHOE_REQUIRE(cfg_.shards > 0 && cfg_.chunks_per_shard > 0,
                   "kv: empty shard layout");
-    TAHOE_REQUIRE(cfg_.value_bytes < space(), "kv: value larger than store");
-    // A value of V > 0 bytes overlaps at most (V + C - 2) / C + 1 chunks
-    // of C bytes, so a request touches at most ops times that many.
-    const std::uint64_t per_value =
-        cfg_.value_bytes == 0
-            ? 0
-            : (cfg_.value_bytes + cfg_.chunk_bytes - 2) / cfg_.chunk_bytes + 1;
-    max_touched_ = static_cast<std::size_t>(
-        std::min<std::uint64_t>(cfg_.ops_per_request * per_value,
-                                cfg_.shards * cfg_.chunks_per_shard));
+    TAHOE_REQUIRE(cfg_.value_bytes < cfg_.chunk_bytes * chunks(),
+                  "kv: value larger than store");
+    keys_ = shared_key_table(cfg_.keys, cfg_.chunk_bytes, chunks(),
+                             cfg_.value_bytes);
   }
 
   std::string kind() const override { return "kv"; }
@@ -63,22 +109,14 @@ class KvService final : public Service {
     // Exact expectation: sum each key's Zipf mass into the chunks its
     // value overlaps. Deterministic because the key -> offset map is a
     // pure hash of the rank.
-    const std::size_t total_chunks = cfg_.shards * cfg_.chunks_per_shard;
+    const std::size_t total_chunks = chunks();
     std::vector<double> per_chunk(total_chunks, 0.0);
     for (std::size_t k = 0; k < cfg_.keys; ++k) {
       const double mass =
           zipf_.pmf(k) * static_cast<double>(cfg_.ops_per_request);
-      const std::uint64_t off = offset_of(k);
-      std::uint64_t remaining = cfg_.value_bytes;
-      std::uint64_t pos = off;
-      while (remaining > 0) {
-        const std::size_t gc = static_cast<std::size_t>(pos / cfg_.chunk_bytes);
-        const std::uint64_t in_chunk = std::min(
-            remaining, cfg_.chunk_bytes - (pos % cfg_.chunk_bytes));
-        per_chunk[gc] += mass * static_cast<double>(in_chunk);
-        pos += in_chunk;
-        remaining -= in_chunk;
-      }
+      for_each_piece(k, [&](std::size_t gc, std::uint64_t bytes) {
+        per_chunk[gc] += mass * static_cast<double>(bytes);
+      });
     }
     std::vector<UnitHeat> out(total_chunks);
     for (std::size_t gc = 0; gc < total_chunks; ++gc) {
@@ -96,43 +134,31 @@ class KvService final : public Service {
 
   void append_request(task::GraphBuilder& builder, std::uint64_t request_tag,
                       Rng& rng) const override {
-    // Aggregate the request's ops into per-chunk byte tallies, kept sorted
-    // by shard-major chunk index (a request touches a handful of chunks),
-    // then emit one task declaring the combined access set.
-    struct Touched {
-      std::size_t chunk = 0;
-      std::uint64_t read_bytes = 0;
-      std::uint64_t write_bytes = 0;
-    };
-    std::vector<Touched> touched;
-    touched.reserve(max_touched_);
+    // Tally the request's ops into per-chunk read and write bytes, then
+    // emit one task declaring the touched chunks in ascending shard-major
+    // order. The tally is this thread's: it is zero outside the chunks the
+    // last request touched, which are zeroed first.
+    thread_local ChunkTally tally;
+    for (const std::size_t gc : tally.touched) tally.bytes[gc] = {};
+    tally.touched.clear();
+    if (tally.bytes.size() < chunks()) tally.bytes.resize(chunks());
     for (std::size_t op = 0; op < cfg_.ops_per_request; ++op) {
       const std::size_t key = zipf_.sample(rng);
       const bool write = rng.next_double() < cfg_.write_frac;
-      const std::uint64_t off = offset_of(key);
-      std::uint64_t remaining = cfg_.value_bytes;
-      std::uint64_t pos = off;
-      while (remaining > 0) {
-        const std::size_t gc = static_cast<std::size_t>(pos / cfg_.chunk_bytes);
-        const std::uint64_t in_chunk = std::min(
-            remaining, cfg_.chunk_bytes - (pos % cfg_.chunk_bytes));
-        auto it = std::lower_bound(
-            touched.begin(), touched.end(), gc,
-            [](const Touched& e, std::size_t c) { return e.chunk < c; });
-        if (it == touched.end() || it->chunk != gc) {
-          it = touched.insert(it, Touched{gc});
-        }
-        (write ? it->write_bytes : it->read_bytes) += in_chunk;
-        pos += in_chunk;
-        remaining -= in_chunk;
-      }
+      for_each_piece(key, [&](std::size_t gc, std::uint64_t bytes) {
+        ChunkBytes& c = tally.bytes[gc];
+        if (c.read == 0 && c.write == 0) tally.touched.push_back(gc);
+        (write ? c.write : c.read) += bytes;
+      });
     }
+    std::sort(tally.touched.begin(), tally.touched.end());
     task::Task t;
     t.label = label_;
     t.compute_seconds = cfg_.compute_seconds;
     t.request = request_tag;
-    t.accesses.reserve(touched.size());
-    for (const auto& [gc, read_bytes, write_bytes] : touched) {
+    t.accesses.reserve(tally.touched.size());
+    for (const std::size_t gc : tally.touched) {
+      const auto [read_bytes, write_bytes] = tally.bytes[gc];
       task::DataAccess a;
       a.object = objects_[gc / cfg_.chunks_per_shard];
       a.chunk = gc % cfg_.chunks_per_shard;
@@ -149,21 +175,40 @@ class KvService final : public Service {
   }
 
  private:
-  std::uint64_t space() const noexcept {
-    return cfg_.chunk_bytes * cfg_.chunks_per_shard * cfg_.shards;
+  /// One chunk's bytes in the request being tallied.
+  struct ChunkBytes {
+    std::uint64_t read = 0;
+    std::uint64_t write = 0;
+  };
+  /// append_request's tally, by shard-major chunk, and the chunks the
+  /// last request touched, in the order it first touched them.
+  struct ChunkTally {
+    std::vector<ChunkBytes> bytes;
+    std::vector<std::size_t> touched;
+  };
+
+  std::size_t chunks() const noexcept {
+    return cfg_.shards * cfg_.chunks_per_shard;
   }
 
-  /// Deterministic key -> byte offset map (values may straddle chunks).
-  std::uint64_t offset_of(std::size_t key) const {
-    SplitMix64 h(0x5e12f00d ^ static_cast<std::uint64_t>(key));
-    return h.next() % (space() - cfg_.value_bytes);
+  /// Call f(chunk, bytes) for each shard-major chunk `key`'s value
+  /// overlaps, in ascending order, with the value's bytes in it.
+  template <typename F>
+  void for_each_piece(std::size_t key, F&& f) const {
+    const KeySpan& span = (*keys_)[key];
+    auto gc = static_cast<std::size_t>(span.first_chunk);
+    std::uint64_t bytes = span.first_bytes;
+    for (std::uint64_t left = cfg_.value_bytes; left > 0;) {
+      f(gc++, bytes);
+      left -= bytes;
+      bytes = std::min(left, cfg_.chunk_bytes);
+    }
   }
 
   KvConfig cfg_;
   Zipf zipf_;
   std::string label_;
-  /// The most chunks one request can touch.
-  std::size_t max_touched_ = 0;
+  std::shared_ptr<const std::vector<KeySpan>> keys_;
   std::vector<hms::ObjectId> objects_;
 };
 
@@ -237,8 +282,9 @@ class GraphService final : public Service {
     const std::uint64_t achunk = cfg_.adj_bytes / cfg_.adj_chunks;
     const auto abytes =
         static_cast<std::uint64_t>(kAdjTouchFrac * static_cast<double>(achunk));
-    std::vector<std::size_t> frontier;
-    frontier.reserve(cfg_.frontier_chunks);
+    // This thread's frontier, kept across requests.
+    thread_local std::vector<std::size_t> frontier;
+    frontier.clear();
     while (frontier.size() < cfg_.frontier_chunks) {
       const auto c = static_cast<std::size_t>(rng.next_below(cfg_.adj_chunks));
       if (std::find(frontier.begin(), frontier.end(), c) == frontier.end()) {

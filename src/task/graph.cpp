@@ -202,6 +202,15 @@ std::optional<GroupId> TaskGraph::last_reference_before(hms::ObjectId obj,
   return best;
 }
 
+void TaskGraph::clear() noexcept {
+  tasks_.clear();
+  groups_.clear();
+  succ_.clear();
+  succ_begin_.clear();
+  pred_count_.clear();
+  unit_refs_.clear();
+}
+
 GraphBuilder::GraphBuilder(TaskGraph previous)
     : previous_(std::move(previous)) {}
 
@@ -217,6 +226,11 @@ bool GraphBuilder::keep_previous() {
 
 GroupId GraphBuilder::begin_group(std::string name) {
   TAHOE_REQUIRE(!kept_, "begin_group after keep_previous");
+  if (graph_.groups_.empty()) {
+    // Declaring in full: the previous graph lends its arrays' storage.
+    graph_ = std::move(previous_);
+    graph_.clear();
+  }
   const auto g = static_cast<GroupId>(graph_.groups_.size());
   Group grp;
   grp.name = std::move(name);

@@ -31,6 +31,10 @@
 // iteration. A builder given the previous iteration's graph hands it back
 // from build() when the application says, through keep_previous(), that
 // this iteration declares it again; nothing is declared or derived.
+// Otherwise the declaration reuses the previous graph's arrays, so a
+// caller that hands each graph to the next builder (a serving epoch, an
+// iteration that changed its declaration) allocates them only while a
+// graph outgrows every earlier one.
 #pragma once
 
 #include <cstdint>
@@ -94,6 +98,9 @@ class TaskGraph {
  private:
   friend class GraphBuilder;
 
+  /// Drop every task, group and index entry, keeping the arrays' storage.
+  void clear() noexcept;
+
   std::vector<Task> tasks_;
   std::vector<Group> groups_;
   /// Task id's successors are succ_[succ_begin_[id], succ_begin_[id + 1]).
@@ -109,7 +116,8 @@ class GraphBuilder {
   GraphBuilder() = default;
   /// A builder that can keep `previous`, the graph of the iteration
   /// before (see keep_previous). A graph with no groups is no previous
-  /// graph at all.
+  /// graph at all. If the caller declares instead, the new graph takes
+  /// over the previous one's storage.
   explicit GraphBuilder(TaskGraph previous);
 
   /// Take the previous graph as this iteration's declaration, on the
@@ -133,7 +141,7 @@ class GraphBuilder {
   /// Finalize: derive the dependences, or return the kept graph as it is.
   /// The builder must not be reused afterwards. Deriving reuses this
   /// thread's derive workspace, so a warm build allocates only the graph's
-  /// arrays.
+  /// arrays, and not those when the previous graph lent them.
   TaskGraph build();
 
  private:

@@ -53,11 +53,11 @@ void index_by_group(const std::vector<ScheduledCopy>& schedule,
 
 }  // namespace
 
-SimReport SimExecutor::run(const TaskGraph& graph,
-                           const memsim::Machine& machine,
-                           hms::PlacementMap& placement,
-                           const std::vector<ScheduledCopy>& schedule,
-                           const Options& options) {
+const SimReport& SimExecutor::run(const TaskGraph& graph,
+                                  const memsim::Machine& machine,
+                                  hms::PlacementMap& placement,
+                                  const std::vector<ScheduledCopy>& schedule,
+                                  const Options& options) {
   TAHOE_REQUIRE(graph.num_tasks() > 0, "empty graph");
   for (const ScheduledCopy& c : schedule) {
     TAHOE_REQUIRE(c.trigger_group <= c.needed_group,
@@ -93,11 +93,19 @@ SimReport SimExecutor::run(const TaskGraph& graph,
   const std::size_t num_tiers = machine.devices.size();
   memsim::FluidSim& sim = sim_;
   sim.reset(num_tiers, sim_tuning);
-  SimReport report;
+  SimReport& report = report_;
+  report.makespan = 0.0;
   report.group_seconds.assign(graph.num_groups(), 0.0);
   report.group_start.assign(graph.num_groups(), 0.0);
   report.task_seconds.assign(graph.num_tasks(), 0.0);
+  report.copies_done = 0;
+  report.bytes_copied = 0;
+  report.copy_busy_seconds = 0.0;
+  report.stall_seconds = 0.0;
+  report.device_busy_seconds.clear();
   report.tier_pair_bytes.assign(num_tiers * num_tiers, 0);
+  report.access_tallies.clear();
+  report.copy_tallies.clear();
   // migrate.bytes.t<src>_t<dst> per tier pair, looked up at the pair's
   // first copy (a pair never copied across stays unregistered).
   pair_counters_.assign(num_tiers * num_tiers, nullptr);
@@ -436,7 +444,8 @@ bool RunMemo::repeats(bool same_graph, const hms::PlacementMap& start,
 
 const SimReport& RunMemo::keep(hms::PlacementMap start,
                                const std::vector<ScheduledCopy>& schedule,
-                               SimReport report, const hms::PlacementMap& end) {
+                               const SimReport& report,
+                               const hms::PlacementMap& end) {
   const std::size_t num_tiers = report.device_busy_seconds.size();
   kept_ = true;
   start_ = std::move(start);
@@ -450,7 +459,7 @@ const SimReport& RunMemo::keep(hms::PlacementMap start,
         &pair_bytes_counter(pair / num_tiers, pair % num_tiers),
         report.tier_pair_bytes[pair]);
   }
-  report_ = std::move(report);
+  report_ = report;
   return report_;
 }
 

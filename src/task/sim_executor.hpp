@@ -17,12 +17,13 @@
 //
 // An executor owns its run storage: the pending-predecessor counts, the
 // ready list, the copy bookkeeping, the per-task access list and flow spec,
-// and the FluidSim. Every run resets all of it and keeps its capacity, so
-// an executor that runs graph after graph (one serving epoch after
-// another) allocates only the report and, while a run outgrows every
-// earlier one, the growth; nothing per task, per access or per event.
-// Hence one executor serves one thread at a time: two threads running
-// graphs at once need an executor each.
+// the FluidSim and the report. Every run resets all of it and keeps its
+// capacity, so an executor that runs graph after graph (one serving epoch
+// after another) allocates only while a run outgrows every earlier one;
+// nothing per task, per access or per event. Hence one executor serves
+// one thread at a time: two threads running graphs at once need an
+// executor each, and a report read after the executor's next run must be
+// copied first.
 #pragma once
 
 #include <cstdint>
@@ -127,18 +128,19 @@ class SimExecutor {
     std::size_t sim_lazy_threshold = 0;
   };
 
-  /// Execute and return the timing report. `placement` is consumed as the
+  /// Execute and return the timing report, which the executor owns and
+  /// which stays valid until its next run. `placement` is consumed as the
   /// initial state and left in its final state on return (so callers can
   /// carry residency across iterations). Nothing of an earlier run is
   /// carried over but the storage.
-  SimReport run(const TaskGraph& graph, const memsim::Machine& machine,
-                hms::PlacementMap& placement,
-                const std::vector<ScheduledCopy>& schedule,
-                const Options& options);
+  const SimReport& run(const TaskGraph& graph, const memsim::Machine& machine,
+                       hms::PlacementMap& placement,
+                       const std::vector<ScheduledCopy>& schedule,
+                       const Options& options);
 
-  SimReport run(const TaskGraph& graph, const memsim::Machine& machine,
-                hms::PlacementMap& placement,
-                const std::vector<ScheduledCopy>& schedule) {
+  const SimReport& run(const TaskGraph& graph, const memsim::Machine& machine,
+                       hms::PlacementMap& placement,
+                       const std::vector<ScheduledCopy>& schedule) {
     return run(graph, machine, placement, schedule, Options{});
   }
 
@@ -171,6 +173,7 @@ class SimExecutor {
   /// The starting task's (traffic, device) pairs and its flow.
   std::vector<std::pair<memsim::ObjectTraffic, memsim::DeviceId>> accesses_;
   memsim::FlowSpec flow_;
+  SimReport report_;  ///< the last run's report
 };
 
 /// The last simulated run, kept so that an exact repeat takes its outcome
@@ -191,10 +194,10 @@ class RunMemo {
                const SimExecutor::Options& options) const;
 
   /// Keep a fresh run: it started from `start` under `schedule`, reported
-  /// `report` and ended at `end`. Returns the kept report.
+  /// `report` and ended at `end`. Returns the kept copy of the report.
   const SimReport& keep(hms::PlacementMap start,
                         const std::vector<ScheduledCopy>& schedule,
-                        SimReport report, const hms::PlacementMap& end);
+                        const SimReport& report, const hms::PlacementMap& end);
 
   /// Take the kept run's outcome for a repeat of `num_tasks` tasks: set
   /// `placement` to its end residency and add to the global counters what

@@ -33,7 +33,11 @@ class ReferenceFluidSim {
     for (double d : spec.device_seconds) {
       TAHOE_REQUIRE(d >= 0.0, "negative device demand");
     }
-    return core_.start_flow(std::move(spec), next_id_++);
+    // The core never harvests at a start; a flow with nothing to drain
+    // completes here, at the current time.
+    const FlowId id = core_.start_flow(spec, next_id_++);
+    core_.harvest_completions();
+    return id;
   }
 
   /// Number of flows not yet completed.

@@ -1,11 +1,13 @@
 // Allocation invariant of the fresh-graph path, the one every serving epoch
 // takes: once warm, GraphBuilder::build and SimExecutor::run allocate only
-// their per-run set-up (the graph's and the report's own arrays), never
-// per task, per access or per simulation event. So a 1,024-task graph
-// costs them as many heap allocations as a 16-task graph of the same
-// shape. An iteration that keeps the previous graph allocates nothing at
-// all. This binary replaces the global operator new with a counting one
-// and counts only inside the measured calls.
+// their per-run set-up (a fresh builder's graph arrays), never per task,
+// per access or per simulation event. So a 1,024-task graph costs them as
+// many heap allocations as a 16-task graph of the same shape. An
+// iteration that keeps the previous graph allocates nothing at all, and a
+// warm serving epoch, declared into a builder given the spent graph,
+// allocates only each task's access list. This binary replaces the global
+// operator new with a counting one and counts only inside the measured
+// calls.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +20,7 @@
 #include "common/units.hpp"
 #include "hms/registry.hpp"
 #include "memsim/machine.hpp"
+#include "serve/service.hpp"
 #include "task/graph.hpp"
 #include "task/sim_executor.hpp"
 #include "workloads/common.hpp"
@@ -165,6 +168,52 @@ TEST(AllocInvariant, IndexedEngineRunAllocatesNothingPerTaskOrEvent) {
   options.workers = kWidth;
   options.sim_lazy_threshold = 2;
   EXPECT_EQ(run_allocations(1024, options), run_allocations(16, options));
+}
+
+TEST(AllocInvariant, WarmServingEpochAllocatesOneAccessListPerTask) {
+  // An epoch as run_serve runs one: 16 requests each of a KV, a tensor and
+  // a graph tenant declared into a builder given the last epoch's graph,
+  // built, and run on the executor that ran the last epoch.
+  const memsim::Machine m = memsim::machines::optane_platform(64 * kMiB);
+  hms::ObjectRegistry registry({64 * kMiB, 16 * kGiB}, hms::Backing::Virtual);
+  serve::KvConfig kv;
+  kv.chunk_bytes = 2 * kMiB;
+  std::vector<std::unique_ptr<serve::Service>> services;
+  services.push_back(serve::make_kv_service(kv));
+  services.push_back(serve::make_tensor_service(serve::TensorConfig{}));
+  services.push_back(serve::make_graph_service(serve::GraphConfig{}));
+  hms::PlacementMap placement;
+  for (const std::unique_ptr<serve::Service>& service : services) {
+    service->provision(registry);
+    for (const hms::ObjectId id : service->objects()) {
+      for (std::size_t c = 0; c < registry.get(id).num_chunks(); ++c) {
+        placement.set(id, c, m.capacity_tier());
+      }
+    }
+  }
+  SimExecutor executor;
+  TaskGraph graph;
+  const Rng seed(7);
+  Rng rng = seed;
+  std::uint64_t tag = 0;
+  const auto epoch = [&] {
+    GraphBuilder builder(std::move(graph));
+    for (const std::unique_ptr<serve::Service>& service : services) {
+      builder.begin_group(service->kind());
+      for (int r = 0; r < 16; ++r) service->append_request(builder, tag++, rng);
+    }
+    graph = builder.build();
+    (void)executor.run(graph, m, placement, {});
+  };
+  for (int warm = 0; warm < 8; ++warm) epoch();
+  // Replay the warm epochs: each declares a graph that the kept storage
+  // has held (one that outgrows them all allocates its growth, once).
+  rng = seed;
+  tag = 0;
+  for (int i = 0; i < 8; ++i) {
+    const std::size_t allocated = allocations_in(epoch);
+    EXPECT_EQ(allocated, graph.num_tasks()) << "epoch " << i;
+  }
 }
 
 TEST(AllocInvariant, KeptIterationAllocatesNothing) {

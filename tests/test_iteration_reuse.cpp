@@ -76,9 +76,9 @@ struct SmallRun {
   void keep_in(task::RunMemo& memo,
                const task::SimExecutor::Options& opts = {}) const {
     hms::PlacementMap p = start;
-    task::SimReport r =
-        task::SimExecutor().run(graph, machine, p, schedule, opts);
-    memo.keep(start, schedule, std::move(r), p);
+    task::SimExecutor executor;
+    memo.keep(start, schedule,
+              executor.run(graph, machine, p, schedule, opts), p);
   }
 };
 

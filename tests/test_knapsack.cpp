@@ -660,6 +660,70 @@ TEST(TenantKnapsack, MatchesReferenceSplitBitForBit) {
   }
 }
 
+// Serving units are chunks of a few sizes, so their needs share a unit
+// that solve_tenant_rows divides out: serve3t's 1, 2 and 8 MiB chunks on
+// its 64-MiB tier are 32, 64 and 256 granules of the default grid.
+// make_tenant_instance's sizes rarely share one, so these instances do,
+// with quotas off that unit and, in every fourth, a lone odd-sized item
+// that brings the unit down to 1. A 64-MiB tier is 2048 granules, a
+// multiple of every such unit, so every third instance shrinks the chunks
+// to 32, 64 and 256 bytes on a tier of 1–2 KiB, whose granule is a byte
+// and whose capacity falls off the unit too.
+TEST(TenantKnapsack, MatchesReferenceOnChunkedItems) {
+  static constexpr std::uint64_t kChunks[] = {1, 2, 8};
+  static constexpr double kTies[] = {0.5, 1.0, 2.0};
+  Rng rng(20261020);
+  for (int trial = 0; trial < 90; ++trial) {
+    const bool tie_heavy = trial % 2 == 0;
+    const bool tiny = trial % 3 == 2;
+    const std::uint64_t scale = tiny ? 32 : kMiB;
+    const std::uint64_t capacity =
+        tiny ? 1024 + rng.next_below(1024) : 64 * kMiB;
+    const std::size_t T = 1 + rng.next_below(4);
+    std::vector<TenantItem> items;
+    for (std::size_t t = 0; t < T; ++t) {
+      // Each tenant chunks its data in one or two of the sizes.
+      const std::uint64_t a =
+          scale * kChunks[rng.next_below(std::size(kChunks))];
+      const std::uint64_t b =
+          scale * kChunks[rng.next_below(std::size(kChunks))];
+      for (std::size_t n = rng.next_below(20); n > 0; --n) {
+        TenantItem it;
+        it.size = rng.next_below(2) == 0 ? a : b;
+        it.value = tie_heavy ? kTies[rng.next_below(std::size(kTies))]
+                             : (rng.next_double() - 0.1) * 10.0;
+        it.tenant = static_cast<std::uint32_t>(t);
+        items.push_back(it);
+      }
+    }
+    if (trial % 4 == 3) {
+      items.push_back(TenantItem{tiny ? 3 * scale + 1 : 3 * kMiB + 4097, 5.0,
+                                 static_cast<std::uint32_t>(
+                                     rng.next_below(T))});
+    }
+    std::vector<TenantRow> rows;
+    for (std::size_t t = 0; t < T; ++t) {
+      TenantRow row;
+      switch (rng.next_below(4)) {
+        case 0: row.quota = (1 + rng.next_below(64)) * scale; break;
+        case 1: row.quota = capacity + 1 + rng.next_below(capacity); break;
+        default: row.quota = rng.next_below(capacity + 1); break;  // off-unit
+      }
+      row.priority = tie_heavy ? 1.0 : 0.25 + rng.next_double() * 4.0;
+      rows.push_back(row);
+    }
+    const TenantKnapsackResult got = solve_tenant_rows(items, capacity, rows);
+    const TenantKnapsackResult want =
+        reference::solve_tenant_rows(items, capacity, rows);
+    ASSERT_EQ(got.chosen, want.chosen) << "trial " << trial;
+    ASSERT_EQ(got.tenant_sizes, want.tenant_sizes) << "trial " << trial;
+    ASSERT_EQ(got.total_size, want.total_size) << "trial " << trial;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.total_value),
+              std::bit_cast<std::uint64_t>(want.total_value))
+        << "trial " << trial;
+  }
+}
+
 TEST(MultiKnapsack, OracleRejectsHugeInstances) {
   std::vector<MultiTierItem> items(30, MultiTierItem{1, {1.0, 1.0, 1.0}});
   const std::uint64_t caps[]{10, 10, 10};

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <map>
 #include <memory>
@@ -310,6 +311,145 @@ TEST(KvService, StraddlingValueTouchesBothChunks) {
     EXPECT_NE(lo.mode, task::AccessMode::ReadWrite);
   }
   EXPECT_GT(straddled, 0u);
+}
+
+/// One request's access list built with per-op arithmetic: each op draws
+/// a key and a write coin from `rng`, hashes the key to its value's byte
+/// offset, walks the value chunk by chunk with `/` and `%`, and adds each
+/// piece to a tally kept sorted by shard-major chunk. The service reads a
+/// per-key table instead; its lists must be these, field for field.
+std::vector<task::DataAccess> kv_accesses_by_arithmetic(
+    const KvConfig& cfg, const Zipf& zipf,
+    const std::vector<hms::ObjectId>& shards, Rng& rng) {
+  const std::uint64_t space =
+      cfg.chunk_bytes * cfg.chunks_per_shard * cfg.shards;
+  std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> tally;
+  for (std::size_t op = 0; op < cfg.ops_per_request; ++op) {
+    const std::size_t key = zipf.sample(rng);
+    const bool write = rng.next_double() < cfg.write_frac;
+    SplitMix64 h(0x5e12f00d ^ static_cast<std::uint64_t>(key));
+    std::uint64_t pos = h.next() % (space - cfg.value_bytes);
+    for (std::uint64_t left = cfg.value_bytes; left > 0;) {
+      const std::uint64_t in_chunk =
+          std::min(left, cfg.chunk_bytes - pos % cfg.chunk_bytes);
+      auto& [read, written] = tally[pos / cfg.chunk_bytes];
+      (write ? written : read) += in_chunk;
+      pos += in_chunk;
+      left -= in_chunk;
+    }
+  }
+  std::vector<task::DataAccess> out;
+  for (const auto& [gc, bytes] : tally) {
+    const auto [read, written] = bytes;
+    task::DataAccess a;
+    a.object = shards[gc / cfg.chunks_per_shard];
+    a.chunk = gc % cfg.chunks_per_shard;
+    a.mode = written == 0 ? task::AccessMode::Read
+             : read == 0  ? task::AccessMode::Write
+                          : task::AccessMode::ReadWrite;
+    a.traffic.loads = read / 8;
+    a.traffic.stores = written / 8;
+    a.traffic.footprint = read + written;
+    a.traffic.locality = 0.1;
+    a.traffic.dep_frac = 0.7;
+    a.traffic.spatial = 0.2;
+    out.push_back(a);
+  }
+  return out;
+}
+
+TEST(KvService, DeclarationMatchesPerOpArithmetic) {
+  // Values inside one chunk or straddling two; values longer than a chunk;
+  // values that fill the store up to its last chunk (offsets 0 .. 16 KiB
+  // only); the longest value the 512-KiB store takes, which starts at
+  // byte 0 and ends on the last byte any value reaches (the modulo keeps
+  // a value's end one byte short of the store's); keys that land anywhere
+  // up to the last chunk; empty values.
+  std::vector<KvConfig> configs;
+  configs.push_back(small_kv(0.3));
+  KvConfig spanning = small_kv(0.5);
+  spanning.value_bytes = 150 * kKiB;
+  configs.push_back(spanning);
+  KvConfig filling = small_kv(0.2);
+  filling.value_bytes = 8 * 64 * kKiB - 16 * kKiB - 1;
+  filling.ops_per_request = 3;
+  configs.push_back(filling);
+  KvConfig longest = small_kv(0.4);
+  longest.value_bytes = 8 * 64 * kKiB - 1;
+  longest.ops_per_request = 3;
+  configs.push_back(longest);
+  KvConfig many_keys = small_kv(0.1);
+  many_keys.keys = 20000;
+  many_keys.zipf_s = 0.2;
+  configs.push_back(many_keys);
+  KvConfig empty = small_kv(0.5);
+  empty.value_bytes = 0;
+  configs.push_back(empty);
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    SCOPED_TRACE("config " + std::to_string(c));
+    const KvConfig& cfg = configs[c];
+    const KvFixture kv(cfg);
+    const Zipf zipf(cfg.keys, cfg.zipf_s);
+    Rng rng(41 + c);
+    Rng replay = rng;
+    const std::vector<task::Task> tasks = kv.requests(500, rng);
+    for (const task::Task& t : tasks) {
+      const std::vector<task::DataAccess> want =
+          kv_accesses_by_arithmetic(cfg, zipf, kv.service->objects(), replay);
+      ASSERT_EQ(t.accesses.size(), want.size()) << "request " << t.request;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        const task::DataAccess& got = t.accesses[i];
+        EXPECT_EQ(got.object, want[i].object);
+        EXPECT_EQ(got.chunk, want[i].chunk);
+        EXPECT_EQ(got.mode, want[i].mode);
+        EXPECT_EQ(got.traffic.loads, want[i].traffic.loads);
+        EXPECT_EQ(got.traffic.stores, want[i].traffic.stores);
+        EXPECT_EQ(got.traffic.footprint, want[i].traffic.footprint);
+        EXPECT_EQ(got.traffic.locality, want[i].traffic.locality);
+        EXPECT_EQ(got.traffic.dep_frac, want[i].traffic.dep_frac);
+        EXPECT_EQ(got.traffic.spatial, want[i].traffic.spatial);
+      }
+    }
+    // The service's state is its own: both streams drew the same values.
+    EXPECT_EQ(rng.next_u64(), replay.next_u64());
+  }
+}
+
+TEST(KvService, HeatMatchesPerKeyArithmetic) {
+  // heat() sums each key's Zipf mass into the chunks its value overlaps,
+  // key by key and chunk by chunk, bit for bit.
+  for (const std::uint64_t value_bytes : {16 * kKiB, 150 * kKiB}) {
+    KvConfig cfg = small_kv(0.3);
+    cfg.value_bytes = value_bytes;
+    const KvFixture kv(cfg);
+    const Zipf zipf(cfg.keys, cfg.zipf_s);
+    const std::uint64_t space =
+        cfg.chunk_bytes * cfg.chunks_per_shard * cfg.shards;
+    std::vector<double> want(cfg.chunks_per_shard * cfg.shards, 0.0);
+    for (std::size_t k = 0; k < cfg.keys; ++k) {
+      const double mass =
+          zipf.pmf(k) * static_cast<double>(cfg.ops_per_request);
+      SplitMix64 h(0x5e12f00d ^ static_cast<std::uint64_t>(k));
+      std::uint64_t pos = h.next() % (space - cfg.value_bytes);
+      for (std::uint64_t left = cfg.value_bytes; left > 0;) {
+        const std::uint64_t in_chunk =
+            std::min(left, cfg.chunk_bytes - pos % cfg.chunk_bytes);
+        want[pos / cfg.chunk_bytes] += mass * static_cast<double>(in_chunk);
+        pos += in_chunk;
+        left -= in_chunk;
+      }
+    }
+    const std::vector<UnitHeat> heat = kv.service->heat();
+    ASSERT_EQ(heat.size(), want.size());
+    for (std::size_t gc = 0; gc < want.size(); ++gc) {
+      EXPECT_EQ(heat[gc].unit.object,
+                kv.service->objects()[gc / cfg.chunks_per_shard]);
+      EXPECT_EQ(heat[gc].unit.chunk, gc % cfg.chunks_per_shard);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(heat[gc].bytes_per_request),
+                std::bit_cast<std::uint64_t>(want[gc]))
+          << "chunk " << gc;
+    }
+  }
 }
 
 // ---- end-to-end serving ---------------------------------------------

@@ -151,6 +151,36 @@ TEST(Sweep, EveryWorkloadTheFactoryBuildsIsAccepted) {
   std::remove(out.c_str());
 }
 
+TEST(Sweep, TelemetryCellWritesParseableTimeline) {
+  // At a positive interval each cell streams its telemetry to a
+  // cell-prefixed JSONL file, which the sweep leaves behind: one JSON
+  // object per line.
+  const std::string out = ::testing::TempDir() + "sweep_tele.json";
+  const std::string telemetry = out + ".cell0.telemetry.jsonl";
+  std::remove(telemetry.c_str());
+  ASSERT_EQ(run_sweep("--out " + out +
+                      " --workloads cg --policies static-nvm"
+                      " --nvm-specs bw:0.5 --scale test --jobs 1"
+                      " --telemetry-interval 0.0001"),
+            0);
+  EXPECT_EQ(read_artifact(out).at("failed_cells").number, 0.0);
+  std::ifstream is(telemetry);
+  ASSERT_TRUE(is) << "sweep wrote no telemetry at " << telemetry;
+  std::size_t lines = 0;
+  std::size_t intervals = 0;
+  for (std::string line; std::getline(is, line); ++lines) {
+    trace::JsonValue v;
+    EXPECT_NO_THROW(v = trace::parse_json(line)) << "line " << lines + 1;
+    ASSERT_TRUE(v.has("type")) << "line " << lines + 1 << ": " << line;
+    if (v.at("type").string == "interval") ++intervals;
+  }
+  EXPECT_GT(intervals, 1u) << lines << " lines";
+  for (const std::string& path :
+       {out, telemetry, out + ".cell0.flight.json"}) {
+    std::remove(path.c_str());
+  }
+}
+
 TEST(Sweep, FailedCellIsMarkedNotSilentlyMerged) {
   // Cell 1 (static-nvm) cannot write its histogram file, which a directory
   // holds, so its child exits non-zero after appending its report. The

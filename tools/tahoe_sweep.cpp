@@ -28,6 +28,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -223,8 +224,8 @@ int main(int argc, char** argv) try {
                     "zero out every cell's wall-clock-measured planning cost "
                     "so same-flag sweeps write byte-identical artifacts");
   flags.define_double("telemetry-interval", 0.0,
-                      "per-cell telemetry cadence in virtual seconds "
-                      "(0 = telemetry off)");
+                      "per-cell telemetry cadence in virtual seconds: 0 "
+                      "(telemetry off) or a positive finite number");
   flags.define_string("slo-rules", "",
                       "comma-separated SLO watchdog rules evaluated inside "
                       "every cell (see --telemetry docs)");
@@ -233,6 +234,10 @@ int main(int argc, char** argv) try {
   const std::string out = flags.get_string("out");
   SweepTelemetry tele;
   tele.interval = flags.get_double("telemetry-interval");
+  flags.require_flag(
+      tele.interval == 0.0 ||
+          (std::isfinite(tele.interval) && tele.interval > 0.0),
+      "--telemetry-interval must be 0 (off) or a positive finite number");
   try {
     tele.rules = trace::parse_slo_rules(flags.get_string("slo-rules"));
   } catch (const ContractError& e) {
