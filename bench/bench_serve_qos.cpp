@@ -21,7 +21,10 @@
 // emit byte-identical reports, with their per-tenant "tenants" sections.
 // A --rate-scale and --duration that let one tenant expect more than
 // kMaxExpectedArrivals requests are a bad command line: the open-loop
-// sources draw every arrival before the horizon, served or not.
+// sources draw every arrival before the horizon, served or not. So is a
+// --duration of more than kMaxEpochs epochs: the serving loop advances its
+// clock by at least one epoch per pass, and not at all once an epoch falls
+// below the clock's ULP.
 #include <cmath>
 #include <cstdint>
 #include <iostream>
@@ -43,6 +46,8 @@ constexpr double kBatchHz = 40.0;
 constexpr double kBgHz = 30.0;
 /// The most requests one tenant may expect over the horizon.
 constexpr double kMaxExpectedArrivals = 1e6;
+/// The most epochs the horizon may span.
+constexpr double kMaxEpochs = 1e7;
 
 void add_tenants(serve::TenantManager& tm, double rate_scale) {
   serve::TenantConfig prod;
@@ -93,7 +98,9 @@ double ms(std::uint64_t ns) { return static_cast<double>(ns) / 1e6; }
 int main(int argc, char** argv) try {
   Flags flags;
   flags.define_double("duration", 1.0, "virtual seconds of offered traffic");
-  flags.define_double("epoch", 0.005, "batching epoch in virtual seconds");
+  flags.define_double("epoch", 0.005,
+                      "batching epoch in virtual seconds; --duration may "
+                      "span at most 1e7 epochs");
   flags.define_double("rate-scale", 1.0,
                       "multiply every arrival rate (prod 400/s, batch 40/s, "
                       "bg 30/s); a tenant may expect at most 1e6 requests "
@@ -124,6 +131,9 @@ int main(int argc, char** argv) try {
                        std::string("--") + name +
                            " must be a positive finite number");
   }
+  flags.require_flag(
+      flags.get_double("duration") / flags.get_double("epoch") <= kMaxEpochs,
+      "--duration spans more than 1e7 epochs of --epoch");
   // A huge finite scale overflows a tenant's rate to inf, or leaves it
   // finite but with more arrivals to draw than memory or time allow.
   const double rate_scale = flags.get_double("rate-scale");

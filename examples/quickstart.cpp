@@ -116,12 +116,15 @@ int main(int argc, char** argv) try {
 
   core::RuntimeConfig config;
   const std::string machine_name = flags.get_string("machine");
+  flags.require_flag(machine_name == "platform-a" || machine_name == "cxl",
+                     "unknown --machine '" + machine_name +
+                         "' (expected platform-a or cxl)");
   if (machine_name == "cxl") {
     // Four tiers, sized so the 72 MiB working set cannot fit any single
     // fast tier: the planner has to spread it across the hierarchy.
     config.machine = memsim::machines::cxl_platform(16 * kMiB, 32 * kMiB,
                                                     56 * kMiB, 4 * kGiB);
-  } else if (machine_name == "platform-a") {
+  } else {
     // A machine whose NVM has 1/2 the DRAM bandwidth and 4x its latency
     // would need Quartz twice; the simulator just takes both numbers.
     memsim::DeviceModel nvm = memsim::devices::nvm_bw_fraction(
@@ -129,10 +132,6 @@ int main(int argc, char** argv) try {
     nvm.read_lat_s *= 4.0;
     nvm.write_lat_s *= 4.0;
     config.machine = memsim::machines::platform_a(nvm, 32 * kMiB);
-  } else {
-    std::cerr << "unknown --machine '" << machine_name
-              << "' (expected platform-a or cxl)\n";
-    return 2;
   }
   config.backing = hms::Backing::Virtual;  // timing-only run
   config.attribution = !report_json.empty() || !explain_out.empty();

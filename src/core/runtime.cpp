@@ -73,60 +73,6 @@ std::vector<ObjectInfo> collect_objects(const hms::ObjectRegistry& registry) {
   return out;
 }
 
-/// Executor-side half of the migration/computation overlap: derive one
-/// scheduling hint per task from the plan's residency of the task's
-/// inputs. A task is `kHot` when every chunk it reads will be on tier 0,
-/// the fastest, by the time its group starts (current registry placement
-/// plus every ScheduledCopy whose needed_group is not after the task's
-/// group) and `kCold` otherwise, so the executor defers slow-tier-bound
-/// tasks while their objects' promotions are still in flight. Accesses to
-/// objects unknown to the registry are treated as hot.
-std::vector<task::TierHint> compute_tier_hints(
-    const task::TaskGraph& graph, const hms::ObjectRegistry& registry,
-    const std::vector<task::ScheduledCopy>& schedule) {
-  // Start from the registry's current placement...
-  std::map<hms::ObjectId, std::vector<memsim::DeviceId>> device;
-  for (const hms::ObjectId id : registry.live_objects()) {
-    const hms::DataObject& obj = registry.get(id);
-    std::vector<memsim::DeviceId>& d = device[id];
-    d.reserve(obj.num_chunks());
-    for (const hms::Chunk& c : obj.chunks()) d.push_back(c.device);
-  }
-  // ...and replay the plan's copies group by group: a copy with
-  // needed_group g is complete before group g runs, so tasks of group >= g
-  // see its destination tier.
-  std::vector<std::vector<const task::ScheduledCopy*>> due(graph.num_groups());
-  for (const task::ScheduledCopy& c : schedule) {
-    if (c.needed_group < graph.num_groups()) due[c.needed_group].push_back(&c);
-  }
-  std::vector<task::TierHint> hints(graph.num_tasks(), task::TierHint::kHot);
-  for (task::GroupId g = 0; g < graph.num_groups(); ++g) {
-    for (const task::ScheduledCopy* c : due[g]) {
-      auto it = device.find(c->object);
-      if (it == device.end()) continue;
-      if (c->chunk < it->second.size()) it->second[c->chunk] = c->dst;
-    }
-    const task::Group& grp = graph.group(g);
-    for (task::TaskId id = grp.first_task; id < grp.last_task; ++id) {
-      bool cold = false;
-      for (const task::DataAccess& a : graph.task(id).accesses) {
-        if (!a.reads()) continue;
-        const auto it = device.find(a.object);
-        if (it == device.end()) continue;  // unknown object: assume hot
-        const std::vector<memsim::DeviceId>& d = it->second;
-        if (a.chunk == task::kAllChunks) {
-          for (const memsim::DeviceId dev : d) cold |= dev != 0;
-        } else if (a.chunk < d.size()) {
-          cold |= d[a.chunk] != 0;
-        }
-        if (cold) break;
-      }
-      if (cold) hints[id] = task::TierHint::kCold;
-    }
-  }
-  return hints;
-}
-
 /// Replay the planned schedule against a hypothetical occupancy of every
 /// constrained tier and return the first object whose fill cannot reserve
 /// space even after kReservationRetries extra attempts (injected vetoes
@@ -660,11 +606,6 @@ RunReport Runtime::run_real_report(
     task::GraphBuilder builder;
     app.build_iteration(builder, iter);
     const task::TaskGraph graph = builder.build();
-    // Executor-side overlap: NVM-bound tasks are deferred behind
-    // DRAM-resident ones while the helper thread works through this
-    // iteration's promotions (see compute_tier_hints).
-    const std::vector<task::TierHint> hints =
-        compute_tier_hints(graph, *state.registry, schedule);
     executor->run(graph, [&](task::GroupId g) {
       // Fire this group's proactive copies, then wait for the ones the
       // group needs — the paper's phase-boundary protocol. With a deadline
@@ -690,7 +631,7 @@ RunReport Runtime::run_real_report(
       } else {
         engine.wait_tag(g);
       }
-    }, hints);
+    });
   }
   engine.drain();
 

@@ -65,14 +65,11 @@ void MigrationEngine::enqueue(const MigrationRequest& req) {
         nvm_pinned_.contains(req.object)) {
       ++cancelled_;
       trace::global_counters().get("migrate.cancelled").increment();
-      completed_tag_ = std::max(completed_tag_, req.tag);
       return;
     }
   }
   if (options_.mode == Mode::Inline) {
     execute(req);
-    const std::lock_guard<std::mutex> lock(mutex_);
-    completed_tag_ = std::max(completed_tag_, req.tag);
     return;
   }
   std::size_t depth = 0;
@@ -201,7 +198,6 @@ void MigrationEngine::worker_loop() {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       active_.reset();
-      completed_tag_ = std::max(completed_tag_, req.tag);
     }
     cv_done_.notify_all();
   }

@@ -119,7 +119,6 @@ class MigrationEngine {
   /// Request currently executing on the helper thread; wait_tag/drain/
   /// pending treat it as outstanding even though it left the queue.
   std::optional<MigrationRequest> active_;
-  std::uint64_t completed_tag_ = 0;  // all tags <= this are done
   std::uint64_t rejected_ = 0;
   std::uint64_t retried_ = 0;
   std::uint64_t aborted_ = 0;

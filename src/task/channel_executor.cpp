@@ -26,8 +26,7 @@ ChannelExecutor::ChannelExecutor(unsigned num_workers, Options options)
   worker_state_.reserve(num_workers);
   requests_.reserve(static_cast<std::size_t>(num_workers) * num_workers);
   replies_.reserve(num_workers);
-  inbox_hot_.reserve(num_workers);
-  inbox_cold_.reserve(num_workers);
+  inbox_.reserve(num_workers);
   for (unsigned w = 0; w < num_workers; ++w) {
     // Deterministic per-worker seeds: only the victim rotation uses them.
     auto ws = std::make_unique<WorkerState>(0xc4a7e1 + w);
@@ -62,9 +61,7 @@ ChannelExecutor::ChannelExecutor(unsigned num_workers, Options options)
   }
   for (unsigned w = 0; w < num_workers; ++w) {
     replies_.push_back(std::make_unique<SpscChannel<StealReply>>(2));
-    inbox_hot_.push_back(
-        std::make_unique<SpscChannel<TaskId>>(options_.inbox_capacity));
-    inbox_cold_.push_back(
+    inbox_.push_back(
         std::make_unique<SpscChannel<TaskId>>(options_.inbox_capacity));
   }
   workers_.reserve(num_workers);
@@ -101,8 +98,7 @@ StealMode ChannelExecutor::steal_mode(unsigned w) const {
 }
 
 void ChannelExecutor::inject_ready(TaskId id, unsigned slot) {
-  auto& lane = cold_hint(id) ? inbox_cold_ : inbox_hot_;
-  SpscChannel<TaskId>& inbox = *lane[slot];
+  SpscChannel<TaskId>& inbox = *inbox_[slot];
   int spin = 0;
   // A full inbox means the slot's owner is behind; keep nudging it awake
   // and yield. Progress is guaranteed: the owner drains its inbox at every
@@ -116,24 +112,10 @@ void ChannelExecutor::inject_ready(TaskId id, unsigned slot) {
 
 void ChannelExecutor::push_ready(TaskId id, unsigned self) {
   WorkerState& ws = *worker_state_[self];
-  const bool cold = cold_hint(id);
-  PrivateDeque& deque = cold ? ws.cold : ws.hot;
-  deque.push_back(id);
-  (cold ? ws.cold_size : ws.hot_size)
-      .store(static_cast<std::uint32_t>(deque.size()),
-             std::memory_order_relaxed);
+  ws.ready.push_back(id);
+  ws.advertise_size();
   bump(ws.stats.pushes);
   park_.notify();
-}
-
-bool ChannelExecutor::pop_local(unsigned self, bool cold, TaskId& out) {
-  WorkerState& ws = *worker_state_[self];
-  PrivateDeque& deque = cold ? ws.cold : ws.hot;
-  if (!deque.pop_back(out)) return false;  // LIFO for locality
-  (cold ? ws.cold_size : ws.hot_size)
-      .store(static_cast<std::uint32_t>(deque.size()),
-             std::memory_order_relaxed);
-  return true;
 }
 
 void ChannelExecutor::service_requests(unsigned self) {
@@ -145,30 +127,12 @@ void ChannelExecutor::service_requests(unsigned self) {
     while (request_channel(self, t).try_recv(req)) {
       ws.pending_requests.fetch_sub(1, std::memory_order_acq_rel);
       StealReply rep;
-      // Serve hot work first; surrender cold (NVM-bound) tasks only when
-      // this worker has no hot work at all and the thief's whole hot scan
-      // already failed (allow_cold) — the cross-worker half of the
-      // hot-before-cold order.
-      const bool have_hot = !ws.hot.empty() || !inbox_hot_[self]->empty_approx();
-      const bool have_cold =
-          !ws.cold.empty() || !inbox_cold_[self]->empty_approx();
-      if (have_hot) {
-        rep.cold = false;
-      } else if (req.allow_cold && have_cold) {
-        rep.cold = true;
-      } else {
-        rep.count = 0;
-        const bool ok = replies_[req.thief]->try_send(rep);
-        TAHOE_ASSERT(ok, "steal reply channel overflow");
-        continue;
-      }
-      PrivateDeque& deque = rep.cold ? ws.cold : ws.hot;
-      SpscChannel<TaskId>& inbox =
-          rep.cold ? *inbox_cold_[self] : *inbox_hot_[self];
+      SpscChannel<TaskId>& inbox = *inbox_[self];
       // Steal-half takes half of the visible lane (deque + own inbox),
       // oldest tasks first — the ones farthest from this worker's current
-      // working set; steal-one takes a single task.
-      const std::size_t visible = deque.size() + inbox.size_approx();
+      // working set; steal-one takes a single task. An empty lane replies
+      // with no tasks: a decline.
+      const std::size_t visible = ws.ready.size() + inbox.size_approx();
       std::size_t want = 1;
       if (req.mode == StealMode::kHalf) {
         want = std::min<std::size_t>((visible + 1) / 2, kMaxStealBatch);
@@ -176,7 +140,7 @@ void ChannelExecutor::service_requests(unsigned self) {
       }
       while (rep.count < want) {
         TaskId id = 0;
-        if (deque.pop_front(id)) {
+        if (ws.ready.pop_front(id)) {
           rep.tasks[rep.count++] = id;
           continue;
         }
@@ -186,9 +150,7 @@ void ChannelExecutor::service_requests(unsigned self) {
         }
         break;
       }
-      (rep.cold ? ws.cold_size : ws.hot_size)
-          .store(static_cast<std::uint32_t>(deque.size()),
-                 std::memory_order_relaxed);
+      ws.advertise_size();
       const bool ok = replies_[req.thief]->try_send(rep);
       TAHOE_ASSERT(ok, "steal reply channel overflow");
     }
@@ -219,8 +181,7 @@ void ChannelExecutor::adapt_mode(WorkerState& ws, bool declined) {
   ws.window_declines = 0;
 }
 
-bool ChannelExecutor::steal_round(unsigned self, bool allow_cold,
-                                  TaskId& out) {
+bool ChannelExecutor::steal_round(unsigned self, TaskId& out) {
   WorkerState& ws = *worker_state_[self];
   const auto& order = ws.victim_order;
   if (order.empty()) return false;
@@ -237,7 +198,6 @@ bool ChannelExecutor::steal_round(unsigned self, bool allow_cold,
     StealRequest req;
     req.thief = self;
     req.mode = ws.mode.load(std::memory_order_relaxed);
-    req.allow_cold = allow_cold;
     // Advertise before sending so the victim's pre-park re-check cannot
     // miss the request, then wake it if it is already parked.
     vs.pending_requests.fetch_add(1, std::memory_order_seq_cst);
@@ -267,17 +227,13 @@ bool ChannelExecutor::steal_round(unsigned self, bool allow_cold,
     // private deque (counted as pushes, popped later as pops).
     out = rep.tasks[0];
     if (rep.count > 1) {
-      PrivateDeque& deque = rep.cold ? ws.cold : ws.hot;
       for (std::uint32_t k = 1; k < rep.count; ++k) {
-        deque.push_back(rep.tasks[k]);
+        ws.ready.push_back(rep.tasks[k]);
       }
-      (rep.cold ? ws.cold_size : ws.hot_size)
-          .store(static_cast<std::uint32_t>(deque.size()),
-                 std::memory_order_relaxed);
+      ws.advertise_size();
       bump(ws.stats.pushes, rep.count - 1);
     }
     bump(ws.stats.steals);
-    if (rep.cold) bump(ws.stats.cold_takes);
     trace::Tracer& tracer = trace::global();
     if (tracer.enabled()) {
       tracer.instant(self, "steal", trace::now_seconds(), "victim", victim);
@@ -289,32 +245,21 @@ bool ChannelExecutor::steal_round(unsigned self, bool allow_cold,
 
 bool ChannelExecutor::try_get_task(unsigned self, TaskId& out) {
   WorkerState& ws = *worker_state_[self];
-  // 1. Own hot deque (LIFO), then own hot inbox (group activations).
-  if (pop_local(self, /*cold=*/false, out)) {
+  // 1. Own deque (LIFO for locality), then own inbox (group activations).
+  if (ws.ready.pop_back(out)) {
+    ws.advertise_size();
     bump(ws.stats.pops);
     return true;
   }
-  if (inbox_hot_[self]->try_recv(out)) {
+  if (inbox_[self]->try_recv(out)) {
     bump(ws.stats.inject_takes);
     return true;
   }
-  // 2. Ask the other workers for hot work. Only while a run is in flight:
-  // idle thieves between runs would otherwise storm the request channels.
+  // 2. Ask the other workers. Only while a run is in flight: idle thieves
+  // between runs would otherwise storm the request channels.
   const bool active = remaining_.load(std::memory_order_acquire) != 0;
   const bool can_steal = num_workers_ > 1 && active;
-  if (can_steal && steal_round(self, /*allow_cold=*/false, out)) return true;
-  // 3. Cold (NVM-bound) work, same order: own deque, own inbox, steal.
-  if (pop_local(self, /*cold=*/true, out)) {
-    bump(ws.stats.pops);
-    bump(ws.stats.cold_takes);
-    return true;
-  }
-  if (inbox_cold_[self]->try_recv(out)) {
-    bump(ws.stats.inject_takes);
-    bump(ws.stats.cold_takes);
-    return true;
-  }
-  if (can_steal && steal_round(self, /*allow_cold=*/true, out)) return true;
+  if (can_steal && steal_round(self, out)) return true;
   // A failed steal requires real victim scans — single-worker pools and
   // idle spins between runs never scanned anyone.
   if (can_steal) bump(ws.stats.failed_steals);
@@ -324,10 +269,8 @@ bool ChannelExecutor::try_get_task(unsigned self, TaskId& out) {
 bool ChannelExecutor::any_work_visible() const {
   for (unsigned w = 0; w < num_workers_; ++w) {
     const WorkerState& ws = *worker_state_[w];
-    if (ws.hot_size.load(std::memory_order_acquire) != 0) return true;
-    if (ws.cold_size.load(std::memory_order_acquire) != 0) return true;
-    if (!inbox_hot_[w]->empty_approx()) return true;
-    if (!inbox_cold_[w]->empty_approx()) return true;
+    if (ws.ready_size.load(std::memory_order_acquire) != 0) return true;
+    if (!inbox_[w]->empty_approx()) return true;
   }
   return false;
 }

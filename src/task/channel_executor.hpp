@@ -28,13 +28,11 @@
 //     storm; when requests mostly succeed, work is plentiful and
 //     steal-one keeps it spread out.
 //
-// Tier lanes and barriers match the Chase–Lev backend: each worker has a
-// hot and a cold private deque plus hot/cold SPSC inboxes fed by the
-// run() caller, thieves ask for hot work everywhere before asking anyone
-// for cold work, and a victim surrenders cold tasks only when it has no
-// hot ones. The group-barrier/activation-token protocol lives in
-// ExecutorBase, so `run_real_report` and phase-mode callers see identical
-// semantics on both backends.
+// Lanes and barriers match the Chase–Lev backend: each worker has one
+// private deque plus one SPSC inbox fed by the run() caller. The
+// group-barrier/activation-token protocol lives in ExecutorBase, so
+// `run_real_report` and phase-mode callers see identical semantics on
+// both backends.
 //
 // Stats convention: a reply of k tasks counts 1 steal (the task the thief
 // runs immediately) + (k-1) pushes into the thief's private deque, whose
@@ -102,14 +100,10 @@ class ChannelExecutor final : public ExecutorBase {
   struct StealRequest {
     std::uint32_t thief = 0;
     StealMode mode = StealMode::kOne;
-    /// Second scan round: the thief found no hot work anywhere and now
-    /// accepts NVM-bound tasks.
-    bool allow_cold = false;
   };
 
   struct StealReply {
     std::uint32_t count = 0;  ///< 0 = decline
-    bool cold = false;        ///< tasks came from the victim's cold lane
     TaskId tasks[kMaxStealBatch] = {};
   };
 
@@ -166,12 +160,14 @@ class ChannelExecutor final : public ExecutorBase {
   /// atomics are the owner's advertisements to the rest of the pool.
   struct alignas(64) WorkerState {
     explicit WorkerState(std::uint64_t seed) : rng(seed) {}
-    PrivateDeque hot;   ///< private; back = newest (LIFO for owner)
-    PrivateDeque cold;  ///< private; surrendered only when hot empty
-    /// Approximate deque sizes, advertised for parking re-checks (owner-
+    PrivateDeque ready;  ///< private; back = newest (LIFO for owner)
+    /// Approximate deque size, advertised for parking re-checks (owner-
     /// written, relaxed).
-    std::atomic<std::uint32_t> hot_size{0};
-    std::atomic<std::uint32_t> cold_size{0};
+    std::atomic<std::uint32_t> ready_size{0};
+    void advertise_size() noexcept {
+      ready_size.store(static_cast<std::uint32_t>(ready.size()),
+                       std::memory_order_relaxed);
+    }
     /// Incoming steal requests outstanding (thieves bump before sending,
     /// the owner decrements on consume) — O(1) "any requests?" check.
     std::atomic<std::uint32_t> pending_requests{0};
@@ -191,10 +187,8 @@ class ChannelExecutor final : public ExecutorBase {
   ExecutorStats worker_snapshot(unsigned w) const override;
 
   bool try_get_task(unsigned self, TaskId& out);
-  bool pop_local(unsigned self, bool cold, TaskId& out);
-  /// One full victim round over victim_order. `allow_cold` marks the
-  /// second (cold-accepting) round. True = `out` holds a task.
-  bool steal_round(unsigned self, bool allow_cold, TaskId& out);
+  /// One full victim round over victim_order. True = `out` holds a task.
+  bool steal_round(unsigned self, TaskId& out);
   /// Answer every pending incoming request (serve or decline). Called at
   /// scheduling boundaries, while idling, and while waiting for a reply
   /// (the latter breaks mutual-steal deadlocks: two workers requesting
@@ -215,9 +209,8 @@ class ChannelExecutor final : public ExecutorBase {
   /// producer identity changes between requests, ordered by the protocol
   /// itself (see spsc_channel.hpp).
   std::vector<std::unique_ptr<SpscChannel<StealReply>>> replies_;
-  /// Caller -> worker activation inboxes, one hot/cold pair per worker.
-  std::vector<std::unique_ptr<SpscChannel<TaskId>>> inbox_hot_;
-  std::vector<std::unique_ptr<SpscChannel<TaskId>>> inbox_cold_;
+  /// Caller -> worker activation inboxes, one per worker.
+  std::vector<std::unique_ptr<SpscChannel<TaskId>>> inbox_;
   std::vector<std::thread> workers_;
 };
 

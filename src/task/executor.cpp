@@ -11,13 +11,11 @@ using detail::bump;
 
 Executor::Executor(unsigned num_workers) : ExecutorBase(num_workers) {
   worker_state_.reserve(num_workers);
-  inject_hot_.reserve(num_workers);
-  inject_cold_.reserve(num_workers);
+  inject_.reserve(num_workers);
   for (unsigned w = 0; w < num_workers; ++w) {
     // Deterministic per-worker seeds: only the victim rotation uses them.
     worker_state_.push_back(std::make_unique<WorkerState>(0x7a40e + w));
-    inject_hot_.push_back(std::make_unique<WsDeque<TaskId>>());
-    inject_cold_.push_back(std::make_unique<WsDeque<TaskId>>());
+    inject_.push_back(std::make_unique<WsDeque<TaskId>>());
   }
   workers_.reserve(num_workers);
   for (unsigned w = 0; w < num_workers; ++w) {
@@ -53,38 +51,35 @@ ExecutorStats Executor::worker_snapshot(unsigned w) const {
 
 void Executor::push_ready(TaskId id, unsigned self) {
   WorkerState& ws = *worker_state_[self];
-  (cold_hint(id) ? ws.cold : ws.hot).push(id);
+  ws.ready.push(id);
   bump(ws.stats.pushes);
   park_.notify();
 }
 
 void Executor::inject_ready(TaskId id, unsigned slot) {
-  auto& lane = cold_hint(id) ? inject_cold_ : inject_hot_;
-  lane[slot]->push(id);
+  inject_[slot]->push(id);
   park_.notify();
 }
 
 bool Executor::try_get_task(unsigned self, TaskId& out) {
   WorkerState& ws = *worker_state_[self];
-  // 1. Own hot deque (LIFO for locality).
-  if (ws.hot.pop(out)) {
+  // 1. Own deque (LIFO for locality).
+  if (ws.ready.pop(out)) {
     bump(ws.stats.pops);
     return true;
   }
   // 2. Own injection slot: group activations scattered to this worker.
-  if (inject_hot_[self]->steal(out)) {
+  if (inject_[self]->steal(out)) {
     bump(ws.stats.inject_takes);
     return true;
   }
-  // 3. Steal hot work from the others, randomized rotation. DRAM-resident
-  // work anywhere beats NVM-bound work here: cold deques are only
-  // consulted after the whole hot scan failed.
+  // 3. Steal from the others, randomized rotation.
   const unsigned n = num_workers_;
   const unsigned start = n > 1 ? static_cast<unsigned>(ws.rng.next_below(n)) : 0;
   for (unsigned k = 0; k < n; ++k) {
     const unsigned v = (start + k) % n;
     if (v == self) continue;
-    if (worker_state_[v]->hot.steal(out)) {
+    if (worker_state_[v]->ready.steal(out)) {
       bump(ws.stats.steals);
       trace::Tracer& tracer = trace::global();
       if (tracer.enabled()) {
@@ -92,33 +87,8 @@ bool Executor::try_get_task(unsigned self, TaskId& out) {
       }
       return true;
     }
-    if (inject_hot_[v]->steal(out)) {
+    if (inject_[v]->steal(out)) {
       bump(ws.stats.inject_takes);
-      return true;
-    }
-  }
-  // 4. Cold (NVM-bound) work, same order: own, own injection, then steal.
-  if (ws.cold.pop(out)) {
-    bump(ws.stats.pops);
-    bump(ws.stats.cold_takes);
-    return true;
-  }
-  if (inject_cold_[self]->steal(out)) {
-    bump(ws.stats.inject_takes);
-    bump(ws.stats.cold_takes);
-    return true;
-  }
-  for (unsigned k = 0; k < n; ++k) {
-    const unsigned v = (start + k) % n;
-    if (v == self) continue;
-    if (worker_state_[v]->cold.steal(out)) {
-      bump(ws.stats.steals);
-      bump(ws.stats.cold_takes);
-      return true;
-    }
-    if (inject_cold_[v]->steal(out)) {
-      bump(ws.stats.inject_takes);
-      bump(ws.stats.cold_takes);
       return true;
     }
   }
@@ -132,10 +102,8 @@ bool Executor::try_get_task(unsigned self, TaskId& out) {
 
 bool Executor::any_work_visible() const {
   for (unsigned w = 0; w < num_workers_; ++w) {
-    if (!worker_state_[w]->hot.empty_approx()) return true;
-    if (!worker_state_[w]->cold.empty_approx()) return true;
-    if (!inject_hot_[w]->empty_approx()) return true;
-    if (!inject_cold_[w]->empty_approx()) return true;
+    if (!worker_state_[w]->ready.empty_approx()) return true;
+    if (!inject_[w]->empty_approx()) return true;
   }
   return false;
 }

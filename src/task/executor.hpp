@@ -11,18 +11,12 @@
 // see channel_executor.hpp; executor_base.hpp documents what the backends
 // share.
 //
-// Scheduling layout. Every worker owns a *hot* and a *cold* lock-free
-// deque; the run() caller owns one hot/cold *injection* deque per worker
-// into which group activations are scattered round-robin (Chase–Lev push
-// is owner-only, so the caller cannot push into a worker's own deque).
-// Ready tasks land in a cold deque when the caller supplied tier hints and
-// the task is NVM-bound (some input chunk not DRAM-resident under the
-// current plan). Workers drain hot work first — own deque, own injection
-// slot, then steal from the other hot deques in a randomized rotation —
-// and only then fall back to cold work. That global hot-before-cold order
-// is the executor-side half of the paper's migration/computation overlap:
-// DRAM-resident tasks run while the helper thread is still promoting the
-// objects the NVM-bound tasks will touch.
+// Scheduling layout. Every worker owns one lock-free ready deque; the
+// run() caller owns one *injection* deque per worker into which group
+// activations are scattered round-robin (Chase–Lev push is owner-only, so
+// the caller cannot push into a worker's own deque). A worker takes from
+// its own deque, then its own injection slot, then steals from the other
+// workers' deques and injection slots in a randomized rotation.
 //
 // Parking. An idle worker rescans with exponential backoff a few times,
 // then registers as a waiter on the eventcount and re-verifies emptiness
@@ -64,8 +58,7 @@ class Executor final : public ExecutorBase {
   /// One worker's scheduling state, cacheline-isolated.
   struct alignas(64) WorkerState {
     explicit WorkerState(std::uint64_t seed) : rng(seed) {}
-    WsDeque<TaskId> hot;
-    WsDeque<TaskId> cold;
+    WsDeque<TaskId> ready;
     Rng rng;             ///< victim-rotation randomization (owner-only)
     ExecutorStats stats; ///< owner-written; read by run() when quiescent
   };
@@ -78,9 +71,8 @@ class Executor final : public ExecutorBase {
   bool any_work_visible() const;
 
   std::vector<std::unique_ptr<WorkerState>> worker_state_;
-  /// Caller-owned activation deques, one hot/cold pair per worker.
-  std::vector<std::unique_ptr<WsDeque<TaskId>>> inject_hot_;
-  std::vector<std::unique_ptr<WsDeque<TaskId>>> inject_cold_;
+  /// Caller-owned activation deques, one per worker.
+  std::vector<std::unique_ptr<WsDeque<TaskId>>> inject_;
   std::vector<std::thread> workers_;
 };
 

@@ -41,7 +41,6 @@ ExecutorStats snapshot_stats(const ExecutorStats& s) noexcept {
   out.inject_takes = peek(s.inject_takes);
   out.failed_steals = peek(s.failed_steals);
   out.parks = peek(s.parks);
-  out.cold_takes = peek(s.cold_takes);
   out.steal_requests = peek(s.steal_requests);
   out.steal_declines = peek(s.steal_declines);
   out.steal_halves = peek(s.steal_halves);
@@ -57,7 +56,6 @@ void accumulate_stats(ExecutorStats& into, const ExecutorStats& s) noexcept {
   into.inject_takes += s.inject_takes;
   into.failed_steals += s.failed_steals;
   into.parks += s.parks;
-  into.cold_takes += s.cold_takes;
   into.steal_requests += s.steal_requests;
   into.steal_declines += s.steal_declines;
   into.steal_halves += s.steal_halves;
@@ -72,7 +70,6 @@ void subtract_stats(ExecutorStats& from, const ExecutorStats& s) noexcept {
   from.inject_takes -= s.inject_takes;
   from.failed_steals -= s.failed_steals;
   from.parks -= s.parks;
-  from.cold_takes -= s.cold_takes;
   from.steal_requests -= s.steal_requests;
   from.steal_declines -= s.steal_declines;
   from.steal_halves -= s.steal_halves;
@@ -183,7 +180,6 @@ void ExecutorBase::flush_stats_to_counters(const ExecutorStats& delta) const {
   reg.get("executor.inject_takes").add(delta.inject_takes);
   reg.get("executor.steals_failed").add(delta.failed_steals);
   reg.get("executor.parks").add(delta.parks);
-  reg.get("executor.cold_takes").add(delta.cold_takes);
   reg.get("executor.steal_requests").add(delta.steal_requests);
   reg.get("executor.steal_declines").add(delta.steal_declines);
   reg.get("executor.steal_halves").add(delta.steal_halves);
@@ -191,15 +187,11 @@ void ExecutorBase::flush_stats_to_counters(const ExecutorStats& delta) const {
 }
 
 void ExecutorBase::run(const TaskGraph& graph,
-                       const std::function<void(GroupId)>& on_group_start,
-                       std::span<const TierHint> tier_hints) {
+                       const std::function<void(GroupId)>& on_group_start) {
   const std::lock_guard<std::mutex> run_lock(run_mutex_);
   TAHOE_REQUIRE(graph.num_tasks() > 0, "empty graph");
-  TAHOE_REQUIRE(tier_hints.empty() || tier_hints.size() == graph.num_tasks(),
-                "tier_hints must be empty or have one entry per task");
   run_active_.store(true, std::memory_order_release);
   graph_ = &graph;
-  hints_ = tier_hints.empty() ? nullptr : tier_hints.data();
   first_error_ = nullptr;
 
   const std::size_t n = graph.num_tasks();
@@ -275,7 +267,6 @@ void ExecutorBase::run(const TaskGraph& graph,
   reported_ = total;
   stats_ = total;
   graph_ = nullptr;
-  hints_ = nullptr;
   run_active_.store(false, std::memory_order_release);
   if (first_error_) std::rethrow_exception(first_error_);
 }

@@ -19,6 +19,13 @@
 // Backends only provide the worker loops and the two handoff primitives:
 // `inject_ready` (caller → worker) and `push_ready` (worker → scheduler,
 // for newly released successors).
+//
+// Each worker keeps one ready lane and one injection lane; the order among
+// ready tasks does not depend on where their data lives, and need not: at
+// each phase boundary `run_real_report` waits for every copy the group
+// needs before the group's tasks become ready, and a copy still in flight
+// moves a unit that no group between its trigger and its need references
+// (the planner triggers each copy after the unit's last earlier reference).
 #pragma once
 
 #include <atomic>
@@ -29,19 +36,12 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string_view>
 #include <vector>
 
 #include "task/graph.hpp"
 
 namespace tahoe::task {
-
-/// Per-task scheduling hint derived from planned data residency.
-enum class TierHint : std::uint8_t {
-  kHot = 0,   ///< inputs DRAM-resident (or unknown): run eagerly
-  kCold = 1,  ///< inputs NVM-bound: defer while hot work exists
-};
 
 /// Scheduler counters. `stats()` returns the totals across all workers and
 /// runs; `worker_stats(w)` the per-worker breakdown. The last four fields
@@ -54,7 +54,6 @@ struct ExecutorStats {
   std::uint64_t inject_takes = 0;   ///< tasks taken from an injection lane
   std::uint64_t failed_steals = 0;  ///< full victim scans that found nothing
   std::uint64_t parks = 0;          ///< times a worker blocked on the eventcount
-  std::uint64_t cold_takes = 0;     ///< NVM-hinted (deferred) tasks executed
   std::uint64_t steal_requests = 0; ///< explicit steal requests sent
   std::uint64_t steal_declines = 0; ///< requests answered with no work
   std::uint64_t steal_halves = 0;   ///< replies carrying more than one task
@@ -123,14 +122,8 @@ class IExecutor {
   /// is set, groups are executed as sequential phases (tasks of group g+1
   /// wait for group g), matching the paper's phase semantics; without it
   /// the DAG runs with maximum overlap.
-  ///
-  /// `tier_hints`, when non-empty, must have one entry per task; kCold
-  /// tasks are deferred while any hot work remains. Hints only affect
-  /// scheduling order among *ready* tasks — dependences and phase
-  /// barriers are always respected.
   virtual void run(const TaskGraph& graph,
-                   const std::function<void(GroupId)>& on_group_start = {},
-                   std::span<const TierHint> tier_hints = {}) = 0;
+                   const std::function<void(GroupId)>& on_group_start = {}) = 0;
 
   virtual ExecutorBackend backend() const noexcept = 0;
   virtual unsigned num_workers() const noexcept = 0;
@@ -185,8 +178,7 @@ inline constexpr int kSpinRounds = 6;
 class ExecutorBase : public IExecutor {
  public:
   void run(const TaskGraph& graph,
-           const std::function<void(GroupId)>& on_group_start = {},
-           std::span<const TierHint> tier_hints = {}) final;
+           const std::function<void(GroupId)>& on_group_start = {}) final;
 
   unsigned num_workers() const noexcept final { return num_workers_; }
   const ExecutorStats& stats() const noexcept final { return stats_; }
@@ -198,7 +190,7 @@ class ExecutorBase : public IExecutor {
 
   // --- backend hooks -----------------------------------------------------
   /// Caller-thread activation handoff into the worker `slot`'s injection
-  /// lane (hot or cold by `hints_`). Must wake a parked worker.
+  /// lane. Must wake a parked worker.
   virtual void inject_ready(TaskId id, unsigned slot) = 0;
   /// Worker-thread handoff of a newly released successor (called from
   /// execute_task on the releasing worker). Must wake a parked worker.
@@ -211,9 +203,6 @@ class ExecutorBase : public IExecutor {
   /// push_ready, and signals the group barrier / run completion. Does NOT
   /// bump tasks_run — the backend's worker loop owns its stats.
   void execute_task(TaskId id, unsigned self);
-  bool cold_hint(TaskId id) const noexcept {
-    return hints_ != nullptr && hints_[id] == TierHint::kCold;
-  }
 
   unsigned num_workers_ = 0;
   EventCount park_;  ///< idle workers sleep here; producers notify
@@ -225,7 +214,6 @@ class ExecutorBase : public IExecutor {
  private:
   void flush_stats_to_counters(const ExecutorStats& delta) const;
 
-  const TierHint* hints_ = nullptr;  ///< valid during run(); may be null
   std::vector<std::atomic<std::uint32_t>> pending_preds_;
   /// Tasks left in the current group (phase mode) or in the whole graph;
   /// the counter run() waits on.

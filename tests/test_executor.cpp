@@ -257,21 +257,6 @@ TEST_P(ExecutorBackendTest, RejectsBadConfig) {
   EXPECT_THROW(ex->run(gb.build()), ContractError);
 }
 
-TEST_P(ExecutorBackendTest, RejectsMisSizedTierHints) {
-  GraphBuilder gb;
-  gb.begin_group("g");
-  for (int i = 0; i < 4; ++i) {
-    Task t;
-    t.accesses = {acc(static_cast<hms::ObjectId>(i), AccessMode::Write)};
-    t.work = [] {};
-    gb.add_task(std::move(t));
-  }
-  const TaskGraph g = gb.build();
-  const auto ex = make(2);
-  const std::vector<TierHint> wrong(3, TierHint::kHot);
-  EXPECT_THROW(ex->run(g, {}, wrong), ContractError);
-}
-
 TEST_P(ExecutorBackendTest, StatsAccountForEveryTask) {
   GraphBuilder gb;
   gb.begin_group("g");
@@ -313,63 +298,9 @@ TEST_P(ExecutorBackendTest, StatsAccountForEveryTask) {
   EXPECT_EQ(per_worker_tasks, s.tasks_run);
 }
 
-TEST_P(ExecutorBackendTest, ColdHintedTasksAllRunAndAreCounted) {
-  GraphBuilder gb;
-  gb.begin_group("g");
-  std::atomic<int> count{0};
-  constexpr int kTasks = 64;
-  std::vector<TierHint> hints;
-  for (int i = 0; i < kTasks; ++i) {
-    Task t;
-    t.accesses = {acc(static_cast<hms::ObjectId>(i), AccessMode::Write)};
-    t.work = [&count]() { count.fetch_add(1, std::memory_order_relaxed); };
-    gb.add_task(std::move(t));
-    hints.push_back(i % 2 == 0 ? TierHint::kCold : TierHint::kHot);
-  }
-  const TaskGraph g = gb.build();
-  const auto ex = make(4);
-  ex->run(g, {}, hints);
-  EXPECT_EQ(count.load(), kTasks);
-  EXPECT_EQ(ex->stats().cold_takes, static_cast<std::uint64_t>(kTasks / 2));
-}
-
-TEST_P(ExecutorBackendTest, SingleWorkerRunsHotTasksBeforeColdOnes) {
-  // A head task fans out to 8 hot + 8 cold successors. With one worker all
-  // successors are enqueued by that worker when the head completes, so the
-  // hot-before-cold scheduling order is deterministic.
-  GraphBuilder gb;
-  gb.begin_group("g");
-  std::vector<TierHint> hints;
-  std::vector<int> order;
-  {
-    Task head;
-    head.accesses = {acc(0, AccessMode::Write)};
-    head.work = [] {};
-    gb.add_task(std::move(head));
-    hints.push_back(TierHint::kHot);
-  }
-  for (int i = 0; i < 16; ++i) {
-    Task t;
-    t.accesses = {acc(0, AccessMode::Read),
-                  acc(static_cast<hms::ObjectId>(10 + i), AccessMode::Write)};
-    t.work = [&order, i]() { order.push_back(i); };
-    gb.add_task(std::move(t));
-    hints.push_back(i % 2 == 0 ? TierHint::kHot : TierHint::kCold);
-  }
-  const TaskGraph g = gb.build();
-  const auto ex = make(1);
-  ex->run(g, {}, hints);
-  ASSERT_EQ(order.size(), 16u);
-  // The 8 hot successors (even i) all execute before any cold one.
-  for (int pos = 0; pos < 8; ++pos) {
-    EXPECT_EQ(order[pos] % 2, 0) << "cold task ran at position " << pos;
-  }
-}
-
 TEST_P(ExecutorBackendTest, PhaseModeWithHintsKeepsBarrierSemantics) {
   GraphBuilder gb;
   std::atomic<int> running{0};
-  std::vector<TierHint> hints;
   std::atomic<int> current_group{-1};
   std::atomic<bool> violation{false};
   for (int gi = 0; gi < 3; ++gi) {
@@ -385,14 +316,13 @@ TEST_P(ExecutorBackendTest, PhaseModeWithHintsKeepsBarrierSemantics) {
         running.fetch_add(1, std::memory_order_relaxed);
       };
       gb.add_task(std::move(t));
-      hints.push_back(i % 3 == 0 ? TierHint::kCold : TierHint::kHot);
     }
   }
   const TaskGraph g = gb.build();
   const auto ex = make(4);
   ex->run(g, [&](GroupId gi) {
     current_group.store(static_cast<int>(gi), std::memory_order_release);
-  }, hints);
+  });
   EXPECT_EQ(running.load(), 36);
   EXPECT_FALSE(violation.load());
 }
@@ -504,7 +434,6 @@ TEST_P(ExecutorBackendTest, RandomizedGraphOracle) {
     const int per_group = 20 + static_cast<int>(rng.next_below(30));
     const int total = groups * per_group;
     std::vector<std::atomic<int>> done(total);
-    for (auto& d : done) d.store(0);
     std::atomic<bool> order_violation{false};
     std::atomic<int> executed{0};
 
@@ -551,21 +480,21 @@ TEST_P(ExecutorBackendTest, RandomizedGraphOracle) {
       }
     }
     const TaskGraph g2 = gb2.build();
-    // Random tier hints must never affect correctness, only order.
-    std::vector<TierHint> hints;
-    for (int i = 0; i < total; ++i) {
-      hints.push_back(rng.next_below(2) == 0 ? TierHint::kHot
-                                             : TierHint::kCold);
-    }
+    // Every graph runs as one DAG and as sequential phases.
     const auto ex = make(4);
-    const bool phase = rng.next_below(2) == 0;
-    if (phase) {
-      ex->run(g2, [](GroupId) {}, hints);
-    } else {
-      ex->run(g2, {}, hints);
+    for (const bool phase : {false, true}) {
+      for (auto& d : done) d.store(0);
+      executed.store(0);
+      if (phase) {
+        ex->run(g2, [](GroupId) {});
+      } else {
+        ex->run(g2);
+      }
+      EXPECT_EQ(executed.load(), total)
+          << "seed " << seed << " phase " << phase;
+      EXPECT_FALSE(order_violation.load())
+          << "seed " << seed << " phase " << phase;
     }
-    EXPECT_EQ(executed.load(), total) << "seed " << seed;
-    EXPECT_FALSE(order_violation.load()) << "seed " << seed;
   }
 }
 

@@ -1,6 +1,7 @@
 // N-tier hierarchy end-to-end: machine shape, the MCKP planner path,
-// the one tier-indexed report layout, and migration flows on the
-// four-tier CXL platform.
+// the one tier-indexed report layout, migration flows on the four-tier
+// CXL platform, and the copy windows the phase-boundary protocol relies
+// on, on two and four tiers.
 #include "common/assert.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "serve/driver.hpp"
 #include "serve/service.hpp"
 #include "trace/json.hpp"
+#include "workloads/common.hpp"
 
 namespace tahoe {
 namespace {
@@ -371,6 +373,102 @@ TEST(MultiTier, InitialPlacementWaterfallsFastestFirst) {
   EXPECT_EQ(where.at(1), 1u);
   EXPECT_EQ(where.at(2), 2u);
   EXPECT_FALSE(where.contains(3));
+}
+
+/// Decorates a TahoePolicy: checks every copy of every decision against
+/// the graph it was planned for. A copy must fire no later than the group
+/// that needs it, and no group in [trigger, needed) may reference its
+/// unit: the helper thread may still be moving the unit while those groups
+/// run, and a real task that read it could read a chunk migrate_chunk is
+/// about to free.
+class CopyWindowCheck : public core::Policy {
+ public:
+  CopyWindowCheck(core::ModelConstants constants, core::TahoeOptions options,
+                  std::string context)
+      : inner_(std::move(constants), options), context_(std::move(context)) {}
+  std::string name() const override { return inner_.name(); }
+  bool needs_profiling() const override { return inner_.needs_profiling(); }
+
+  core::PlanDecision decide(const core::PlanInputs& in) override {
+    core::PlanDecision d = inner_.decide(in);
+    const task::TaskGraph& graph = *in.graph;
+    for (const task::ScheduledCopy& c : d.schedule) {
+      EXPECT_LE(c.trigger_group, c.needed_group)
+          << context_ << ": object " << c.object << " chunk " << c.chunk;
+      for (const task::GroupId g :
+           graph.groups_referencing(c.object, c.chunk)) {
+        EXPECT_FALSE(g >= c.trigger_group && g < c.needed_group)
+            << context_ << ": group " << g << " references object "
+            << c.object << " chunk " << c.chunk << " inside its copy's window ["
+            << c.trigger_group << ", " << c.needed_group << ")";
+      }
+      if (graph.last_reference_before(c.object, c.chunk, c.needed_group)) {
+        ++after_a_reference;
+      }
+    }
+    return d;
+  }
+
+  /// Copies whose unit an earlier group of the iteration references, so
+  /// that their trigger is not simply group 0.
+  std::size_t after_a_reference = 0;
+
+ private:
+  core::TahoePolicy inner_;
+  std::string context_;
+};
+
+TEST(MultiTier, NoGroupReferencesAUnitWhileItsCopyMayBeInFlight) {
+  // Every in-tree app at test scale (working sets of 38 KiB for mg to
+  // 2.3 MiB for bt), under each strategy, on platform-a (NVM at half
+  // DRAM's bandwidth and 4x its latency) and on FIG-NT's CXL pyramid
+  // (HBM a quarter of DRAM, CXL-DRAM twice it), with 64 KiB, 256 KiB and
+  // 1 MiB of DRAM.
+  using Strategy = core::TahoeOptions::Strategy;
+  const std::vector<std::pair<std::string, Strategy>> strategies{
+      {"auto", Strategy::Auto},
+      {"global", Strategy::GlobalOnly},
+      {"local", Strategy::LocalOnly}};
+  const std::vector<std::string> apps{"cg", "ft", "bt", "lu", "sp", "mg",
+                                      "nekproxy", "heat", "cholesky"};
+  std::map<std::string, std::size_t> after_a_reference;  // per machine
+  for (const std::uint64_t dram : {64 * kKiB, 256 * kKiB, 1 * kMiB}) {
+    memsim::DeviceModel nvm = memsim::devices::nvm_bw_fraction(
+        memsim::devices::dram(dram), 0.5, 1 * kGiB);
+    nvm.read_lat_s *= 4.0;
+    nvm.write_lat_s *= 4.0;
+    const std::vector<std::pair<std::string, memsim::Machine>> machines{
+        {"platform-a", memsim::machines::platform_a(nvm, dram)},
+        {"cxl", cxl(dram / 4, dram, 2 * dram)}};
+    for (const auto& [machine_name, machine] : machines) {
+      core::RuntimeConfig c;
+      c.machine = machine;
+      c.backing = hms::Backing::Virtual;
+      c.fixed_decision_seconds = 0.0;
+      core::Runtime rt(c);
+      const core::ModelConstants constants =
+          core::calibrate(rt.machine()).to_constants();
+      for (const auto& [strategy_name, strategy] : strategies) {
+        for (const std::string& app_name : apps) {
+          core::TahoeOptions options;
+          options.strategy = strategy;
+          CopyWindowCheck check(constants, options,
+                                machine_name + " " +
+                                    std::to_string(dram / kKiB) + " KiB " +
+                                    strategy_name + " " + app_name);
+          auto app =
+              workloads::make_workload(app_name, workloads::Scale::Test);
+          rt.run(*app, check);
+          after_a_reference[machine_name] += check.after_a_reference;
+        }
+      }
+    }
+  }
+  // The sweep must check, on both machines, copies whose window opens
+  // after an earlier reference: the ones a late trigger would break.
+  for (const auto& [machine_name, n] : after_a_reference) {
+    EXPECT_GT(n, 0u) << machine_name;
+  }
 }
 
 }  // namespace

@@ -101,20 +101,13 @@ int main(int argc, char** argv) try {
   const std::string format = flags.get_string("format");
   const std::string out = flags.get_string("out");
   const bool segment_stats = flags.get_bool("segment-stats");
-  if (trace_path.empty() && timeline_path.empty() && !segment_stats) {
-    std::cerr << "tahoe_inspect: --trace, --timeline or --segment-stats is "
-                 "required\n"
-              << flags.usage(argv[0]);
-    return 2;
-  }
-  if (format != "table" && format != "json") {
-    std::cerr << "tahoe_inspect: --format must be 'table' or 'json'\n";
-    return 2;
-  }
-  if (segment_stats && report_path.empty()) {
-    std::cerr << "tahoe_inspect: --segment-stats requires --report\n";
-    return 2;
-  }
+  flags.require_flag(format == "table" || format == "json",
+                     "--format must be 'table' or 'json'");
+  flags.require_flag(
+      !trace_path.empty() || !timeline_path.empty() || segment_stats,
+      "--trace, --timeline or --segment-stats is required");
+  flags.require_flag(!segment_stats || !report_path.empty(),
+                     "--segment-stats requires --report");
   const bool json = format == "json";
 
   try {
